@@ -232,15 +232,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         out=ns.out,
         quick=getattr(ns, "quick", False),
     )
-    if config.delta is not None and not 0.0 <= config.delta <= 1.0:
-        sys.stderr.write(f"error: --delta must lie in [0, 1], got {config.delta}\n")
-        return EXIT_USAGE
-    if config.grid < 2:
-        sys.stderr.write(f"error: --grid must be at least 2, got {config.grid}\n")
-        return EXIT_USAGE
-    if config.trials < 0:
-        sys.stderr.write(f"error: --trials must be nonnegative, got {config.trials}\n")
-        return EXIT_USAGE
+    usage_errors = [
+        (config.delta is not None and not 0.0 <= config.delta <= 1.0,
+         f"--delta must lie in [0, 1], got {config.delta}"),
+        (config.grid < 2, f"--grid must be at least 2, got {config.grid}"),
+        (config.trials < 0, f"--trials must be nonnegative, got {config.trials}"),
+        (config.d_max < 2, f"--dmax must be at least 2, got {config.d_max}"),
+        (not 0.0 < config.horizon_mult < math.inf,
+         f"--horizon-mult must be finite and positive, got {config.horizon_mult}"),
+        (config.seed < 0, f"--seed must be nonnegative, got {config.seed}"),
+    ]
+    for bad, message in usage_errors:
+        if bad:
+            sys.stderr.write(f"error: {message}\n")
+            return EXIT_USAGE
     handlers = {
         "alpha": cmd_alpha,
         "verify": cmd_verify,

@@ -1,64 +1,25 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, one numpy implementation each.
 
-Backend selection happens once at import time:
-
-* default: numba ``@njit`` kernels (compiled lazily, cached on disk);
-* ``QSL_DISABLE_NUMBA=1`` in the environment, or numba missing, selects the
-  pure-numpy implementations.
-
-``QSL_THREADS`` caps the numba worker count and nothing else; it does not cap
-the BLAS threads that the numpy path may use. Both paths implement identical
-semantics and are compared by the test suite and by
-``benchmarks/bench_kernels.py``.
+``theta_max_table`` serves the grid-minimax oracle; the fidelity grid, the
+scalar fidelity and its time derivative, and the two bisection refiners serve
+the first-passage scans of :mod:`qsl.qsim`.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_TRUTHY = {"1", "true", "yes", "on"}
+# rows of the theta_max_table block evaluated at once, bounding its memory
+_THETA_CHUNK = 256
 
 
-def _numba_requested() -> bool:
-    return os.environ.get("QSL_DISABLE_NUMBA", "").strip().lower() not in _TRUTHY
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        import numba
-        from numba import njit, prange
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    _threads = os.environ.get("QSL_THREADS", "").strip()
-    if _threads:
-        numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-
-
-def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-if not NUMBA_ENABLED:
-    prange = range  # keeps the loop kernels below importable and callable
-
-
-# --- per-angle maxima of F(theta, y) = rho*fa(y) + sigma*fb(y) -----------------
-
-def theta_max_table_np(rho, sigma, fa, fb, chunk: int = 256):
+def theta_max_table(rho, sigma, fa, fb):
     """For each (rho, sigma) row return max and argmax over the y profiles."""
     n_t = rho.shape[0]
     best = np.empty(n_t)
     arg = np.empty(n_t, dtype=np.int64)
-    for s in range(0, n_t, chunk):
-        e = min(s + chunk, n_t)
+    for s in range(0, n_t, _THETA_CHUNK):
+        e = min(s + _THETA_CHUNK, n_t)
         block = rho[s:e, None] * fa[None, :] + sigma[s:e, None] * fb[None, :]
         idx = block.argmax(axis=1)
         arg[s:e] = idx
@@ -66,108 +27,40 @@ def theta_max_table_np(rho, sigma, fa, fb, chunk: int = 256):
     return best, arg
 
 
-def _theta_max_table_loop(rho, sigma, fa, fb):
-    n_t = rho.shape[0]
-    n_y = fa.shape[0]
-    best = np.empty(n_t)
-    arg = np.empty(n_t, dtype=np.int64)
-    for i in prange(n_t):
-        r = rho[i]
-        s = sigma[i]
-        hi = -1e300
-        hj = 0
-        for j in range(n_y):
-            v = r * fa[j] + s * fb[j]
-            if v > hi:
-                hi = v
-                hj = j
-        best[i] = hi
-        arg[i] = hj
-    return best, arg
-
-
-# --- fidelity of a finite-level state on a uniform time grid ------------------
-
-_RESYNC = 4096  # recompute exact phases every block to stop rotation drift
-
-
-def fidelity_grid_np(p, energies, t0: float, dt: float, n: int):
+def fidelity_grid(p, energies, t0: float, dt: float, n: int):
     """|sum_k p_k exp(-i E_k t)|^2 on the grid t = t0 + dt*[0..n-1]."""
     t = t0 + dt * np.arange(n)
     z = np.exp(-1j * np.outer(t, energies)) @ p.astype(np.complex128)
     return np.abs(z) ** 2
 
 
-def _fidelity_grid_loop(p, energies, t0, dt, n):
-    d = p.shape[0]
-    out = np.empty(n)
-    ph = np.empty(d, dtype=np.complex128)
-    rot = np.empty(d, dtype=np.complex128)
-    for k in range(d):
-        rot[k] = complex(math.cos(energies[k] * dt), -math.sin(energies[k] * dt))
-    i = 0
-    while i < n:
-        block = min(_RESYNC, n - i)
-        t = t0 + dt * i
-        for k in range(d):
-            ph[k] = p[k] * complex(math.cos(energies[k] * t), -math.sin(energies[k] * t))
-        for b in range(block):
-            zr = 0.0
-            zi = 0.0
-            for k in range(d):
-                zr += ph[k].real
-                zi += ph[k].imag
-            out[i + b] = zr * zr + zi * zi
-            for k in range(d):
-                ph[k] = ph[k] * rot[k]
-        i += block
-    return out
+def fidelity_scalar(p, energies, t):
+    """|sum_k p_k exp(-i E_k t)|^2 at one time ``t``."""
+    phase = energies * t
+    re = float(p @ np.cos(phase))
+    im = -float(p @ np.sin(phase))
+    return re * re + im * im
 
 
-# --- crossing detection and refinement ----------------------------------------
-
-def first_crossing_np(f, level: float) -> int:
-    """Index of the first grid value <= level, or -1."""
-    mask = f <= level
-    if not mask.any():
-        return -1
-    return int(np.argmax(mask))
-
-
-def _first_crossing_loop(f, level):
-    for i in range(f.shape[0]):
-        if f[i] <= level:
-            return i
-    return -1
+def dfidelity_scalar(p, energies, t):
+    """Time derivative of :func:`fidelity_scalar` at ``t``."""
+    phase = energies * t
+    c = np.cos(phase)
+    s = np.sin(phase)
+    re = float(p @ c)
+    im = -float(p @ s)
+    pe = p * energies
+    return 2.0 * (re * -float(pe @ s) + im * -float(pe @ c))
 
 
-def _fidelity_scalar(p, energies, t):
-    zr = 0.0
-    zi = 0.0
-    for k in range(p.shape[0]):
-        zr += p[k] * math.cos(energies[k] * t)
-        zi -= p[k] * math.sin(energies[k] * t)
-    return zr * zr + zi * zi
+# The refiners look the scalar helpers up under these names, where
+# perfbench/layers.py installs its call counters.
+_fidelity_scalar = fidelity_scalar
+_dfidelity_scalar = dfidelity_scalar
 
 
-def _dfidelity_scalar(p, energies, t):
-    zr = 0.0
-    zi = 0.0
-    wr = 0.0
-    wi = 0.0
-    for k in range(p.shape[0]):
-        c = math.cos(energies[k] * t)
-        s = math.sin(energies[k] * t)
-        zr += p[k] * c
-        zi -= p[k] * s
-        # dz/dt = -i E z contribution per level
-        wr += -p[k] * energies[k] * s
-        wi += -p[k] * energies[k] * c
-    return 2.0 * (zr * wr + zi * wi)
-
-
-def _refine_crossing(p, energies, lo, hi, level, iters):
-    # bisection on f(t) - level; f(lo) > level >= f(hi) on entry
+def refine_crossing(p, energies, lo, hi, level, iters):
+    """Bisect f(t) - level on [lo, hi], where f(lo) > level >= f(hi)."""
     for _ in range(iters):
         if hi - lo <= 1e-15 * hi:
             break
@@ -179,8 +72,8 @@ def _refine_crossing(p, energies, lo, hi, level, iters):
     return hi
 
 
-def _refine_minimum(p, energies, lo, hi, iters):
-    # bisection on df/dt; df(lo) < 0 < df(hi) on entry
+def refine_minimum(p, energies, lo, hi, iters):
+    """Bisect df/dt on [lo, hi], where df(lo) < 0 < df(hi)."""
     for _ in range(iters):
         if hi - lo <= 1e-15 * hi:
             break
@@ -190,57 +83,3 @@ def _refine_minimum(p, energies, lo, hi, iters):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _fidelity_scalar_np(p, energies, t):
-    phase = energies * t
-    re = float(p @ np.cos(phase))
-    im = -float(p @ np.sin(phase))
-    return re * re + im * im
-
-
-def _dfidelity_scalar_np(p, energies, t):
-    phase = energies * t
-    c = np.cos(phase)
-    s = np.sin(phase)
-    re = float(p @ c)
-    im = -float(p @ s)
-    pe = p * energies
-    return 2.0 * (re * -float(pe @ s) + im * -float(pe @ c))
-
-
-if NUMBA_ENABLED:
-    theta_max_table = njit(cache=True, parallel=True)(_theta_max_table_loop)
-    fidelity_grid = njit(cache=True)(_fidelity_grid_loop)
-    first_crossing = njit(cache=True)(_first_crossing_loop)
-    fidelity_scalar = njit(cache=True)(_fidelity_scalar)
-    dfidelity_scalar = njit(cache=True)(_dfidelity_scalar)
-    # rebind the globals so the refiners compile against the jitted helpers
-    _fidelity_scalar = fidelity_scalar
-    _dfidelity_scalar = dfidelity_scalar
-    refine_crossing = njit(cache=True)(_refine_crossing)
-    refine_minimum = njit(cache=True)(_refine_minimum)
-else:
-    theta_max_table = theta_max_table_np
-    fidelity_grid = fidelity_grid_np
-    first_crossing = first_crossing_np
-    fidelity_scalar = _fidelity_scalar_np
-    dfidelity_scalar = _dfidelity_scalar_np
-    # the refiners pick up the vectorized helpers through the module globals
-    _fidelity_scalar = _fidelity_scalar_np
-    _dfidelity_scalar = _dfidelity_scalar_np
-    refine_crossing = _refine_crossing
-    refine_minimum = _refine_minimum
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of all kernels (no-op on the numpy path)."""
-    p = np.array([0.5, 0.5])
-    e = np.array([0.0, 1.0])
-    theta_max_table(np.ones(2), np.zeros(2), np.ones(4), np.zeros(4))
-    f = fidelity_grid(p, e, 0.0, 0.1, 16)
-    first_crossing(f, 0.5)
-    fidelity_scalar(p, e, 1.0)
-    dfidelity_scalar(p, e, 1.0)
-    refine_crossing(p, e, 1.0, 2.0, 0.5, 8)
-    refine_minimum(p, e, 3.0, 3.3, 8)

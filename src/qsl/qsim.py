@@ -131,6 +131,11 @@ def _local_minima(f: np.ndarray) -> np.ndarray:
     return np.nonzero(mask)[0] + 1
 
 
+def _first_at_or_below(running_min: np.ndarray, level: float) -> int:
+    """First grid index with value <= level, from the grid's running minimum; len if none."""
+    return int(np.searchsorted(-running_min, -level, side="left"))
+
+
 def _locate_passage(energies: np.ndarray, p: np.ndarray, f: np.ndarray, dt: float,
                     delta: float, idx: int, minima: np.ndarray) -> Optional[float]:
     """Locate the first passage given grid data.
@@ -185,9 +190,7 @@ def first_passage(state: QuantumState, delta: float, horizon: float,
     energies, p = state.support()
     dt = horizon / (n_grid - 1)
     f = kernels.fidelity_grid(p, energies, 0.0, dt, n_grid)
-    idx = kernels.first_crossing(f, delta)
-    if idx < 0:
-        idx = n_grid
+    idx = _first_at_or_below(np.minimum.accumulate(f), delta)
     t_star = _locate_passage(energies, p, f, dt, delta, idx, _local_minima(f))
     if t_star is None:
         return PassageResult(t_star=None, achieved_fidelity=float(f.min()), horizon=horizon)
@@ -311,8 +314,7 @@ def verify_limits(trials: int, d_max: int, delta_grid: Sequence[float], seed: in
         excess = mean_excess_energy(state)
         de = dispersion(state)
         for delta in deltas:
-            # running_min is nonincreasing: first index with f <= delta
-            idx = int(np.searchsorted(-running_min, -delta, side="left"))
+            idx = _first_at_or_below(running_min, delta)
             t_star = _locate_passage(energies, p, f, dt, delta, idx, minima)
             if t_star is None:
                 report["skips"] += 1

@@ -154,6 +154,23 @@ class TestSimulate:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--trials", "5", "--dmax", "1"),
+    ("simulate", "--trials", "5", "--horizon-mult", "-1"),
+    ("simulate", "--trials", "5", "--horizon-mult", "0"),
+    ("simulate", "--trials", "5", "--horizon-mult", "inf"),
+    ("simulate", "--trials", "5", "--horizon-mult", "nan"),
+    ("simulate", "--trials", "5", "--seed", "-1"),
+    ("verify", "--quick", "--seed", "-1"),
+])
+def test_out_of_range_flag_is_one_line_usage_error(capsys, argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 class TestFormatting:
     def test_csv_line_endings_and_digits(self, capsys):
         _, out = run(capsys, "alpha", "--grid", "3")

@@ -1,18 +1,9 @@
-"""Parity between the numba fast path and the pure-numpy fallback."""
-
-import importlib.util
-import os
-import subprocess
-import sys
+"""The numpy kernels against independent direct computations."""
 
 import numpy as np
 import pytest
 
-from qsl import kernels
-
-needs_numba = pytest.mark.skipif(
-    not kernels.NUMBA_ENABLED, reason="numba backend not active"
-)
+from qsl import kernels, qsim
 
 
 def random_state_arrays(seed, d=6):
@@ -22,56 +13,29 @@ def random_state_arrays(seed, d=6):
     return energies, p / p.sum()
 
 
-@needs_numba
-def test_theta_max_table_parity():
+def test_theta_max_table_matches_full_matrix_argmax():
+    # 300 rows: one full chunk plus a partial one
+    assert 300 % kernels._THETA_CHUNK != 0
     rng = np.random.default_rng(5)
     rho = rng.uniform(0.0, 2.0, 300)
     sigma = rng.uniform(-1.0, 1.0, 300)
     fa = rng.uniform(-2.0, 2.0, 400)
     fb = rng.uniform(-2.0, 2.0, 400)
-    best_j, arg_j = kernels.theta_max_table(rho, sigma, fa, fb)
-    best_n, arg_n = kernels.theta_max_table_np(rho, sigma, fa, fb)
-    np.testing.assert_allclose(best_j, best_n, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(arg_j, arg_n)
+    full = np.outer(rho, fa) + np.outer(sigma, fb)
+    best, arg = kernels.theta_max_table(rho, sigma, fa, fb)
+    np.testing.assert_array_equal(arg, full.argmax(axis=1))
+    np.testing.assert_allclose(best, full.max(axis=1), rtol=0, atol=1e-12)
 
 
-@needs_numba
-def test_fidelity_grid_parity():
-    energies, p = random_state_arrays(11)
-    jit = kernels.fidelity_grid(p, energies, 0.0, 0.013, 20000)
-    ref = kernels.fidelity_grid_np(p, energies, 0.0, 0.013, 20000)
-    np.testing.assert_allclose(jit, ref, rtol=0, atol=1e-11)
-
-
-@needs_numba
-def test_first_crossing_parity():
-    energies, p = random_state_arrays(13)
-    f = kernels.fidelity_grid_np(p, energies, 0.0, 0.01, 5000)
-    for level in (0.9, 0.5, 0.2, 0.0):
-        assert kernels.first_crossing(f, level) == kernels.first_crossing_np(f, level)
-
-
-@needs_numba
-def test_refiner_parity():
-    energies, p = random_state_arrays(17)
-    f = kernels.fidelity_grid_np(p, energies, 0.0, 0.01, 5000)
-    idx = kernels.first_crossing_np(f, 0.5)
-    assert idx > 0
-    lo, hi = (idx - 1) * 0.01, idx * 0.01
-    t_jit = kernels.refine_crossing(p, energies, lo, hi, 0.5, 80)
-    t_py = kernels._refine_crossing(p, energies, lo, hi, 0.5, 80)
-    assert t_jit == pytest.approx(t_py, abs=1e-12)
-    assert kernels.fidelity_scalar(p, energies, t_jit) == pytest.approx(0.5, abs=1e-10)
-
-
-@needs_numba
-def test_scalar_fidelity_parity():
-    energies, p = random_state_arrays(19)
-    for t in (0.0, 0.37, 5.1, 211.7):
-        assert kernels.fidelity_scalar(p, energies, t) == pytest.approx(
-            kernels._fidelity_scalar_np(p, energies, t), abs=1e-13)
-        assert kernels.dfidelity_scalar(p, energies, t) == pytest.approx(
-            kernels._dfidelity_scalar_np(p, energies, t), abs=1e-13)
+def test_rotation_resync_long_grid():
+    # a grid longer than 12 000 points stays at rounding level against the
+    # scalar evaluation, from its first point to its last
+    energies, p = random_state_arrays(29, d=4)
+    n = 12_305
+    f = kernels.fidelity_grid(p, energies, 0.0, 0.02, n)
+    for i in (0, 1, 4095, 4096, 8191, 8192, n - 2, n - 1):
+        direct = kernels.fidelity_scalar(p, energies, 0.02 * i)
+        assert f[i] == pytest.approx(direct, abs=1e-11)
 
 
 def test_derivative_matches_finite_difference():
@@ -83,44 +47,50 @@ def test_derivative_matches_finite_difference():
         assert kernels.dfidelity_scalar(p, energies, t) == pytest.approx(fd, abs=1e-7)
 
 
-def run_child(code, env):
-    """Run ``code`` in a fresh interpreter; return its stripped stdout."""
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, f"child exited {out.returncode}:\n{out.stderr}"
-    return out.stdout.strip()
+def test_refine_crossing_lands_on_level():
+    energies, p = random_state_arrays(17)
+    f = kernels.fidelity_grid(p, energies, 0.0, 0.01, 5000)
+    idx = int(np.argmax(f <= 0.5))
+    assert idx > 0 and f[idx - 1] > 0.5 >= f[idx]
+    t = kernels.refine_crossing(p, energies, (idx - 1) * 0.01, idx * 0.01, 0.5, 80)
+    assert (idx - 1) * 0.01 < t <= idx * 0.01
+    assert kernels.fidelity_scalar(p, energies, t) == pytest.approx(0.5, abs=1e-10)
 
 
-def test_env_flag_selects_numpy_backend():
-    code = "import qsl.kernels as k; print(k.backend_name())"
-    env = dict(os.environ, QSL_DISABLE_NUMBA="1")
-    assert run_child(code, env) == "numpy"
+def test_refine_minimum_lands_on_stationary_point():
+    energies, p = random_state_arrays(17)
+    f = kernels.fidelity_grid(p, energies, 0.0, 0.01, 5000)
+    i = int(qsim._local_minima(f)[0])
+    lo, hi = (i - 1) * 0.01, (i + 1) * 0.01
+    assert kernels.dfidelity_scalar(p, energies, lo) < 0.0 < kernels.dfidelity_scalar(p, energies, hi)
+    t = kernels.refine_minimum(p, energies, lo, hi, 80)
+    assert lo < t < hi
+    assert kernels.dfidelity_scalar(p, energies, t) == pytest.approx(0.0, abs=1e-12)
+    assert kernels.fidelity_scalar(p, energies, t) <= f[i]
 
 
-def test_thread_cap_honored():
-    # QSL_THREADS caps numba workers only; without numba the package must still
-    # import with it set and run one worker on the numpy backend. The runner's
-    # own QSL_DISABLE_NUMBA is dropped so the cap is checked wherever numba is.
-    code = ("import qsl.kernels as k\n"
-            "if k.NUMBA_ENABLED:\n"
-            "    import numba\n"
-            "    print(k.backend_name(), numba.get_num_threads())\n"
-            "else:\n"
-            "    print(k.backend_name(), 1)\n")
-    env = {key: val for key, val in os.environ.items() if key != "QSL_DISABLE_NUMBA"}
-    env["QSL_THREADS"] = "1"
-    backend = "numba" if importlib.util.find_spec("numba") else "numpy"
-    assert run_child(code, env) == f"{backend} 1"
+class TestFirstPassage:
+    state = qsim.two_level_state(np.sqrt(0.5))  # fidelity (1 + cos t) / 2
 
+    def test_crossing_at_first_grid_point(self):
+        # idx == 0 needs f(0) <= delta < 1: an equal-weight state whose grid
+        # value at t = 0 rounds below 1, with delta set to that value
+        for d in range(2, 40):
+            state = qsim.QuantumState(np.arange(d, dtype=float), np.full(d, d ** -0.5))
+            energies, p = state.support()
+            f0 = kernels.fidelity_grid(p, energies, 0.0, 1.0, 16)[0]
+            if f0 < 1.0:
+                break
+        assert f0 < 1.0
+        res = qsim.first_passage(state, f0, 10.0)
+        assert res.t_star == 0.0
 
-def test_warmup_runs():
-    kernels.warmup()
+    def test_interior_crossing(self):
+        res = qsim.first_passage(self.state, 0.5, 10.0)
+        assert res.t_star == pytest.approx(np.pi / 2, abs=1e-12)
+        assert res.achieved_fidelity == pytest.approx(0.5, abs=1e-12)
 
-
-def test_rotation_resync_long_grid():
-    # drift over a long grid must stay at rounding level against direct eval
-    energies, p = random_state_arrays(29, d=4)
-    n = 3 * kernels._RESYNC + 17
-    f = kernels.fidelity_grid(p, energies, 0.0, 0.02, n)
-    for i in (0, kernels._RESYNC - 1, kernels._RESYNC, n - 1):
-        direct = kernels._fidelity_scalar_np(p, energies, 0.02 * i)
-        assert f[i] == pytest.approx(direct, abs=1e-11)
+    def test_no_crossing_within_horizon(self):
+        res = qsim.first_passage(self.state, 0.5, 1.0)
+        assert res.t_star is None
+        assert res.achieved_fidelity == pytest.approx((1 + np.cos(1.0)) / 2, abs=1e-12)

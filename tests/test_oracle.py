@@ -117,6 +117,12 @@ class TestIdentitySuite:
         rep = oracle.identity_suite(10_000, seed=42)
         assert rep["max_violation"] <= 1e-12
 
+    def test_exact_input_near_tau_one(self):
+        # with rounded 2 tau^2 - 1 this seed read double_angle_max = 1.13e-12
+        rep = oracle.identity_suite(10_000, seed=577090037)
+        assert rep["double_angle_max"] <= 1e-15
+        assert rep["max_violation"] <= 1e-12
+
     def test_deterministic(self):
         assert oracle.identity_suite(500, seed=9) == oracle.identity_suite(500, seed=9)
 
