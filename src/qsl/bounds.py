@@ -62,18 +62,6 @@ def _check_delta(delta: float) -> None:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
 
 
-def _clamped_acos(x: float) -> float:
-    if x > 1.0:
-        if x > 1.0 + _CLAMP_TOL:
-            raise DomainError(f"arccos argument {x} out of range")
-        x = 1.0
-    elif x < -1.0:
-        if x < -1.0 - _CLAMP_TOL:
-            raise DomainError(f"arccos argument {x} out of range")
-        x = -1.0
-    return math.acos(x)
-
-
 def rho_sigma(theta: float, delta: float) -> CirclePoint:
     """Map a circle angle to (rho, sigma, phi) coordinates."""
     _check_delta(delta)
@@ -176,15 +164,16 @@ def lower_bound_m(delta: float, n_theta: int = 512) -> float:
 
 
 def f_max_closed(delta: float, z: float) -> float:
-    """Closed-form inner maximum ((1+z)/2) * arccos((2*delta-1-z^2)/(1-z^2))."""
+    """Closed-form inner maximum ((1+z)/2) * arccos((2*delta-1-z^2)/(1-z^2)).
+
+    Evaluated by the half-angle formula as (1+z) * atan2(sqrt(1-delta),
+    sqrt(delta-z^2)), which does not cancel as z^2 nears delta.
+    """
     _check_delta(delta)
     if z * z > delta + _CLAMP_TOL:
         raise DomainError(f"z^2={z * z} exceeds delta={delta}")
-    if 1.0 - z * z <= _CLAMP_TOL:
-        # |z| = 1 forces delta = 1; the limit value is 0
-        return 0.0
-    arg = (2.0 * delta - 1.0 - z * z) / (1.0 - z * z)
-    return 0.5 * (1.0 + z) * _clamped_acos(arg)
+    w = delta - z * z
+    return (1.0 + z) * math.atan2(math.sqrt(1.0 - delta), math.sqrt(w) if w > 0.0 else 0.0)
 
 
 def _upper_bound_argmin(delta: float, n_grid: int = 512) -> tuple[float, float]:
@@ -221,7 +210,7 @@ def alpha(delta: float, debug: bool = False) -> float:
 def mt_alpha(delta: float) -> float:
     """Numerator arccos(sqrt(delta)) of the dispersion-based limit."""
     _check_delta(delta)
-    return _clamped_acos(math.sqrt(delta))
+    return math.acos(math.sqrt(delta))
 
 
 def omega_to_z(omega: float, delta: float) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsl import bounds, oracle
+from qsl import bounds, checks
 from qsl.errors import CaseError, DomainError, EqualityViolation
 from qsl.rootfind import y_bounds
 
@@ -215,11 +215,6 @@ class TestBoundFunctions:
     def test_equality_at_quarter(self):
         assert abs(bounds.lower_bound_m(0.25) - bounds.upper_bound_M(0.25)) <= 1e-7
 
-    def test_equality_on_grid(self):
-        for delta in np.arange(0.01, 1.0, 0.01):
-            ev = bounds.evaluate_bounds(float(delta), 720)
-            assert ev.gap <= 1e-6
-
     def test_sigma_restriction_matches_full_circle(self):
         # the search over theta in [pi, 2pi] must agree with a full-circle scan
         for delta in (0.1, 0.45, 0.8):
@@ -294,6 +289,26 @@ class TestAlpha:
         with pytest.raises(EqualityViolation):
             bounds.alpha(0.5, debug=True)
 
+    @pytest.mark.parametrize("delta", [d for k in range(1, 13)
+                                       for d in (10.0 ** -k, 1 - 10.0 ** -k)] + [0.999999])
+    def test_matches_high_precision_closed_form(self, delta):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            d = mpmath.mpf(delta)
+
+            def objective(z):
+                arg = (2 * d - 1 - z * z) / (1 - z * z)
+                return (1 + z) / 2 * mpmath.acos(min(max(arg, -1), 1))
+
+            # golden-section search over the whole of [-sqrt(d), sqrt(d)]
+            lo, hi = -mpmath.sqrt(d), mpmath.sqrt(d)
+            ratio = (mpmath.sqrt(5) - 1) / 2
+            for _ in range(200):
+                z1, z2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+                lo, hi = (lo, z2) if objective(z1) <= objective(z2) else (z1, hi)
+            ref = float(2 / mpmath.pi * objective((lo + hi) / 2))
+        assert abs(bounds.alpha(delta) - ref) <= 1e-11 * abs(ref) + 1e-11
+
 
 class TestMTAlpha:
     @pytest.mark.parametrize(
@@ -352,22 +367,18 @@ class TestArcGaps:
                 assert abs(bounds.arc_gap_CD(YB.y_minus / 2, delta, branch)) <= 1e-12
 
     def test_AB_interior_positive(self):
-        delta = 0.9
-        lo = max(YB.y_plus / 2, math.acos(math.sqrt(delta)))
-        hi = math.pi - math.acos(math.sqrt(delta))
+        _, lo, hi, _ = checks.arcs(0.9)[0]
         for psi in np.linspace(lo + 1e-3, hi, 200):
-            assert bounds.arc_gap_AB(float(psi), delta, 1) > 0.0
+            assert bounds.arc_gap_AB(float(psi), 0.9, 1) > 0.0
 
     def test_CD_interior_positive(self):
-        delta = 0.9
-        lo = math.acos(math.sqrt(delta))
-        for psi in np.linspace(lo, YB.y_minus / 2 - 1e-3, 200):
-            assert bounds.arc_gap_CD(float(psi), delta, 1) > 0.0
+        _, lo, hi, _ = checks.arcs(0.9)[1]
+        for psi in np.linspace(lo, hi - 1e-3, 200):
+            assert bounds.arc_gap_CD(float(psi), 0.9, 1) > 0.0
 
     def test_AB_matches_direct_subtraction(self):
         delta = 0.8
-        lo = max(YB.y_plus / 2, math.acos(math.sqrt(delta)))
-        hi = math.pi - math.acos(math.sqrt(delta))
+        _, lo, hi, _ = checks.arcs(delta)[0]
         for branch in (1, -1):
             for psi in np.linspace(lo + 1e-4, hi - 1e-4, 100):
                 rho, sigma = direct_arc_coords(float(psi), delta, branch)
@@ -378,9 +389,9 @@ class TestArcGaps:
 
     def test_CD_matches_direct_subtraction(self):
         delta = 0.5
-        lo = math.acos(math.sqrt(delta))
+        _, lo, hi, _ = checks.arcs(delta)[1]
         for branch in (1, -1):
-            for psi in np.linspace(lo + 1e-4, YB.y_minus / 2 - 1e-4, 100):
+            for psi in np.linspace(lo + 1e-4, hi - 1e-4, 100):
                 rho, sigma = direct_arc_coords(float(psi), delta, branch)
                 f_max = (2.0 + (delta - 1.0) / rho) * psi
                 f_cd = rho / math.sin(YB.y_minus)
@@ -394,16 +405,3 @@ class TestArcGaps:
             bounds.arc_gap_CD(2.0, 0.9)
         with pytest.raises(DomainError):
             bounds.arc_gap_CD(0.2, 0.1)  # cos^2(psi) > delta
-
-
-def test_double_angle_identity():
-    rng = np.random.default_rng(61)
-    tau = rng.uniform(0.0, 1.0, 1000)
-    lhs = np.arccos(2.0 * tau * tau - 1.0)
-    rhs = 2.0 * np.arccos(tau)
-    assert float(np.max(np.abs(lhs - rhs))) <= 1e-12
-
-
-def test_oracle_triangulation_smoke():
-    delta = 0.5
-    assert bounds.upper_bound_M(delta) == pytest.approx(oracle.two_level_min_time(delta), abs=1e-8)

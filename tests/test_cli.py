@@ -1,10 +1,11 @@
 import json
 import math
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from qsl import cli
+from qsl import bounds, cli, oracle, tangent
 
 
 def run(capsys, *argv):
@@ -44,6 +45,11 @@ class TestAlpha:
         _, rows = parse_csv(out)
         alphas = [r[1] for r in rows]
         assert all(a > b for a, b in zip(alphas, alphas[1:]))
+
+    def test_value_near_one(self, capsys):
+        code, out = run(capsys, "alpha", "--delta", "0.999999")
+        assert code == 0
+        assert float(out) == pytest.approx(4.39284e-7, rel=1e-5)
 
     def test_invalid_delta_is_usage_error(self, capsys):
         code, _ = run(capsys, "alpha", "--delta", "1.5")
@@ -132,6 +138,25 @@ class TestVerify:
         report = dict(line.split("=", 1) for line in out.strip().split("\n"))
         assert report["failed_checks"] != "none"
 
+    # each check's one callee, spoiled so that only that check can fail
+    @pytest.mark.parametrize("check, module, callee, spoiled", [
+        ("equality", bounds, "evaluate_bounds",
+         lambda delta, n_theta: bounds.BoundEvaluation(delta, 0.0, 1.0, 1.0)),
+        ("minimax_oracle", oracle, "minimax_bruteforce_m",
+         lambda delta, n_theta, n_y: SimpleNamespace(value=10.0)),
+        ("two_level_oracle", oracle, "two_level_min_time", lambda delta: 10.0),
+        ("identities", oracle, "identity_suite", lambda n, seed: {"max_violation": 1.0}),
+        ("tangent_inequality", tangent, "check_tangent_inequality", lambda q, x_max, n: -1.0),
+        ("arc_gaps", bounds, "arc_gap_CD", lambda psi, delta, branch: -1.0),
+    ])
+    def test_spoiled_callee_fails_its_check_only(self, capsys, monkeypatch,
+                                                 check, module, callee, spoiled):
+        monkeypatch.setattr(module, callee, spoiled)
+        code, out = run(capsys, "verify", "--quick")
+        report = dict(line.split("=", 1) for line in out.strip().split("\n"))
+        assert code == 1
+        assert report["failed_checks"] == check
+
 
 class TestSimulate:
     def test_small_run(self, capsys):
@@ -162,13 +187,29 @@ class TestSimulate:
     ("simulate", "--trials", "5", "--horizon-mult", "nan"),
     ("simulate", "--trials", "5", "--seed", "-1"),
     ("verify", "--quick", "--seed", "-1"),
+    ("plotdata", "--grid", "5", "--out", "{tmp}/missing/curve.csv"),
+    ("plotdata", "--grid", "5", "--out", "{tmp}"),
 ])
-def test_out_of_range_flag_is_one_line_usage_error(capsys, argv):
-    code = cli.main(list(argv))
+def test_out_of_range_flag_is_one_line_usage_error(capsys, tmp_path, argv):
+    code = cli.main([a.format(tmp=tmp_path) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("alpha", "--delta", "0.5", "--seed", "1"),
+    ("tangent", "--seed", "1"),
+    ("plotdata", "--seed", "1"),
+    ("verify", "--quick", "--grid", "3"),
+    ("verify", "--quick", "--format", "json"),
+    ("simulate", "--trials", "5", "--grid", "3"),
+    ("simulate", "--trials", "5", "--format", "json"),
+])
+def test_unread_flag_is_usage_error(capsys, argv):
+    assert cli.main(list(argv)) == 2
+    assert capsys.readouterr().out == ""
 
 
 class TestFormatting:
