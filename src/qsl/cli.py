@@ -26,12 +26,16 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# the largest --dmax: a passage-scan chunk holds about 130*d complex
+# exponentials (its rows and columns), about 2 MB at 1024 levels
+_DMAX = 1024
+
 # flag destination -> (flag, requirement, test) for the ranges argparse does not check
 _RANGES = {
     "delta": ("--delta", "lie in [0, 1]", lambda v: v is None or 0.0 <= v <= 1.0),
     "grid": ("--grid", "be at least 2", lambda v: v >= 2),
     "trials": ("--trials", "be nonnegative", lambda v: v >= 0),
-    "d_max": ("--dmax", "be at least 2", lambda v: v >= 2),
+    "d_max": ("--dmax", f"lie in [2, {_DMAX}]", lambda v: 2 <= v <= _DMAX),
     "horizon_mult": ("--horizon-mult", "be finite and positive", lambda v: 0.0 < v < math.inf),
     "seed": ("--seed", "be nonnegative", lambda v: v >= 0),
 }

@@ -1,16 +1,29 @@
 """Hot numeric kernels, one numpy implementation each.
 
-``theta_max_table`` serves the grid-minimax oracle; the fidelity grid, the
-scalar fidelity and its time derivative, and the two bisection refiners serve
-the first-passage scans of :mod:`qsl.qsim`.
+``theta_max_table`` serves the grid-minimax oracle. The first-passage scans of
+:mod:`qsl.qsim` use the rest: the fidelity on uniform grids (one complex
+matrix product per block of rows), the fidelity and its first two time
+derivatives at arbitrary times, the rounding bound of both, and the two
+vectorised Newton refiners.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 # rows of the theta_max_table block evaluated at once, bounding its memory
 _THETA_CHUNK = 256
+
+# complex entries of fidelity_rows' left factor per block of rows, bounding its memory
+_ROW_BLOCK = 1 << 16
+
+_EPS = float(np.finfo(np.float64).eps)
+
+# Newton steps per bracket at most; a bracket not done by then returns its
+# last iterate, which lies inside it
+_NEWTON_STEPS = 64
 
 
 def theta_max_table(rho, sigma, fa, fb):
@@ -27,59 +40,134 @@ def theta_max_table(rho, sigma, fa, fb):
     return best, arg
 
 
+def fidelity_rows(p, energies, starts, dt, n):
+    """|sum_k p_k exp(-i E_k t)|^2 at t = starts[r] + dt*j, as an array (len(starts), n).
+
+    Computed as the complex matrix product
+    z = (p * exp(-i E starts)) @ exp(-i E dt j)^T, which takes
+    (len(starts) + n)*d exponentials instead of len(starts)*n*d.
+    """
+    starts = np.asarray(starts, dtype=np.float64)
+    right = np.exp(-1j * np.outer(energies, dt * np.arange(n)))
+    out = np.empty((starts.size, n))
+    block = max(1, _ROW_BLOCK // energies.size)
+    for s in range(0, starts.size, block):
+        z = (p * np.exp(-1j * np.outer(starts[s:s + block], energies))) @ right
+        out[s:s + block] = z.real * z.real + z.imag * z.imag
+    return out
+
+
 def fidelity_grid(p, energies, t0: float, dt: float, n: int):
-    """|sum_k p_k exp(-i E_k t)|^2 on the grid t = t0 + dt*[0..n-1]."""
-    t = t0 + dt * np.arange(n)
-    z = np.exp(-1j * np.outer(t, energies)) @ p.astype(np.complex128)
-    return np.abs(z) ** 2
+    """|sum_k p_k exp(-i E_k t)|^2 on the grid t = t0 + dt*[0..n-1].
+
+    The grid is folded into rows of ceil(sqrt(n)) points for :func:`fidelity_rows`.
+    """
+    width = math.isqrt(n - 1) + 1
+    rows = -(-n // width)
+    starts = t0 + (width * dt) * np.arange(rows)
+    return fidelity_rows(p, energies, starts, dt, width).ravel()[:n]
+
+
+def rounding_bound(t, d, scale):
+    """Bound on the rounding error of the fidelities above at times up to ``t``.
+
+    ``d`` is the number of levels and ``scale`` bounds |E_k|. Each phase
+    E_k*t carries a few units in the last place of scale*t (the rounded time,
+    the product, the argument reduction of exp), and a phase error x moves its
+    unit-modulus term by at most x. The products with p and the d-term sum add
+    a few units more, and |z| <= 1 at most doubles the error of z in |z|^2.
+    The constants hold a factor of four over that count.
+    """
+    return _EPS * (16.0 * scale * t + 4.0 * d + 8.0)
+
+
+def _terms(energies, t):
+    return np.exp(-1j * np.multiply.outer(t, energies))
 
 
 def fidelity_scalar(p, energies, t):
-    """|sum_k p_k exp(-i E_k t)|^2 at one time ``t``."""
-    phase = energies * t
-    re = float(p @ np.cos(phase))
-    im = -float(p @ np.sin(phase))
-    return re * re + im * im
+    """|sum_k p_k exp(-i E_k t)|^2 at a time ``t`` or at each time of an array."""
+    z = _terms(energies, t) @ p
+    return z.real * z.real + z.imag * z.imag
 
 
 def dfidelity_scalar(p, energies, t):
-    """Time derivative of :func:`fidelity_scalar` at ``t``."""
-    phase = energies * t
-    c = np.cos(phase)
-    s = np.sin(phase)
-    re = float(p @ c)
-    im = -float(p @ s)
-    pe = p * energies
-    return 2.0 * (re * -float(pe @ s) + im * -float(pe @ c))
+    """Time derivative of :func:`fidelity_scalar`, at a time or an array of times."""
+    w = _terms(energies, t)
+    z = w @ p
+    zd = w @ (p * energies)  # z' = -i zd
+    return 2.0 * (z.real * zd.imag - z.imag * zd.real)
 
 
-# The refiners look the scalar helpers up under these names, where
+def d2fidelity(p, energies, t):
+    """Second time derivative of :func:`fidelity_scalar`."""
+    w = _terms(energies, t)
+    z = w @ p
+    zd = w @ (p * energies)
+    zdd = w @ (p * energies * energies)  # z'' = -zdd
+    return 2.0 * (zd.real * zd.real + zd.imag * zd.imag
+                  - z.real * zdd.real - z.imag * zdd.imag)
+
+
+# The refiners look the helpers up under these names, where
 # perfbench/layers.py installs its call counters.
 _fidelity_scalar = fidelity_scalar
 _dfidelity_scalar = dfidelity_scalar
 
 
-def refine_crossing(p, energies, lo, hi, level, iters):
-    """Bisect f(t) - level on [lo, hi], where f(lo) > level >= f(hi)."""
-    for _ in range(iters):
-        if hi - lo <= 1e-15 * hi:
+def _newton(g, lo, hi, tol):
+    """A root of g in each bracket [lo, hi] with g(lo) > 0 >= g(hi).
+
+    ``g(t, rows)`` returns the value and the slope at times ``t`` of the
+    brackets ``rows``. Every step shrinks the bracket to the side that keeps
+    the sign change; a Newton step that would leave it bisects it instead. A
+    bracket is done after the step from a point where |g| <= ``tol`` (g's
+    rounding error), or once its step falls below the float spacing.
+    """
+    lo = np.array(lo, dtype=np.float64, ndmin=1)
+    hi = np.array(hi, dtype=np.float64, ndmin=1)
+    tol = np.broadcast_to(tol, lo.shape)
+    x = 0.5 * (lo + hi)
+    rows = np.arange(x.size)
+    for _ in range(_NEWTON_STEPS):
+        t = x[rows]
+        value, slope = g(t, rows)
+        above = value > 0.0
+        lo[rows] = np.where(above, t, lo[rows])
+        hi[rows] = np.where(above, hi[rows], t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t - value / slope
+        inside = (step > lo[rows]) & (step < hi[rows])
+        nxt = np.where(inside, step, 0.5 * (lo[rows] + hi[rows]))
+        close = np.abs(value) <= tol[rows]
+        x[rows] = np.where(close & ~inside, t, nxt)  # a last Newton step only improves t
+        rows = rows[~(close | (np.abs(nxt - t) <= 2.0 * _EPS * np.abs(t)))]
+        if rows.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        if _fidelity_scalar(p, energies, mid) > level:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return x
 
 
-def refine_minimum(p, energies, lo, hi, iters):
-    """Bisect df/dt on [lo, hi], where df(lo) < 0 < df(hi)."""
-    for _ in range(iters):
-        if hi - lo <= 1e-15 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if _dfidelity_scalar(p, energies, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def refine_crossing(p, energies, lo, hi, level):
+    """Solve f(t) = level in each bracket, where f(lo) > level >= f(hi).
+
+    ``lo``, ``hi`` and ``level`` are arrays over the brackets (``level`` may
+    be one number for all); Newton's method on the analytic derivative.
+    """
+    level = np.broadcast_to(np.asarray(level, dtype=np.float64), np.shape(lo)).ravel()
+
+    def g(t, rows):
+        return (_fidelity_scalar(p, energies, t) - level[rows],
+                _dfidelity_scalar(p, energies, t))
+
+    scale = float(np.abs(energies).max())
+    return _newton(g, lo, hi, rounding_bound(np.asarray(hi), energies.size, scale))
+
+
+def refine_minimum(p, energies, lo, hi):
+    """Solve f'(t) = 0 in each bracket, where f'(lo) < 0 < f'(hi): a local minimum."""
+
+    def g(t, rows):
+        return -_dfidelity_scalar(p, energies, t), -d2fidelity(p, energies, t)
+
+    scale = float(np.abs(energies).max())
+    return _newton(g, lo, hi, 2.0 * scale * rounding_bound(np.asarray(hi), energies.size, scale))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,18 +20,21 @@ from .errors import DomainError
 # amplitudes below this are treated as absent from the support
 SUPPORT_EPS = 1e-15
 
-# grid sizing for passage scans: at least this many samples per period of the
-# fastest oscillation, within the global floor/cap
-_SAMPLES_PER_FAST_PERIOD = 64
-_GRID_FLOOR = 4096
-_GRID_CAP = 65536
-
-# a grid minimum this close to the target is refined as a possible tangential
-# touch; the touch is accepted only if the refined minimum reaches the target
-_TOUCH_BAND = 1e-4
+# passage scans sample the fidelity this many times per period of its fastest
+# oscillation, 2*pi / (E_max - E_min), whatever the horizon
+_SAMPLES_PER_FAST_PERIOD = 16
+# grid points per scan chunk, one fidelity_grid call each
+_CHUNK = 4096
+# grid points one scan may take, bounding the work of a long horizon; a target
+# not reached within them counts as not reached, never as found on a coarser grid
+_POINT_BUDGET = 65536
+# a cell the curvature bound cannot clear is cut into _SPLIT equal cells, at
+# most _MAX_DEPTH times; at 16**-5 of the grid step the bound's curvature term
+# is below 2e-14, under _TOUCH_ACCEPT
+_SPLIT = 16
+_MAX_DEPTH = 5
+# a local minimum this close to the target reaches it (a tangential touch)
 _TOUCH_ACCEPT = 1e-12
-
-_REFINE_ITERS = 80
 
 
 @dataclass
@@ -114,88 +117,201 @@ def default_horizon(state: QuantumState, mult: float = 1.0) -> Optional[float]:
     return mult * 4.0 * math.pi / float(gaps.min())
 
 
-def _grid_size(state: QuantumState, horizon: float) -> int:
-    energies, _ = state.support()
-    span = float(energies.max() - energies.min())
-    if span <= 0.0:
-        return _GRID_FLOOR
-    per_period = horizon * span / (2.0 * math.pi)
-    n = int(math.ceil(per_period * _SAMPLES_PER_FAST_PERIOD))
-    return max(_GRID_FLOOR, min(_GRID_CAP, n))
+class _Curve(NamedTuple):
+    """A state's fidelity curve, with its energies shifted to their weighted median c.
 
-
-def _local_minima(f: np.ndarray) -> np.ndarray:
-    """Indices of interior grid points that are local fidelity minima."""
-    interior = f[1:-1]
-    mask = (interior <= f[:-2]) & (interior <= f[2:])
-    return np.nonzero(mask)[0] + 1
-
-
-def _first_at_or_below(running_min: np.ndarray, level: float) -> int:
-    """First grid index with value <= level, from the grid's running minimum; len if none."""
-    return int(np.searchsorted(-running_min, -level, side="left"))
-
-
-def _locate_passage(energies: np.ndarray, p: np.ndarray, f: np.ndarray, dt: float,
-                    delta: float, idx: int, minima: np.ndarray) -> Optional[float]:
-    """Locate the first passage given grid data.
-
-    ``idx`` is the first grid index with f <= delta (== len(f) when absent);
-    ``minima`` holds all interior local-minimum indices of the grid.
-    Transversal crossings are refined by bisection on the fidelity itself;
-    near-touching grid minima before the crossing are refined on the analytic
-    time derivative and accepted only if the minimum actually reaches the
-    target.
+    ``curv`` = 2*m1**2 + 2*m2 bounds |f''|, where m1 = sum p|E - c| bounds
+    |z'| and m2 = sum p(E - c)**2 bounds |z''| (for any c; the median
+    minimises m1). ``scale`` = max |E - c| sets the rounding bound.
     """
-    n = f.shape[0]
-    candidates = minima[(minima < idx) & (f[minima] <= delta + _TOUCH_BAND)]
-    for i in candidates:
-        lo, hi = (i - 1) * dt, (i + 1) * dt
-        if not (kernels.dfidelity_scalar(p, energies, lo) < 0.0 <
-                kernels.dfidelity_scalar(p, energies, hi)):
-            continue
-        t_min = kernels.refine_minimum(p, energies, lo, hi, _REFINE_ITERS)
-        f_min = kernels.fidelity_scalar(p, energies, t_min)
-        if f_min <= delta - _TOUCH_ACCEPT:
-            # a narrow dip the grid stepped over: refine its left crossing
-            return float(kernels.refine_crossing(p, energies, lo, t_min, delta,
-                                                 _REFINE_ITERS))
-        if f_min <= delta + _TOUCH_ACCEPT:
-            return float(t_min)
-    if idx >= n:
-        return None
-    if idx == 0:
-        return 0.0
-    return float(kernels.refine_crossing(p, energies, (idx - 1) * dt, idx * dt,
-                                         delta, _REFINE_ITERS))
+
+    p: np.ndarray
+    e: np.ndarray
+    curv: float
+    scale: float
+
+    @classmethod
+    def of(cls, energies: np.ndarray, p: np.ndarray) -> "_Curve":
+        order = np.argsort(energies)
+        c = energies[order][np.searchsorted(np.cumsum(p[order]), 0.5)]
+        e = energies - c
+        m1 = float(p @ np.abs(e))
+        m2 = float(p @ (e * e))
+        return cls(p, e, 2.0 * m1 * m1 + 2.0 * m2, float(np.abs(e).max()))
+
+    def rounding(self, t):
+        return kernels.rounding_bound(t, self.e.size, self.scale)
 
 
-def first_passage(state: QuantumState, delta: float, horizon: float,
-                  n_grid: int = 4096) -> PassageResult:
+def _first_events(curve: _Curve, a: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+                  h: float, deltas: np.ndarray):
+    """Earliest passage of each target within the cells [a, a + h].
+
+    ``a`` is increasing, and f is certified above every target before
+    ``a[0]``. A cell is cleared for the targets not yet reached before it when
+    the curvature bound keeps f above them on all of it:
+    min(fa, fb) - curv*h**2/8 - rounding > delta + _TOUCH_ACCEPT. The cells
+    it cannot clear are cut into _SPLIT parts, all of them at once. A cell
+    where f comes down to a target is a crossing bracket once
+    f' <= (f'(a) + f'(b))/2 + curv*h/2 < 0 certifies that f decreases on it.
+    At the last depth, 16**-5 of the grid step, a crossing cell is a bracket
+    as it is, and a cell still uncleared is searched for a local minimum,
+    which reaches the targets within _TOUCH_ACCEPT of it.
+
+    Returns (lo, hi, touch) per target: a crossing bracket [lo, hi], or a
+    touch at ``touch`` (where it is not nan) in the cell starting at ``lo``;
+    lo is inf for a target not reached in these cells.
+    """
+    p, e = curve.p, curve.e
+    lo = np.full(deltas.size, np.inf)
+    hi = np.full(deltas.size, np.inf)
+    touch = np.full(deltas.size, np.nan)
+    for depth in range(_MAX_DEPTH + 1):
+        last = depth == _MAX_DEPTH
+        seq = np.minimum.accumulate(np.column_stack((fa, fb)).ravel())
+        cell = np.searchsorted(-seq, -deltas, side="left") // 2
+        start = np.full(deltas.size, np.inf)
+        hit = cell < a.size
+        start[hit] = a[cell[hit]]
+        new = start < lo
+        # a cell must be cleared for the targets whose earliest event lies after its start
+        until = np.minimum(lo, start)
+        order = np.argsort(until)
+        above = np.maximum.accumulate(np.append(deltas[order], -np.inf)[::-1])[::-1]
+        ceiling = above[np.searchsorted(until[order], a, side="right")]
+        b = a + h
+        lower = np.minimum(fa, fb) - curve.curv * h * h / 8.0 - curve.rounding(b)
+        keep = lower <= ceiling + _TOUCH_ACCEPT
+        crossing = np.zeros(a.size + 1, dtype=bool)
+        crossing[cell[new]] = True
+        crossing = np.nonzero(crossing[:-1])[0]
+        if crossing.size:
+            slope = kernels.dfidelity_scalar(p, e, np.concatenate((a[crossing], b[crossing])))
+            bound = (slope.reshape(2, -1).mean(axis=0) + curve.curv * h / 2.0
+                     + 2.0 * curve.scale * curve.rounding(b[crossing]))
+            certified = np.zeros(a.size + 1, dtype=bool)
+            certified[crossing] = (bound < 0.0) | last
+            keep[crossing] |= ~certified[crossing]
+            done = new & certified[cell]
+            lo[done] = a[cell[done]]
+            hi[done] = b[cell[done]]
+        if last:
+            _touches(curve, a[keep], b[keep], a[keep, None] < until, deltas, lo, hi, touch)
+            break
+        a, fa, fb = a[keep], fa[keep], fb[keep]
+        if not a.size:
+            break
+        h /= _SPLIT
+        v = kernels.fidelity_rows(p, e, a, h, _SPLIT)
+        v[:, 0] = fa  # the values already known, so that every cell agrees with its parent
+        fb = np.column_stack((v[:, 1:], fb)).ravel()
+        fa = v.ravel()
+        a = (a[:, None] + h * np.arange(_SPLIT)).ravel()
+    return lo, hi, touch
+
+
+def _touches(curve: _Curve, a, b, relevant, deltas, lo, hi, touch) -> None:
+    """Record, in place, the earliest local minimum in the cells [a, b] that reaches each target."""
+    if not a.size:
+        return
+    slope = kernels.dfidelity_scalar(curve.p, curve.e, np.concatenate((a, b))).reshape(2, -1)
+    dip = (slope[0] < 0.0) & (slope[1] > 0.0)
+    if not dip.any():
+        return
+    a, b, relevant = a[dip], b[dip], relevant[dip]
+    t_min = kernels.refine_minimum(curve.p, curve.e, a, b)
+    f_min = kernels.fidelity_scalar(curve.p, curve.e, t_min)
+    reach = relevant & (f_min[:, None] <= deltas + _TOUCH_ACCEPT)
+    for j in np.nonzero(reach.any(axis=0))[0]:
+        i = int(reach[:, j].argmax())
+        lo[j] = a[i]
+        if f_min[i] <= deltas[j] - _TOUCH_ACCEPT:
+            hi[j] = t_min[i]  # the dip goes through the target: bracket its left crossing
+        else:
+            touch[j] = t_min[i]
+
+
+def _passage_times(energies: np.ndarray, p: np.ndarray, deltas: np.ndarray,
+                   horizon: float) -> tuple[np.ndarray, float]:
+    """First-passage time to each target of the increasing ``deltas`` within [0, horizon].
+
+    The scan steps forward in chunks of a uniform grid with
+    _SAMPLES_PER_FAST_PERIOD points per fastest period and certifies every
+    cell before a reported time (:func:`_first_events`). It stops when every
+    target is reached. nan marks a target not reached: provably unreachable,
+    since f >= (2*p_max - 1)**2 when p_max > 1/2, or not reached within the
+    horizon or the point budget. Also returns the lowest fidelity sampled in
+    [0, horizon] (inf if the scan sampled none).
+    """
+    t_star = np.where(deltas >= 1.0, 0.0, np.nan)
+    p_max = float(p.max())
+    floor = (2.0 * p_max - 1.0) ** 2 if p_max > 0.5 else 0.0
+    span = float(energies.max() - energies.min())
+    todo = np.nonzero((deltas < 1.0) & (deltas + _TOUCH_ACCEPT >= floor))[0]
+    f_low = math.inf
+    if span <= 0.0 or not todo.size:
+        return t_star, f_low
+    curve = _Curve.of(energies, p)
+    dt = 2.0 * math.pi / (_SAMPLES_PER_FAST_PERIOD * span)
+    steps = horizon / dt  # inf for an infinite horizon
+    n_points = _POINT_BUDGET if steps >= _POINT_BUDGET else math.ceil(steps) + 1
+    found_lo, found_hi, found_at = [], [], []
+    k0, f_prev = 0, 1.0
+    while todo.size and k0 < n_points - 1:
+        n = min(_CHUNK, n_points - 1 - k0)
+        f = kernels.fidelity_grid(curve.p, curve.e, k0 * dt, dt, n + 1)
+        if k0 == 0:
+            met = deltas[todo] >= f[0]
+            t_star[todo[met]] = 0.0
+            todo = todo[~met]
+        else:
+            f[0] = f_prev  # the previous chunk's last value, as certified there
+        t = (k0 + np.arange(n + 1)) * dt
+        f_low = min(f_low, float(f[t <= horizon].min()))
+        lo, hi, touch = _first_events(curve, t[:-1], f[:-1], f[1:], dt, deltas[todo])
+        touched = ~np.isnan(touch)
+        t_star[todo[touched]] = touch[touched]
+        bracketed = (lo < math.inf) & ~touched
+        found_lo.append(lo[bracketed])
+        found_hi.append(hi[bracketed])
+        found_at.append(todo[bracketed])
+        todo = todo[lo == math.inf]
+        f_prev = f[-1]
+        k0 += n
+    at = np.concatenate(found_at)
+    if at.size:
+        t_star[at] = kernels.refine_crossing(curve.p, curve.e, np.concatenate(found_lo),
+                                             np.concatenate(found_hi), deltas[at])
+    t_star[t_star > horizon] = np.nan
+    return t_star, f_low
+
+
+def first_passage(state: QuantumState, delta: float, horizon: float) -> PassageResult:
     """First time the fidelity curve comes down to ``delta``.
 
-    Scans a uniform grid over [0, horizon], then refines. Absence of a
-    crossing within the horizon is a legitimate outcome, not an error; narrow
-    dips between grid points can in principle be missed, which biases the
-    measured time upward, never downward.
+    Scans forward at a fixed number of samples per period of the fastest
+    oscillation and certifies every grid cell before the reported time: by
+    the curvature bound |f''| <= 2*m1**2 + 2*m2 and the kernels' rounding
+    bound, f stays above ``delta`` on it, or the cell is cut finer until that
+    holds. So no dip below ``delta`` before the reported time is missed; a
+    local minimum within 1e-12 of ``delta`` counts as reaching it. Absence of
+    a crossing within the horizon (or within the scan's point budget) is a
+    legitimate outcome, not an error.
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     if not horizon > 0.0:
         raise DomainError(f"horizon must be positive, got {horizon}")
-    if n_grid < 16:
-        raise DomainError(f"n_grid must be at least 16, got {n_grid}")
     if delta >= 1.0:
         return PassageResult(t_star=0.0, achieved_fidelity=1.0, horizon=horizon)
     energies, p = state.support()
-    dt = horizon / (n_grid - 1)
-    f = kernels.fidelity_grid(p, energies, 0.0, dt, n_grid)
-    idx = _first_at_or_below(np.minimum.accumulate(f), delta)
-    t_star = _locate_passage(energies, p, f, dt, delta, idx, _local_minima(f))
-    if t_star is None:
-        return PassageResult(t_star=None, achieved_fidelity=float(f.min()), horizon=horizon)
-    achieved = float(kernels.fidelity_scalar(p, energies, t_star))
-    return PassageResult(t_star=t_star, achieved_fidelity=achieved, horizon=horizon)
+    t_star, f_low = _passage_times(energies, p, np.array([float(delta)]), horizon)
+    if math.isnan(t_star[0]):
+        f_end = float(kernels.fidelity_scalar(p, energies, horizon))
+        return PassageResult(t_star=None, achieved_fidelity=min(f_low, f_end), horizon=horizon)
+    t = float(t_star[0])
+    return PassageResult(t_star=t, achieved_fidelity=float(kernels.fidelity_scalar(p, energies, t)),
+                         horizon=horizon)
 
 
 def ml_bound(state: QuantumState, delta: float) -> float:
@@ -297,6 +413,8 @@ def verify_limits(trials: int, d_max: int, delta_grid: Sequence[float], seed: in
     ml_coeff = {d: 0.5 * math.pi * bounds.alpha(d) for d in deltas}
     mt_coeff = {d: bounds.mt_alpha(d) for d in deltas}
 
+    targets = np.unique(deltas)
+    slot = np.searchsorted(targets, deltas)
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
         d = int(rng.integers(2, d_max + 1))
@@ -306,22 +424,16 @@ def verify_limits(trials: int, d_max: int, delta_grid: Sequence[float], seed: in
             report["skips"] += len(deltas)
             continue
         energies, p = state.support()
-        n = _grid_size(state, horizon)
-        dt = horizon / (n - 1)
-        f = kernels.fidelity_grid(p, energies, 0.0, dt, n)
-        running_min = np.minimum.accumulate(f)
-        minima = _local_minima(f)
+        t_star, _ = _passage_times(energies, p, targets, horizon)
         excess = mean_excess_energy(state)
         de = dispersion(state)
-        for delta in deltas:
-            idx = _first_at_or_below(running_min, delta)
-            t_star = _locate_passage(energies, p, f, dt, delta, idx, minima)
-            if t_star is None:
+        for delta, t in zip(deltas, t_star[slot]):
+            if math.isnan(t):
                 report["skips"] += 1
                 continue
             ml = ml_coeff[delta] / excess if excess > 0.0 else math.inf
             mt = mt_coeff[delta] / de if de > 0.0 else math.inf
-            _record_check(report, t_star, ml, mt)
+            _record_check(report, float(t), ml, mt)
 
     for delta in deltas:
         _, z_opt = bounds._upper_bound_argmin(delta)

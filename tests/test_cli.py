@@ -178,6 +178,19 @@ class TestSimulate:
         code, _ = run(capsys, "simulate", "--trials", "-5")
         assert code == 2
 
+    def test_long_horizon_keeps_designed_cases_exact(self, capsys):
+        code, out = run(capsys, "simulate", "--trials", "20", "--horizon-mult", "1000")
+        report = dict(line.split("=", 1) for line in out.strip().split("\n"))
+        assert code == 0
+        assert report["designed_violations"] == "0"
+        assert float(report["designed_max_rel_slack"]) <= 1e-6
+
+    def test_infinite_horizon_runs_within_budget(self, capsys):
+        # 1e308 times 4*pi over the level gap overflows to an infinite horizon
+        code, out = run(capsys, "simulate", "--trials", "2", "--horizon-mult", "1e308")
+        assert code == 0
+        assert "overall=pass" in out
+
 
 @pytest.mark.parametrize("argv", [
     ("simulate", "--trials", "5", "--dmax", "1"),
@@ -189,6 +202,7 @@ class TestSimulate:
     ("verify", "--quick", "--seed", "-1"),
     ("plotdata", "--grid", "5", "--out", "{tmp}/missing/curve.csv"),
     ("plotdata", "--grid", "5", "--out", "{tmp}"),
+    ("simulate", "--trials", "3", "--dmax", "100000000"),
 ])
 def test_out_of_range_flag_is_one_line_usage_error(capsys, tmp_path, argv):
     code = cli.main([a.format(tmp=tmp_path) for a in argv])

@@ -1,5 +1,7 @@
 """The numpy kernels against independent direct computations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,14 +30,37 @@ def test_theta_max_table_matches_full_matrix_argmax():
 
 
 def test_rotation_resync_long_grid():
-    # a grid longer than 12 000 points stays at rounding level against the
-    # scalar evaluation, from its first point to its last
-    energies, p = random_state_arrays(29, d=4)
+    # a grid far from t = 0 on a state with enough levels that the left factor
+    # of the matrix product spans two row blocks stays at rounding level
+    # against the direct evaluation at its ends, its row edges and the block edge
+    energies, p = random_state_arrays(29, d=600)
     n = 12_305
-    f = kernels.fidelity_grid(p, energies, 0.0, 0.02, n)
-    for i in (0, 1, 4095, 4096, 8191, 8192, n - 2, n - 1):
-        direct = kernels.fidelity_scalar(p, energies, 0.02 * i)
-        assert f[i] == pytest.approx(direct, abs=1e-11)
+    width = math.isqrt(n - 1) + 1
+    block = kernels._ROW_BLOCK // energies.size
+    assert width * block < n
+    t0, dt = 3 * 4096 * 0.02, 0.02
+    f = kernels.fidelity_grid(p, energies, t0, dt, n)
+    for i in (0, 1, width - 1, width, width * block - 1, width * block, n - 2, n - 1):
+        direct = kernels.fidelity_scalar(p, energies, t0 + dt * i)
+        assert f[i] == pytest.approx(direct, abs=1e-13)
+
+
+def test_rounding_bound_holds_at_long_times():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    for seed, d in ((3, 2), (5, 8), (7, 40)):
+        energies, p = random_state_arrays(seed, d)
+        energies = energies - 1.0  # |E| <= 1, as after the scan's shift to the median
+        for t0 in (0.0, 1e3, 1e6):
+            dt = 0.37
+            f = kernels.fidelity_grid(p, energies, t0, dt, 100)
+            for i in (0, 37, 99):
+                t = mp.mpf(t0) + mp.mpf(dt) * i
+                z = mp.fsum(mp.mpf(pk) * mp.expj(-mp.mpf(ek) * t) for pk, ek in zip(p, energies))
+                exact = abs(z) ** 2
+                bound = kernels.rounding_bound(t0 + dt * i, d, 1.0)
+                assert abs(f[i] - exact) <= bound
+                assert abs(kernels.fidelity_scalar(p, energies, float(t)) - exact) <= bound
 
 
 def test_derivative_matches_finite_difference():
@@ -45,28 +70,44 @@ def test_derivative_matches_finite_difference():
         fd = (kernels.fidelity_scalar(p, energies, t + h)
               - kernels.fidelity_scalar(p, energies, t - h)) / (2 * h)
         assert kernels.dfidelity_scalar(p, energies, t) == pytest.approx(fd, abs=1e-7)
+        fdd = (kernels.dfidelity_scalar(p, energies, t + h)
+               - kernels.dfidelity_scalar(p, energies, t - h)) / (2 * h)
+        assert kernels.d2fidelity(p, energies, t) == pytest.approx(fdd, abs=1e-7)
 
 
 def test_refine_crossing_lands_on_level():
+    # each bracket runs from t = 0 to the first grid point at or below its
+    # level; below the first local minimum (0.122 at t = 3.19) it spans that
+    # dip, where Newton steps from inside the bracket leave it
     energies, p = random_state_arrays(17)
-    f = kernels.fidelity_grid(p, energies, 0.0, 0.01, 5000)
-    idx = int(np.argmax(f <= 0.5))
-    assert idx > 0 and f[idx - 1] > 0.5 >= f[idx]
-    t = kernels.refine_crossing(p, energies, (idx - 1) * 0.01, idx * 0.01, 0.5, 80)
-    assert (idx - 1) * 0.01 < t <= idx * 0.01
-    assert kernels.fidelity_scalar(p, energies, t) == pytest.approx(0.5, abs=1e-10)
+    step = 0.01
+    f = kernels.fidelity_grid(p, energies, 0.0, step, 5000)
+    levels = np.array([0.02, 0.05, 0.08, 0.11, 0.35, 0.65, 0.95])
+    idx = np.array([int(np.argmax(f <= level)) for level in levels])
+    assert np.all(idx > 0)
+    hi = idx * step
+    t = kernels.refine_crossing(p, energies, np.zeros(levels.size), hi, levels)
+    assert np.all((hi - step < t) & (t <= hi))
+    np.testing.assert_allclose(kernels.fidelity_scalar(p, energies, t), levels, rtol=0, atol=1e-13)
 
 
 def test_refine_minimum_lands_on_stationary_point():
+    # each bracket runs between the grid maxima around one grid minimum, so
+    # it holds inflection points where a Newton step on f' can leave it
     energies, p = random_state_arrays(17)
-    f = kernels.fidelity_grid(p, energies, 0.0, 0.01, 5000)
-    i = int(qsim._local_minima(f)[0])
-    lo, hi = (i - 1) * 0.01, (i + 1) * 0.01
-    assert kernels.dfidelity_scalar(p, energies, lo) < 0.0 < kernels.dfidelity_scalar(p, energies, hi)
-    t = kernels.refine_minimum(p, energies, lo, hi, 80)
-    assert lo < t < hi
-    assert kernels.dfidelity_scalar(p, energies, t) == pytest.approx(0.0, abs=1e-12)
-    assert kernels.fidelity_scalar(p, energies, t) <= f[i]
+    step = 0.01
+    f = kernels.fidelity_grid(p, energies, 0.0, step, 5000)
+    interior = f[1:-1]
+    minima = np.nonzero((interior < f[:-2]) & (interior <= f[2:]))[0][:6] + 1
+    maxima = np.append(0, np.nonzero((interior > f[:-2]) & (interior >= f[2:]))[0] + 1)
+    lo = np.array([maxima[maxima < i].max() + 1 for i in minima]) * step
+    hi = np.array([maxima[maxima > i].min() - 1 for i in minima]) * step
+    assert np.all(kernels.dfidelity_scalar(p, energies, lo) < 0.0)
+    assert np.all(kernels.dfidelity_scalar(p, energies, hi) > 0.0)
+    t = kernels.refine_minimum(p, energies, lo, hi)
+    assert np.all((minima - 1) * step < t) and np.all(t < (minima + 1) * step)
+    np.testing.assert_allclose(kernels.dfidelity_scalar(p, energies, t), 0.0, atol=1e-13)
+    assert np.all(kernels.fidelity_scalar(p, energies, t) <= f[minima])
 
 
 class TestFirstPassage:

@@ -3,13 +3,39 @@ import math
 import numpy as np
 import pytest
 
-from qsl import bounds, qsim
+from qsl import bounds, kernels, qsim
 from qsl.errors import DomainError
 
 EQUAL_WEIGHT = qsim.QuantumState(
     np.array([0.0, 1.0]), np.array([math.sqrt(0.5), math.sqrt(0.5)], dtype=complex)
 )
 STATIONARY = qsim.QuantumState(np.array([3.0]), np.array([1.0], dtype=complex))
+# fidelity dips to 0.103204 at t = 1.92, to 0.025292 at t = 3.875
+DIP = qsim.QuantumState(np.array([0.0, 1.0, 2.2]), np.sqrt([0.5, 0.3, 0.2]).astype(complex))
+
+
+def dense_fidelity(state, t):
+    """The fidelity at each time of ``t``, evaluated directly, not through the kernels."""
+    energies, p = state.support()
+    z = np.exp(-1j * np.outer(t, energies)) @ p
+    return np.abs(z) ** 2
+
+
+def fast_period(state):
+    energies, _ = state.support()
+    return 2 * math.pi / (energies.max() - energies.min())
+
+
+def reference_passage(state, delta, step, t_max):
+    """First grid crossing of ``delta`` on [0, t_max], bisected to the float spacing."""
+    grid = np.arange(0.0, t_max, step)
+    i = int(np.argmax(dense_fidelity(state, grid) <= delta))
+    assert i > 0
+    lo, hi = grid[i - 1], grid[i]
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if dense_fidelity(state, mid)[0] > delta else (lo, mid)
+    return hi
 
 
 class TestQuantumState:
@@ -106,10 +132,94 @@ class TestFirstPassage:
                 assert 0.0 <= r.t_star <= horizon
                 assert qsim.fidelity(state, r.t_star) == pytest.approx(0.4, abs=1e-8)
 
-    @pytest.mark.parametrize("delta,horizon,n", [(-0.1, 1.0, 100), (0.5, 0.0, 100), (0.5, 1.0, 4)])
-    def test_validation(self, delta, horizon, n):
+    @pytest.mark.parametrize("delta,horizon", [(-0.1, 1.0), (0.5, 0.0)])
+    def test_validation(self, delta, horizon):
         with pytest.raises(DomainError):
-            qsim.first_passage(EQUAL_WEIGHT, delta, horizon, n)
+            qsim.first_passage(EQUAL_WEIGHT, delta, horizon)
+
+    @pytest.mark.parametrize("delta,expected", [(0.1, 5.912137764688868), (0.2, 5.141107829876899)])
+    def test_long_horizon_trial_matches_dense_reference(self, delta, expected):
+        # trial 738 of `simulate --seed 7`: its horizon is 2.3e6, over which a
+        # grid capped at 65536 points stepped 35.46 against a 9.52 period
+        rng = np.random.default_rng(7 + 738)
+        state = qsim._draw_state(rng, int(rng.integers(2, 9)), 1.0)
+        assert state.dimension == 7
+        horizon = qsim.default_horizon(state)
+        assert horizon > 2e6
+        ref = reference_passage(state, delta, fast_period(state) / 1024, 20.0)
+        t_star = qsim.first_passage(state, delta, horizon).t_star
+        assert t_star == pytest.approx(ref, abs=1e-9)
+        assert t_star == pytest.approx(expected, abs=1e-9)
+
+    def test_no_dense_sample_below_target_before_t_star(self):
+        deltas = [round(0.1 * i, 1) for i in range(10)]
+        for seed in range(200):
+            state = qsim.sample_random_state(2 + seed % 7, 1.0, seed=seed)
+            horizon = qsim.default_horizon(state)
+            times = [qsim.first_passage(state, delta, horizon).t_star for delta in deltas]
+            reached = [(d, t) for d, t in zip(deltas, times) if t is not None]
+            if not reached:
+                continue
+            step = fast_period(state) / (64 * qsim._SAMPLES_PER_FAST_PERIOD)
+            grid = np.arange(0.0, max(t for _, t in reached), step)
+            f = dense_fidelity(state, grid)
+            for delta, t_star in reached:
+                before = f[grid < t_star]
+                assert before.size == 0 or before.min() > delta - 1e-12, (seed, delta)
+                assert dense_fidelity(state, t_star)[0] == pytest.approx(delta, abs=1e-12)
+
+    def test_dip_between_grid_points_is_found(self):
+        # the first fidelity minimum, 0.103204 at t = 1.92, lies between two
+        # samples of the 16-per-period grid that both read above 0.1038
+        delta = 0.1035
+        step = fast_period(DIP) / qsim._SAMPLES_PER_FAST_PERIOD
+        ref = reference_passage(DIP, delta, step / 1024, 3.0)
+        grid = np.arange(0.0, ref + 2 * step, step)
+        assert dense_fidelity(DIP, grid).min() > delta
+        r = qsim.first_passage(DIP, delta, 50.0)
+        assert r.t_star == pytest.approx(ref, abs=1e-9)
+
+    def test_crossing_cell_is_cut_down_to_the_first_crossing(self):
+        # one cell from t = 0 to past the second dip ends below the target
+        # and holds three crossings before its end; the derivative bound
+        # cannot certify f monotone on it, so it is cut until the bracket
+        # holds the first crossing only
+        delta = 0.1035
+        ref = reference_passage(DIP, delta, fast_period(DIP) / 16384, 3.0)
+        width = 3.9
+        energies, p = DIP.support()
+        ends = dense_fidelity(DIP, np.array([0.0, width]))
+        assert ends[1] <= delta
+        lo, hi, touch = qsim._first_events(qsim._Curve.of(energies, p), np.array([0.0]),
+                                           ends[:1], ends[1:], width, np.array([delta]))
+        assert np.isnan(touch[0])
+        assert lo[0] < ref <= hi[0] and hi[0] - lo[0] <= width / qsim._SPLIT
+
+    def test_unreachable_target_is_not_scanned(self, monkeypatch):
+        calls = []
+        grid = kernels.fidelity_grid
+        monkeypatch.setattr(kernels, "fidelity_grid", lambda *args: calls.append(args) or grid(*args))
+        state = qsim.two_level_state(math.sqrt(0.2))  # p_max = 0.8, so f >= 0.6**2 = 0.36
+        assert qsim.first_passage(state, 0.35, 1e6).t_star is None
+        assert calls == []
+        assert qsim.first_passage(state, 0.37, 10.0).t_star is not None
+        assert calls
+        # the bound needs p_max > 1/2: three equal weights reach f = 0 at t = 2*pi/3
+        equal = qsim.QuantumState(np.array([0.0, 1.0, 2.0]), np.full(3, 3 ** -0.5, dtype=complex))
+        assert qsim.first_passage(equal, 0.1, 10.0).t_star is not None
+
+    def test_horizon_multiplier_keeps_passage_times(self):
+        # the scan's step does not depend on the horizon, so a longer horizon
+        # only adds grid points after the ones a shorter one scans
+        deltas = [round(0.1 * i, 1) for i in range(10)]
+        for seed in range(50):
+            state = qsim.sample_random_state(2 + seed % 7, 1.0, seed=1000 + seed)
+            short, long = qsim.default_horizon(state), qsim.default_horizon(state, 1000.0)
+            for delta in deltas:
+                t_star = qsim.first_passage(state, delta, short).t_star
+                if t_star is not None:
+                    later = qsim.first_passage(state, delta, long).t_star
+                    assert later == pytest.approx(t_star, rel=1e-12, abs=1e-12), (seed, delta)
 
 
 class TestBounds:
