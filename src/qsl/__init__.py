@@ -18,7 +18,6 @@ from .bounds import (
 from .errors import (
     CaseError,
     DomainError,
-    EqualityViolation,
     NoConvergence,
     NoSignChange,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "CaseError",
     "CirclePoint",
     "DomainError",
-    "EqualityViolation",
     "MinimaxReport",
     "NoConvergence",
     "NoSignChange",

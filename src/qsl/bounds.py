@@ -11,9 +11,16 @@ closed form by a three-way case split on phi:
   value -sigma/cos(y_plus);
 * phi > pi - y_minus/2 (arc CD): maximum at y = y_minus, value rho/sin(y_minus).
 
-The lower bound m minimizes the resolved maximum over the circle; the upper
-bound M minimizes a closed-form objective over z in [-sqrt(delta),
-sqrt(delta)]. The two agree, which is what the verification suites check.
+The lower bound m minimizes the resolved maximum over the circle. The upper
+bound M minimizes ((1+z)/2) * arccos((2*delta-1-z^2)/(1-z^2)) over z^2 <= delta.
+With z = sqrt(delta)*cos(phi), phi in [0, pi], that objective is
+(1 + z) * atan2(sqrt(1-delta), sqrt(delta)*sin(phi)), free of cancellation as
+z^2 -> delta, and its phi-derivative is -sqrt(delta)*g(phi) with
+g = sin(phi)*atan2(sqrt(1-delta), sqrt(delta)*sin(phi)) + sqrt(1-delta)*cos(phi)/(1 - z).
+For 0 < delta < 1, g(0) > 0 > g(pi): the minimizer is the root of g in the
+bracket [0, pi], found by one safeguarded Newton solve (``kernels.newton``)
+for a whole array of delta. The two bounds agree, which is what the
+verification suites check.
 """
 
 from __future__ import annotations
@@ -22,11 +29,19 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import rootfind
-from .errors import CaseError, DomainError, EqualityViolation
+import numpy as np
+
+from . import kernels, rootfind
+from .errors import CaseError, DomainError
 from .optimize import grid_golden_min
 
 _CLAMP_TOL = 1e-12
+
+# 2/pi as the sum of two floats: 2/math.pi alone is 0.56 ulp high
+_TWO_OVER_PI = (2.0 / math.pi, -3.935735335036497e-17)
+# |g| at which the Newton solve takes its last step: g's rounding error, its terms
+# being below 2 near the root
+_G_TOL = 16.0 * float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -176,35 +191,54 @@ def f_max_closed(delta: float, z: float) -> float:
     return (1.0 + z) * math.atan2(math.sqrt(1.0 - delta), math.sqrt(w) if w > 0.0 else 0.0)
 
 
-def _upper_bound_argmin(delta: float, n_grid: int = 512) -> tuple[float, float]:
-    """Minimize the closed form over z; returns (bound value, argmin z)."""
-    _check_delta(delta)
-    root = math.sqrt(delta)
-    if root == 0.0:
-        return (2.0 / math.pi) * f_max_closed(0.0, 0.0), 0.0
-    z, val = grid_golden_min(lambda z: f_max_closed(delta, z), -root, root, n=n_grid)
-    return (2.0 / math.pi) * val, z
+def _upper_bound_argmin(delta: float | np.ndarray) -> tuple:
+    """Minimize the closed form over z; returns (bound value, argmin z).
 
-
-def upper_bound_M(delta: float) -> float:
-    """Two-level-family upper bound: (2/pi) * min over z^2 <= delta."""
-    val, _ = _upper_bound_argmin(delta)
-    return val
-
-
-def alpha(delta: float, debug: bool = False) -> float:
-    """The speed-limit coefficient; equals both bounds.
-
-    With ``debug=True`` the minimax lower bound is computed as well and a gap
-    above 1e-7 raises ``EqualityViolation`` (it would signal a bug here, not
-    a failure of the underlying theorem).
+    ``delta`` is one number or an array, and both results take its shape. At
+    delta = 1 every z gives 0; the minimizer's limit z = -1 is returned.
     """
-    value = upper_bound_M(delta)
-    if debug:
-        m = lower_bound_m(delta)
-        if abs(m - value) > 1e-7:
-            raise EqualityViolation(f"|m - M| = {abs(m - value)} at delta={delta}")
-    return value
+    d = np.array(delta, dtype=np.float64, ndmin=1)
+    for bad in d[~((d >= 0.0) & (d <= 1.0))][:1]:
+        _check_delta(float(bad))
+    root, co = np.sqrt(d), np.sqrt(1.0 - d)
+    gap = (1.0 - d) / (1.0 + root)  # 1 - sqrt(delta)
+    inner = (root > 0.0) & (co > 0.0)
+    r, c, gp = root[inner], co[inner], gap[inner]
+
+    def g(t, rows):
+        rr, cc = r[rows], c[rows]
+        sin, cos = np.sin(t), np.cos(t)
+        y = rr * sin
+        minus = gp[rows] + 2.0 * rr * np.sin(0.5 * t) ** 2  # 1 - sqrt(delta)*cos(t)
+        angle = np.arctan2(cc, y)
+        return (sin * angle + cc * cos / minus,
+                cos * angle - cc * sin * (rr * cos / (cc * cc + y * y) + 1.0 / (minus * minus)))
+
+    phi = np.where(co == 0.0, math.pi, 0.5 * math.pi)
+    # (pi - phi)/sqrt(1 - delta) at the root runs from atan(2/pi) = 0.567 at
+    # delta = 0 to 0.429, where t*atan(1/t) = 1/2, at delta = 1
+    start = math.pi - c * (0.567 - 0.138 * r)
+    phi[inner] = kernels.newton(g, np.zeros(r.size), np.full(r.size, math.pi), _G_TOL, start)
+    z = root * np.cos(phi)
+    # 1 + z rounds once where it cannot cancel
+    plus = np.where(z > -0.5, 1.0 + z, gap + 2.0 * root * np.cos(0.5 * phi) ** 2)
+    angle = np.arctan2(co, root * np.sin(phi))
+    value = plus * (angle * _TWO_OVER_PI[0] + angle * _TWO_OVER_PI[1])
+    value[root == 0.0] = 1.0
+    value[co == 0.0] = 0.0
+    if np.ndim(delta) == 0:
+        return float(value[0]), float(z[0])
+    return value.reshape(np.shape(delta)), z.reshape(np.shape(delta))
+
+
+def upper_bound_M(delta: float | np.ndarray) -> float | np.ndarray:
+    """Two-level-family upper bound (2/pi) * min over z^2 <= delta, for one delta or an array."""
+    return _upper_bound_argmin(delta)[0]
+
+
+def alpha(delta: float | np.ndarray) -> float | np.ndarray:
+    """The speed-limit coefficient, equal to both bounds, for one delta or an array."""
+    return upper_bound_M(delta)
 
 
 def mt_alpha(delta: float) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from typing import Callable, Optional
@@ -26,14 +27,14 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-# the largest --dmax: a passage-scan chunk holds about 130*d complex
-# exponentials (its rows and columns), about 2 MB at 1024 levels
-_DMAX = 1024
+# the largest --dmax: a passage-scan chunk holds about 130*d complex exponentials,
+# about 2 MB at 1024 levels; the largest --grid: 10^6 rows take 0.4 GB (0.7 GB as JSON)
+_DMAX, _GRID = 1024, 10**6
 
 # flag destination -> (flag, requirement, test) for the ranges argparse does not check
 _RANGES = {
     "delta": ("--delta", "lie in [0, 1]", lambda v: v is None or 0.0 <= v <= 1.0),
-    "grid": ("--grid", "be at least 2", lambda v: v >= 2),
+    "grid": ("--grid", f"lie in [2, {_GRID}]", lambda v: 2 <= v <= _GRID),
     "trials": ("--trials", "be nonnegative", lambda v: v >= 0),
     "d_max": ("--dmax", f"lie in [2, {_DMAX}]", lambda v: 2 <= v <= _DMAX),
     "horizon_mult": ("--horizon-mult", "be finite and positive", lambda v: 0.0 < v < math.inf),
@@ -49,13 +50,14 @@ def cmd_alpha(ns: argparse.Namespace) -> tuple[str, int]:
     if ns.delta is not None:
         return f"{bounds.alpha(ns.delta):.12f}\n", EXIT_OK
     deltas = np.linspace(0.0, 1.0, ns.grid)
-    rows = [[float(d), bounds.alpha(float(d)), bounds.mt_alpha(float(d))] for d in deltas]
+    rows = [[d, a, bounds.mt_alpha(d)]
+            for d, a in zip(deltas.tolist(), bounds.alpha(deltas).tolist())]
     return _table(ns, ["delta", "alpha", "mt_alpha"], rows), EXIT_OK
 
 
 def cmd_plotdata(ns: argparse.Namespace) -> tuple[str, int]:
     deltas = np.linspace(0.0, 1.0, ns.grid)
-    rows = [[float(d), bounds.alpha(float(d))] for d in deltas]
+    rows = np.column_stack([deltas, bounds.alpha(deltas)]).tolist()
     return _table(ns, ["delta", "alpha"], rows), EXIT_OK
 
 
@@ -82,6 +84,7 @@ def cmd_simulate(ns: argparse.Namespace) -> tuple[str, int]:
     return render_report(report), EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsl",

@@ -15,7 +15,3 @@ class NoConvergence(RuntimeError):
 
 class CaseError(ValueError):
     """A case-specific formula was applied outside its validity window."""
-
-
-class EqualityViolation(RuntimeError):
-    """The two bound computations disagree beyond tolerance (an implementation bug)."""

@@ -4,7 +4,7 @@
 :mod:`qsl.qsim` use the rest: the fidelity on uniform grids (one complex
 matrix product per block of rows), the fidelity and its first two time
 derivatives at arbitrary times, the rounding bound of both, and the two
-vectorised Newton refiners.
+vectorised Newton refiners, whose ``newton`` also solves for :mod:`qsl.bounds`' M.
 """
 
 from __future__ import annotations
@@ -115,19 +115,20 @@ _fidelity_scalar = fidelity_scalar
 _dfidelity_scalar = dfidelity_scalar
 
 
-def _newton(g, lo, hi, tol):
+def newton(g, lo, hi, tol, start=None):
     """A root of g in each bracket [lo, hi] with g(lo) > 0 >= g(hi).
 
-    ``g(t, rows)`` returns the value and the slope at times ``t`` of the
-    brackets ``rows``. Every step shrinks the bracket to the side that keeps
-    the sign change; a Newton step that would leave it bisects it instead. A
-    bracket is done after the step from a point where |g| <= ``tol`` (g's
-    rounding error), or once its step falls below the float spacing.
+    ``g(t, rows)`` returns the value and the slope at points ``t`` of the
+    brackets ``rows``; ``start`` defaults to the midpoints. Every step shrinks
+    the bracket to the side that keeps the sign change; a Newton step that
+    would leave it bisects it instead. A bracket is done after the step from a
+    point where |g| <= ``tol`` (g's rounding error), or once its step falls
+    below the float spacing.
     """
     lo = np.array(lo, dtype=np.float64, ndmin=1)
     hi = np.array(hi, dtype=np.float64, ndmin=1)
     tol = np.broadcast_to(tol, lo.shape)
-    x = 0.5 * (lo + hi)
+    x = 0.5 * (lo + hi) if start is None else np.array(start, dtype=np.float64, ndmin=1)
     rows = np.arange(x.size)
     for _ in range(_NEWTON_STEPS):
         t = x[rows]
@@ -160,7 +161,7 @@ def refine_crossing(p, energies, lo, hi, level):
                 _dfidelity_scalar(p, energies, t))
 
     scale = float(np.abs(energies).max())
-    return _newton(g, lo, hi, rounding_bound(np.asarray(hi), energies.size, scale))
+    return newton(g, lo, hi, rounding_bound(np.asarray(hi), energies.size, scale))
 
 
 def refine_minimum(p, energies, lo, hi):
@@ -170,4 +171,4 @@ def refine_minimum(p, energies, lo, hi):
         return -_dfidelity_scalar(p, energies, t), -d2fidelity(p, energies, t)
 
     scale = float(np.abs(energies).max())
-    return _newton(g, lo, hi, 2.0 * scale * rounding_bound(np.asarray(hi), energies.size, scale))
+    return newton(g, lo, hi, 2.0 * scale * rounding_bound(np.asarray(hi), energies.size, scale))

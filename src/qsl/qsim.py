@@ -410,7 +410,7 @@ def verify_limits(trials: int, d_max: int, delta_grid: Sequence[float], seed: in
     if trials == 0:
         return report
 
-    ml_coeff = {d: 0.5 * math.pi * bounds.alpha(d) for d in deltas}
+    ml_coeff = dict(zip(deltas, (0.5 * math.pi * bounds.alpha(np.array(deltas))).tolist()))
     mt_coeff = {d: bounds.mt_alpha(d) for d in deltas}
 
     targets = np.unique(deltas)
@@ -435,8 +435,8 @@ def verify_limits(trials: int, d_max: int, delta_grid: Sequence[float], seed: in
             mt = mt_coeff[delta] / de if de > 0.0 else math.inf
             _record_check(report, float(t), ml, mt)
 
-    for delta in deltas:
-        _, z_opt = bounds._upper_bound_argmin(delta)
+    _, z_opts = bounds._upper_bound_argmin(np.array(deltas))
+    for delta, z_opt in zip(deltas, z_opts.tolist()):
         u = 0.5 * (1.0 + z_opt)
         if not 0.0 < u < 1.0:
             continue

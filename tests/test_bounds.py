@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsl import bounds, checks
-from qsl.errors import CaseError, DomainError, EqualityViolation
+from qsl.errors import CaseError, DomainError
 from qsl.rootfind import y_bounds
 
 YB = y_bounds()
@@ -271,43 +271,78 @@ class TestBoundFunctions:
         assert bounds.upper_bound_M(1.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def alpha_mp(delta):
+    """(2/pi) * min of the closed form at 40 digits, by golden-section search
+    over the whole of [-sqrt(d), sqrt(d)]."""
+    mpmath = pytest.importorskip("mpmath")
+    if delta in (0.0, 1.0):
+        return 1.0 - delta
+    with mpmath.workdps(40):
+        d = mpmath.mpf(delta)
+
+        def objective(z):
+            arg = (2 * d - 1 - z * z) / (1 - z * z)
+            return (1 + z) / 2 * mpmath.acos(min(max(arg, -1), 1))
+
+        lo, hi = -mpmath.sqrt(d), mpmath.sqrt(d)
+        ratio = (mpmath.sqrt(5) - 1) / 2
+        for _ in range(200):
+            z1, z2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+            lo, hi = (lo, z2) if objective(z1) <= objective(z2) else (z1, hi)
+        return float(2 / mpmath.pi * objective((lo + hi) / 2))
+
+
+# 64 points of [0, 1] and 32 of [1 - 10^-1, 1 - 10^-16], log-spaced in 1 - delta
+DENSE_DELTAS = np.concatenate([np.linspace(0.0, 1.0, 64), 1.0 - np.logspace(-1, -16, 32)])
+
+
 class TestAlpha:
     def test_endpoints(self):
-        assert abs(bounds.alpha(0.0) - 1.0) <= 1e-12
-        assert abs(bounds.alpha(1.0)) <= 1e-12
+        assert bounds.alpha(0.0) == 1.0
+        assert bounds.alpha(1.0) == 0.0
 
     def test_strictly_decreasing(self):
         grid = np.linspace(0.0, 1.0, 101)
         vals = [bounds.alpha(float(d)) for d in grid]
         assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
 
-    def test_debug_mode_passes(self):
-        assert bounds.alpha(0.37, debug=True) == pytest.approx(bounds.alpha(0.37), abs=1e-12)
-
-    def test_debug_mode_flags_corruption(self, monkeypatch):
-        monkeypatch.setattr(bounds, "lower_bound_m", lambda d, n_theta=512: 0.123)
-        with pytest.raises(EqualityViolation):
-            bounds.alpha(0.5, debug=True)
-
-    @pytest.mark.parametrize("delta", [d for k in range(1, 13)
+    @pytest.mark.parametrize("delta", [d for k in range(1, 17)
                                        for d in (10.0 ** -k, 1 - 10.0 ** -k)] + [0.999999])
     def test_matches_high_precision_closed_form(self, delta):
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            d = mpmath.mpf(delta)
+        assert abs(bounds.alpha(delta) - alpha_mp(delta)) <= 1e-14
 
-            def objective(z):
-                arg = (2 * d - 1 - z * z) / (1 - z * z)
-                return (1 + z) / 2 * mpmath.acos(min(max(arg, -1), 1))
+    def test_matches_high_precision_closed_form_dense(self):
+        got = bounds.alpha(DENSE_DELTAS)
+        err = [abs(a - alpha_mp(float(d))) for d, a in zip(DENSE_DELTAS, got)]
+        assert max(err) <= 1e-14
 
-            # golden-section search over the whole of [-sqrt(d), sqrt(d)]
-            lo, hi = -mpmath.sqrt(d), mpmath.sqrt(d)
-            ratio = (mpmath.sqrt(5) - 1) / 2
-            for _ in range(200):
-                z1, z2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
-                lo, hi = (lo, z2) if objective(z1) <= objective(z2) else (z1, hi)
-            ref = float(2 / mpmath.pi * objective((lo + hi) / 2))
-        assert abs(bounds.alpha(delta) - ref) <= 1e-11 * abs(ref) + 1e-11
+    def test_array_equals_scalar_calls_bit_for_bit(self):
+        deltas = np.concatenate([DENSE_DELTAS, [1e-300, 1e-16, 0.37, 0.5]])
+        values, zs = bounds._upper_bound_argmin(deltas)
+        assert values.tolist() == [bounds.upper_bound_M(float(d)) for d in deltas]
+        assert zs.tolist() == [bounds._upper_bound_argmin(float(d))[1] for d in deltas]
+        grid = deltas.reshape(4, -1)
+        assert bounds.alpha(grid).tolist() == values.reshape(4, -1).tolist()
+
+    def test_argmin_is_the_minimum(self):
+        # no point of a dense z grid beats the returned minimizer
+        for delta in (1e-6, 0.3, 0.77, 1 - 1e-9):
+            value, z = bounds._upper_bound_argmin(delta)
+            root = math.sqrt(delta)
+            zs = np.linspace(-root, root, 20001)
+            grid = (2 / math.pi) * min(bounds.f_max_closed(delta, float(x)) for x in zs)
+            assert value <= grid + 1e-15
+            assert (2 / math.pi) * bounds.f_max_closed(delta, z) == pytest.approx(value, abs=1e-15)
+
+    def test_endpoint_minimizers(self):
+        assert bounds._upper_bound_argmin(0.0) == (1.0, 0.0)
+        assert bounds._upper_bound_argmin(1.0) == (0.0, -1.0)
+
+    def test_invalid_delta_in_array(self):
+        with pytest.raises(DomainError):
+            bounds.alpha(np.array([0.2, 1.5]))
+        with pytest.raises(DomainError):
+            bounds.alpha(math.nan)
 
 
 class TestMTAlpha:

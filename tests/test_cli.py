@@ -203,6 +203,9 @@ class TestSimulate:
     ("plotdata", "--grid", "5", "--out", "{tmp}/missing/curve.csv"),
     ("plotdata", "--grid", "5", "--out", "{tmp}"),
     ("simulate", "--trials", "3", "--dmax", "100000000"),
+    ("plotdata", "--grid", "10000000000000"),
+    ("tangent", "--grid", "10000000000000"),
+    ("alpha", "--grid", "1000001"),
 ])
 def test_out_of_range_flag_is_one_line_usage_error(capsys, tmp_path, argv):
     code = cli.main([a.format(tmp=tmp_path) for a in argv])
