@@ -62,16 +62,6 @@ class CirclePoint:
         return math.hypot(self.rho, self.sigma)
 
 
-@dataclass(frozen=True)
-class BoundEvaluation:
-    """Both bounds at one fidelity, with their absolute gap."""
-
-    delta: float
-    m: float
-    M: float
-    gap: float
-
-
 def _check_delta(delta: float) -> None:
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
@@ -89,6 +79,7 @@ def rho_sigma(theta: float, delta: float) -> CirclePoint:
     return CirclePoint(rho=rho, sigma=sigma, phi=math.atan2(rho, sigma))
 
 
+# kept as the tests' reference for the raw inner objective that max_F_over_q resolves
 def F_of_y(y: float, point: CirclePoint) -> float:
     """The inner objective as a function of the tangency abscissa.
 
@@ -102,19 +93,6 @@ def F_of_y(y: float, point: CirclePoint) -> float:
     sy = math.sin(y)
     num = point.rho * (sy - y * cy) + point.sigma * (1.0 - cy - y * sy)
     return num / (1.0 - cy)
-
-
-def dF_dy(y: float, point: CirclePoint) -> float:
-    """Derivative of ``F_of_y`` in y."""
-    yb = rootfind.y_bounds()
-    if not (yb.y_minus - 1e-12 <= y < yb.y_plus):
-        raise DomainError(f"y={y} outside [{yb.y_minus}, {yb.y_plus})")
-    r = point.radius
-    if r == 0.0:
-        return 0.0
-    phi = point.phi
-    cy = math.cos(y)
-    return r * (y - math.sin(y)) * (math.cos(phi) - math.cos(phi + y)) / (1.0 - cy) ** 2
 
 
 def stationary_y(phi: float) -> Optional[float]:
@@ -247,21 +225,18 @@ def mt_alpha(delta: float) -> float:
     return math.acos(math.sqrt(delta))
 
 
-def omega_to_z(omega: float, delta: float) -> float:
-    """The involution z = (delta - omega)/(1 - omega) of [-sqrt(d), sqrt(d)]."""
+def omega_to_z(omega: float | np.ndarray, delta: float) -> float | np.ndarray:
+    """The involution z = (delta - omega)/(1 - omega) of [-sqrt(d), sqrt(d)].
+
+    ``omega`` is one number or an array; z takes its shape.
+    """
     _check_delta(delta)
-    if abs(omega) > math.sqrt(delta) + _CLAMP_TOL:
-        raise DomainError(f"|omega|={abs(omega)} exceeds sqrt(delta)")
-    if omega >= 1.0:
+    worst = float(np.max(np.abs(omega)))
+    if worst > math.sqrt(delta) + _CLAMP_TOL:
+        raise DomainError(f"|omega|={worst} exceeds sqrt(delta)")
+    if np.max(omega) >= 1.0:
         raise DomainError("omega = 1 leaves the map undefined")
     return (delta - omega) / (1.0 - omega)
-
-
-def evaluate_bounds(delta: float, n_theta: int = 720) -> BoundEvaluation:
-    """Compute both bounds and package them with their gap."""
-    m = lower_bound_m(delta, n_theta)
-    big_m = upper_bound_M(delta)
-    return BoundEvaluation(delta=delta, m=m, M=big_m, gap=abs(m - big_m))
 
 
 def _intersection_factor(psi: float, delta: float, branch: int) -> float:

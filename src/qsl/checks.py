@@ -36,14 +36,15 @@ def equality(quick: bool, seed: int) -> tuple[dict, bool]:
     """The paper's theorem m(delta) = M(delta), as the largest gap over a delta grid."""
     deltas = np.arange(0.05, 1.0, 0.05) if quick else np.arange(0.01, 1.0, 0.01)
     n_theta, tol = (256, 1e-4) if quick else (720, 1e-6)
-    gap = max(bounds.evaluate_bounds(float(d), n_theta).gap for d in deltas)
+    gap = max(abs(bounds.lower_bound_m(d, n_theta) - bounds.upper_bound_M(d))
+              for d in deltas.tolist())
     return {"equality_max_gap": gap, "equality_tol": tol}, gap <= tol
 
 
 def minimax_oracle(quick: bool, seed: int) -> tuple[dict, bool]:
     """The case-free grid minimax against the closed-form M."""
     grid, tol = (256, 5e-3) if quick else (2048, 1e-4)
-    err = max(abs(oracle.minimax_bruteforce_m(d, grid, grid).value - bounds.upper_bound_M(d))
+    err = max(abs(oracle.minimax_bruteforce_m(d, grid, grid) - bounds.upper_bound_M(d))
               for d in ORACLE_DELTAS[quick])
     return {"minimax_oracle_max_err": err, "minimax_oracle_tol": tol}, err <= tol
 

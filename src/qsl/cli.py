@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import sys
@@ -132,13 +131,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     for dest, (flag, requirement, valid) in _RANGES.items():
         if hasattr(ns, dest) and not valid(getattr(ns, dest)):
             return _usage_error(f"{flag} must {requirement}, got {getattr(ns, dest)}")
+    if not ns.out:
+        text, code = ns.handler(ns)
+        sys.stdout.write(text)
+        return code
+    # opened before the handler runs, so that a bad path fails fast; a full
+    # disk shows only at the write or at the flush on close
     try:
-        out = open(ns.out, "w") if ns.out else contextlib.nullcontext(sys.stdout)
+        with open(ns.out, "w") as stream:
+            text, code = ns.handler(ns)
+            stream.write(text)
     except OSError as exc:
         return _usage_error(f"--out {ns.out}: {exc.strerror}")
-    with out as stream:
-        text, code = ns.handler(ns)
-        stream.write(text)
     return code
 
 

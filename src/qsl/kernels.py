@@ -27,17 +27,14 @@ _NEWTON_STEPS = 64
 
 
 def theta_max_table(rho, sigma, fa, fb):
-    """For each (rho, sigma) row return max and argmax over the y profiles."""
+    """For each (rho, sigma) row, the max of rho*fa + sigma*fb over the y profiles."""
     n_t = rho.shape[0]
     best = np.empty(n_t)
-    arg = np.empty(n_t, dtype=np.int64)
     for s in range(0, n_t, _THETA_CHUNK):
         e = min(s + _THETA_CHUNK, n_t)
         block = rho[s:e, None] * fa[None, :] + sigma[s:e, None] * fb[None, :]
-        idx = block.argmax(axis=1)
-        arg[s:e] = idx
-        best[s:e] = np.take_along_axis(block, idx[:, None], axis=1)[:, 0]
-    return best, arg
+        best[s:e] = block.max(axis=1)
+    return best
 
 
 def fidelity_rows(p, energies, starts, dt, n):

@@ -10,34 +10,13 @@ signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import kernels, rootfind
+from . import bounds, kernels, rootfind
 from .errors import DomainError
 from .optimize import golden_min
-
-
-@dataclass(frozen=True)
-class MinimaxReport:
-    """Result of a grid minimax evaluation."""
-
-    delta: float
-    value: float
-    argmin_theta: float
-    argmax_y_per_theta: np.ndarray
-    grid_sizes: tuple[int, int]
-
-    def as_flat_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "value": self.value,
-            "argmin_theta": self.argmin_theta,
-            "n_theta": self.grid_sizes[0],
-            "n_y": self.grid_sizes[1],
-        }
 
 
 def _y_profiles(n_y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -57,26 +36,18 @@ def _y_profiles(n_y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, fa, fb
 
 
-def minimax_bruteforce_m(delta: float, n_theta: int, n_y: int) -> MinimaxReport:
+def minimax_bruteforce_m(delta: float, n_theta: int, n_y: int) -> float:
     """Pure-grid evaluation of (2/pi) * min_theta max_y F; no case analysis."""
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     if n_theta < 64 or n_y < 64:
         raise DomainError(f"grids must be >= 64, got ({n_theta}, {n_y})")
-    y, fa, fb = _y_profiles(n_y)
+    _, fa, fb = _y_profiles(n_y)
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     root = math.sqrt(delta)
     rho = 1.0 - root * np.cos(theta)
     sigma = root * np.sin(theta)
-    best, arg = kernels.theta_max_table(rho, sigma, fa, fb)
-    i_min = int(np.argmin(best))
-    return MinimaxReport(
-        delta=delta,
-        value=(2.0 / math.pi) * float(best[i_min]),
-        argmin_theta=float(theta[i_min]),
-        argmax_y_per_theta=y[arg],
-        grid_sizes=(n_theta, n_y),
-    )
+    return (2.0 / math.pi) * float(kernels.theta_max_table(rho, sigma, fa, fb).min())
 
 
 def two_level_passage_time(xi: float, delta: float, e0: float) -> Optional[float]:
@@ -104,26 +75,24 @@ def two_level_passage_time(xi: float, delta: float, e0: float) -> Optional[float
     return math.acos(arg) / e0
 
 
-def two_level_min_time(delta: float, e0: float = 1.0) -> float:
+def two_level_min_time(delta: float) -> float:
     """Dimensionless minimal passage time (2/pi) * <H - E0> * t over the family.
 
     Minimizes over the reachable weights xi^2 in [(1-sqrt(d))/2, (1+sqrt(d))/2]
-    by a dense grid plus golden refinement; independent of ``e0`` since the
-    energy scale cancels in the product.
+    by a dense grid plus golden refinement, at level spacing 1: the energy
+    scale cancels in the product.
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
-    if not e0 > 0.0:
-        raise DomainError(f"e0 must be positive, got {e0}")
     root = math.sqrt(delta)
     xi_lo = math.sqrt((1.0 - root) / 2.0)
     xi_hi = math.sqrt((1.0 + root) / 2.0)
 
     def objective(xi: float) -> float:
-        t = two_level_passage_time(xi, delta, e0)
+        t = two_level_passage_time(xi, delta, 1.0)
         if t is None:  # grid endpoints can fall a rounding error outside
             return math.inf
-        return (2.0 / math.pi) * (xi * xi * e0) * t
+        return (2.0 / math.pi) * (xi * xi) * t
 
     if xi_hi - xi_lo < 1e-15:
         return objective(0.5 * (xi_lo + xi_hi))
@@ -158,7 +127,7 @@ def identity_suite(n_samples: int, seed: int) -> dict:
     for delta in rng.uniform(1e-6, 1.0, 32):
         root = math.sqrt(delta)
         omega = np.linspace(-root, root, 257)
-        z = (delta - omega) / (1.0 - omega)
+        z = bounds.omega_to_z(omega, delta)
         omega_z = max(omega_z, abs(z[0] - root), abs(z[-1] + root))
         omega_z = max(omega_z, float(np.max(np.diff(z))))  # must be decreasing
         omega_z = max(omega_z, float(np.max(np.abs(z) - root)))  # stays inside

@@ -59,16 +59,6 @@ class QuantumState:
         if abs(norm - 1.0) > 1e-12:
             raise DomainError(f"state norm^2 = {norm}, expected 1 within 1e-12")
 
-    @classmethod
-    def from_levels(cls, levels: Sequence[tuple[float, complex]]) -> "QuantumState":
-        energies = np.array([e for e, _ in levels], dtype=np.float64)
-        amplitudes = np.array([a for _, a in levels], dtype=np.complex128)
-        return cls(energies, amplitudes)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.energies.size)
-
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """(energies, probabilities) restricted to levels that carry weight."""
         mask = np.abs(self.amplitudes) > SUPPORT_EPS
@@ -307,11 +297,10 @@ def first_passage(state: QuantumState, delta: float, horizon: float) -> PassageR
     energies, p = state.support()
     t_star, f_low = _passage_times(energies, p, np.array([float(delta)]), horizon)
     if math.isnan(t_star[0]):
-        f_end = float(kernels.fidelity_scalar(p, energies, horizon))
-        return PassageResult(t_star=None, achieved_fidelity=min(f_low, f_end), horizon=horizon)
+        return PassageResult(t_star=None, achieved_fidelity=min(f_low, fidelity(state, horizon)),
+                             horizon=horizon)
     t = float(t_star[0])
-    return PassageResult(t_star=t, achieved_fidelity=float(kernels.fidelity_scalar(p, energies, t)),
-                         horizon=horizon)
+    return PassageResult(t_star=t, achieved_fidelity=fidelity(state, t), horizon=horizon)
 
 
 def ml_bound(state: QuantumState, delta: float) -> float:
@@ -338,20 +327,14 @@ def two_level_state(xi: float, e0: float = 1.0) -> QuantumState:
                         np.array([math.sqrt(1.0 - xi * xi), xi], dtype=np.complex128))
 
 
-def _draw_state(rng: np.random.Generator, d: int, e_max: float) -> QuantumState:
+def draw_state(rng: np.random.Generator, d: int, e_max: float) -> QuantumState:
+    """Energies uniform in [0, e_max] (sorted); amplitudes Haar-uniform."""
+    if not e_max > 0.0:
+        raise DomainError(f"e_max must be positive, got {e_max}")
     energies = np.sort(rng.uniform(0.0, e_max, d))
     amps = rng.normal(size=d) + 1j * rng.normal(size=d)
     amps /= np.linalg.norm(amps)
     return QuantumState(energies, amps)
-
-
-def sample_random_state(d: int, e_max: float, seed: int) -> QuantumState:
-    """Energies uniform in [0, e_max] (sorted); amplitudes Haar-uniform."""
-    if d < 1:
-        raise DomainError(f"dimension must be positive, got {d}")
-    if not e_max > 0.0:
-        raise DomainError(f"e_max must be positive, got {e_max}")
-    return _draw_state(np.random.default_rng(seed), d, e_max)
 
 
 _HIST_EDGES = (1e-6, 1e-3, 1e-2, 1e-1, 1.0)
@@ -389,12 +372,12 @@ def _bin_slack(report: dict, rel_slack: float) -> None:
 
 
 def verify_limits(trials: int, d_max: int, delta_grid: Sequence[float], seed: int,
-                  horizon_mult: float = 1.0, e_max: float = 1.0) -> dict:
+                  horizon_mult: float = 1.0) -> dict:
     """Monte-Carlo check that measured passage times respect both limits.
 
-    Each trial draws a state (dimension uniform in {2..d_max}, per-trial seed
-    ``seed + trial``), measures the first passage for every target fidelity,
-    and asserts t_star >= bound - 1e-9 for both limits. The saturating
+    Each trial draws a state (dimension uniform in {2..d_max}, energies in
+    [0, 1], per-trial seed ``seed + trial``), measures the first passage for
+    every target fidelity, and asserts t_star >= bound - 1e-9 for both limits. The saturating
     two-level states are included as designed cases. Violations are counted,
     not raised.
     """
@@ -418,7 +401,7 @@ def verify_limits(trials: int, d_max: int, delta_grid: Sequence[float], seed: in
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
         d = int(rng.integers(2, d_max + 1))
-        state = _draw_state(rng, d, e_max)
+        state = draw_state(rng, d, 1.0)
         horizon = default_horizon(state, horizon_mult)
         if horizon is None:
             report["skips"] += len(deltas)

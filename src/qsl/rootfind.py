@@ -8,36 +8,16 @@ the smooth transcendental equations this package actually solves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from .errors import DomainError, NoConvergence, NoSignChange
 
-DEFAULT_TOL = 1e-12
+# absolute tolerance on the abscissa of every root this package brackets
+_TOL = 1e-12
 _MAX_ITER = 200
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """A sign-change interval for a scalar root search.
-
-    Attributes:
-        lo: Lower end of the interval.
-        hi: Upper end of the interval (must exceed ``lo``).
-        tol: Absolute tolerance on the abscissa.
-    """
-
-    lo: float
-    hi: float
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise DomainError(f"bracket needs lo < hi, got [{self.lo}, {self.hi}]")
-        if not self.tol > 0:
-            raise DomainError(f"bracket tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -52,23 +32,27 @@ class YBounds:
     y_plus: float
 
 
-def bracketed_root(f: Callable[[float], float], bracket: Bracket, max_iter: int = _MAX_ITER) -> float:
-    """Find a root of ``f`` inside ``bracket``.
+def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
+                   max_iter: int = _MAX_ITER) -> float:
+    """Find a root of ``f`` in the sign-change interval [lo, hi].
 
     Args:
-        f: Continuous scalar function with a sign change across the bracket.
-        bracket: Sign-change interval and abscissa tolerance.
+        f: Continuous scalar function with a sign change across the interval.
+        lo: Lower end of the interval.
+        hi: Upper end of the interval (must exceed ``lo``).
         max_iter: Iteration budget.
 
     Returns:
-        A point within ``bracket.tol`` of a sign change of ``f``.
+        A point within 1e-12 of a sign change of ``f``.
 
     Raises:
+        DomainError: If ``lo`` is not below ``hi``.
         NoSignChange: If ``f`` has the same sign at both ends.
         NoConvergence: If the budget is exhausted before the bracket shrinks
             below tolerance.
     """
-    lo, hi, tol = bracket.lo, bracket.hi, bracket.tol
+    if not lo < hi:
+        raise DomainError(f"bracket needs lo < hi, got [{lo}, {hi}]")
     flo = f(lo)
     if flo == 0.0:
         return lo
@@ -81,7 +65,7 @@ def bracketed_root(f: Callable[[float], float], bracket: Bracket, max_iter: int 
     best_x, best_f = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
     use_secant = False
     for _ in range(max_iter):
-        if hi - lo <= tol:
+        if hi - lo <= _TOL:
             return best_x
         x = 0.5 * (lo + hi)
         if use_secant and fhi != flo:
@@ -115,15 +99,13 @@ def _polish_newton(y: float, f: Callable[[float], float], df: Callable[[float], 
     return y
 
 
-@lru_cache(maxsize=None)
-def compute_y_bounds(tol: float = DEFAULT_TOL) -> YBounds:
-    """Solve for the two angle constants; results are cached per tolerance.
+@functools.cache
+def y_bounds() -> YBounds:
+    """Solve for the two angle constants once; later calls return the cached pair.
 
     The defining conditions have exactly one root in their stated intervals,
     so the fixed analytic brackets below cannot fail.
     """
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
 
     def f_minus(y: float) -> float:
         return 1.0 - math.cos(y) - y * math.sin(y)
@@ -137,13 +119,8 @@ def compute_y_bounds(tol: float = DEFAULT_TOL) -> YBounds:
     def df_plus(y: float) -> float:
         return y * math.sin(y)
 
-    y_minus = bracketed_root(f_minus, Bracket(0.5 * math.pi, math.pi, tol))
+    y_minus = bracketed_root(f_minus, 0.5 * math.pi, math.pi)
     y_minus = _polish_newton(y_minus, f_minus, df_minus, 0.5 * math.pi, math.pi)
-    y_plus = bracketed_root(f_plus, Bracket(math.pi, 1.5 * math.pi, tol))
+    y_plus = bracketed_root(f_plus, math.pi, 1.5 * math.pi)
     y_plus = _polish_newton(y_plus, f_plus, df_plus, math.pi, 1.5 * math.pi)
     return YBounds(y_minus=y_minus, y_plus=y_plus)
-
-
-def y_bounds() -> YBounds:
-    """The angle constants at the package-default tolerance."""
-    return compute_y_bounds(DEFAULT_TOL)

@@ -9,25 +9,15 @@ increasing there, so the map is inverted by a bracketed root search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import rootfind
 from .errors import DomainError
-from .rootfind import Bracket, bracketed_root
+from .rootfind import bracketed_root
 
 # open upper endpoint: q and a diverge as y -> y_plus
 ENDPOINT_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class TangentSolution:
-    """A tangency triple: abscissa ``y``, slope mix ``q``, line coefficient ``a``."""
-
-    y: float
-    q: float
-    a: float
 
 
 def _check_y(y: float) -> None:
@@ -46,26 +36,6 @@ def a_of_y(y: float) -> float:
     """a(y) = (1 - cos y) / (sin y - y cos y)."""
     _check_y(y)
     return (1.0 - math.cos(y)) / (math.sin(y) - y * math.cos(y))
-
-
-def dq_dy(y: float) -> float:
-    """dq/dy = y (y - sin y) / (sin y - y cos y)^2; strictly positive."""
-    _check_y(y)
-    den = math.sin(y) - y * math.cos(y)
-    return y * (y - math.sin(y)) / (den * den)
-
-
-def da_dy(y: float) -> float:
-    """da/dy = sin y (sin y - y) / (sin y - y cos y)^2."""
-    _check_y(y)
-    den = math.sin(y) - y * math.cos(y)
-    return math.sin(y) * (math.sin(y) - y) / (den * den)
-
-
-def da_dq(y: float) -> float:
-    """da/dq = -sin(y)/y, the ratio of the two parametric derivatives."""
-    _check_y(y)
-    return -math.sin(y) / y
 
 
 def y_of_q(q: float) -> float:
@@ -89,24 +59,13 @@ def y_of_q(q: float) -> float:
     def dg(y: float) -> float:
         return -y * (math.cos(y) + q * math.sin(y))
 
-    y = bracketed_root(g, Bracket(yb.y_minus, yb.y_plus, tol=1e-12))
-    for _ in range(2):
-        d = dg(y)
-        if d == 0.0:
-            break
-        y = min(max(y - g(y) / d, yb.y_minus), yb.y_plus - ENDPOINT_EPS)
-    return y
+    y = bracketed_root(g, yb.y_minus, yb.y_plus)
+    return rootfind._polish_newton(y, g, dg, yb.y_minus, yb.y_plus - ENDPOINT_EPS, steps=2)
 
 
 def a_of_q(q: float) -> float:
     """The tangency coefficient as a function of the slope mix q."""
     return a_of_y(y_of_q(q))
-
-
-def tangent_solution(q: float) -> TangentSolution:
-    """Solve the tangency system for a given slope mix q."""
-    y = y_of_q(q)
-    return TangentSolution(y=y, q=q, a=a_of_y(y))
 
 
 def check_tangent_inequality(q: float, x_max: float, n_samples: int) -> float:

@@ -19,9 +19,9 @@ def report(line):
 
 
 def test_criterion_1_constants():
-    rootfind.compute_y_bounds.cache_clear()
+    rootfind.y_bounds.cache_clear()
     t0 = time.perf_counter()
-    yb = rootfind.compute_y_bounds(1e-12)
+    yb = rootfind.y_bounds()
     elapsed = time.perf_counter() - t0
     assert round(yb.y_minus, 4) == 2.3311
     assert round(yb.y_plus, 4) == 4.4934
@@ -99,30 +99,35 @@ def test_criterion_7_speed_limit_monte_carlo():
 
 
 def test_criterion_8_derivative_checks():
+    # the closed-form derivatives of the paper against central differences of the shipped maps
     rng = np.random.default_rng(77)
     yb = rootfind.y_bounds()
 
     def close(analytic, fd):
         return abs(analytic - fd) <= 1e-6 * max(1.0, abs(analytic), abs(fd))
 
-    # dq/dy against central differences of q(y)
+    # dq/dy = y (y - sin y)/(sin y - y cos y)^2 against q(y)
     h = 1e-6
     for y in rng.uniform(yb.y_minus + 1e-3, yb.y_plus - 0.1, 100):
         fd = (tangent.q_of_y(y + h) - tangent.q_of_y(y - h)) / (2 * h)
-        assert close(tangent.dq_dy(float(y)), fd)
+        assert close(y * (y - math.sin(y)) / (math.sin(y) - y * math.cos(y)) ** 2, fd)
 
-    # da/dq against central differences of the composed a(q)
+    # da/dq = -sin(y)/y at y = y(q) against the composed a(q)
     for q in rng.uniform(0.01, 50.0, 100):
         hq = 1e-5 * max(1.0, q)
         fd = (tangent.a_of_q(q + hq) - tangent.a_of_q(q - hq)) / (2 * hq)
-        assert close(tangent.da_dq(tangent.y_of_q(float(q))), fd)
+        y = tangent.y_of_q(float(q))
+        assert close(-math.sin(y) / y, fd)
 
-    # dF/dy against central differences of F(y) at random circle points
+    # dF/dy = r (y - sin y)(cos phi - cos(phi + y))/(1 - cos y)^2 against F(y),
+    # at random circle points
     for _ in range(100):
         p = bounds.rho_sigma(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 0.95)))
         y = float(rng.uniform(yb.y_minus + 1e-3, yb.y_plus - 1e-3))
         fd = (bounds.F_of_y(y + h, p) - bounds.F_of_y(y - h, p)) / (2 * h)
-        assert close(bounds.dF_dy(y, p), fd)
+        dF_dy = (p.radius * (y - math.sin(y)) * (math.cos(p.phi) - math.cos(p.phi + y))
+                 / (1.0 - math.cos(y)) ** 2)
+        assert close(dF_dy, fd)
 
-    report("criterion 8: PASS — dq_dy, da_dq, dF_dy match central differences "
-           "within 1e-6 relative at 100 points each")
+    report("criterion 8: PASS — dq/dy, da/dq, dF/dy match central differences of q(y), a(q), "
+           "F(y) within 1e-6 relative at 100 points each")

@@ -82,23 +82,32 @@ class TestFofY:
             bounds.F_of_y(1.0, p)
 
 
+def dF_dy(y, p):
+    """r (y - sin y)(cos phi - cos(phi + y))/(1 - cos y)^2, the derivative behind the case split."""
+    return (p.radius * (y - math.sin(y)) * (math.cos(p.phi) - math.cos(p.phi + y))
+            / (1.0 - math.cos(y)) ** 2)
+
+
 class TestDFdy:
+    # the sign of dF/dy decides the case split; checked here against the shipped F_of_y
+
     def test_stationary_at_pi_for_phi_half_pi(self):
         p = bounds.rho_sigma(0.0, 0.0)  # phi = pi/2
-        assert abs(bounds.dF_dy(math.pi, p)) < 1e-14
+        h = 1e-5
+        assert abs(bounds.F_of_y(math.pi + h, p) - bounds.F_of_y(math.pi - h, p)) / (2 * h) < 1e-9
 
     def test_matches_finite_difference(self):
         p = bounds.CirclePoint(rho=1.2, sigma=-0.3, phi=math.atan2(1.2, -0.3))
         y, h = 3.0, 1e-6
         fd = (bounds.F_of_y(y + h, p) - bounds.F_of_y(y - h, p)) / (2 * h)
-        assert abs(bounds.dF_dy(y, p) - fd) / abs(fd) < 1e-6
+        assert abs(dF_dy(y, p) - fd) / abs(fd) < 1e-6
 
     def test_positive_for_small_phi(self):
         # phi = 0.1 lies below the stationary window: F increases throughout
         phi = 0.1
         p = bounds.CirclePoint(rho=math.sin(phi), sigma=math.cos(phi), phi=phi)
-        for y in np.linspace(YB.y_minus, YB.y_plus - 1e-9, 300):
-            assert bounds.dF_dy(float(y), p) > 0.0
+        values = [bounds.F_of_y(float(y), p) for y in np.linspace(YB.y_minus, YB.y_plus, 300)]
+        assert all(f1 < f2 for f1, f2 in zip(values, values[1:]))
 
 
 class TestStationaryY:
@@ -260,11 +269,11 @@ class TestBoundFunctions:
 
     def test_evaluate_bounds_ranges(self):
         for delta in (0.0, 0.2, 0.55, 0.95, 1.0):
-            ev = bounds.evaluate_bounds(delta, 128)
-            assert 0.0 <= ev.M <= 1.0
-            assert 0.0 <= ev.m <= 1.0
-            assert ev.gap >= 0.0
-            assert ev.delta == delta
+            m = bounds.lower_bound_m(delta, 128)
+            big_m = bounds.upper_bound_M(delta)
+            assert 0.0 <= big_m <= 1.0
+            assert 0.0 <= m <= 1.0
+            assert abs(m - big_m) <= 1e-10
 
     def test_upper_bound_endpoints(self):
         assert bounds.upper_bound_M(0.0) == pytest.approx(1.0, abs=1e-12)
@@ -378,9 +387,17 @@ class TestOmegaToZ:
             assert all(z1 > z2 for z1, z2 in zip(zs, zs[1:]))  # strictly decreasing
             assert all(abs(z) <= root + 1e-12 for z in zs)
 
+    def test_array_matches_scalar(self):
+        delta = 0.37
+        omegas = np.linspace(-math.sqrt(delta), math.sqrt(delta), 257)
+        zs = bounds.omega_to_z(omegas, delta)
+        assert zs.tolist() == [bounds.omega_to_z(float(w), delta) for w in omegas]
+
     def test_invalid(self):
         with pytest.raises(DomainError):
             bounds.omega_to_z(0.9, 0.25)
+        with pytest.raises(DomainError):
+            bounds.omega_to_z(np.array([0.0, 0.9]), 0.25)
 
 
 def direct_arc_coords(psi, delta, branch):

@@ -1,7 +1,6 @@
 import json
 import math
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -140,12 +139,11 @@ class TestVerify:
 
     # each check's one callee, spoiled so that only that check can fail
     @pytest.mark.parametrize("check, module, callee, spoiled", [
-        ("equality", bounds, "evaluate_bounds",
-         lambda delta, n_theta: bounds.BoundEvaluation(delta, 0.0, 1.0, 1.0)),
-        ("minimax_oracle", oracle, "minimax_bruteforce_m",
-         lambda delta, n_theta, n_y: SimpleNamespace(value=10.0)),
+        ("equality", bounds, "lower_bound_m", lambda delta, n_theta: 0.0),
+        ("minimax_oracle", oracle, "minimax_bruteforce_m", lambda delta, n_theta, n_y: 10.0),
         ("two_level_oracle", oracle, "two_level_min_time", lambda delta: 10.0),
         ("identities", oracle, "identity_suite", lambda n, seed: {"max_violation": 1.0}),
+        ("identities", bounds, "omega_to_z", lambda omega, delta: -(delta - omega) / (1.0 - omega)),
         ("tangent_inequality", tangent, "check_tangent_inequality", lambda q, x_max, n: -1.0),
         ("arc_gaps", bounds, "arc_gap_CD", lambda psi, delta, branch: -1.0),
     ])
@@ -206,6 +204,7 @@ class TestSimulate:
     ("plotdata", "--grid", "10000000000000"),
     ("tangent", "--grid", "10000000000000"),
     ("alpha", "--grid", "1000001"),
+    ("plotdata", "--grid", "5", "--out", "/dev/full"),
 ])
 def test_out_of_range_flag_is_one_line_usage_error(capsys, tmp_path, argv):
     code = cli.main([a.format(tmp=tmp_path) for a in argv])

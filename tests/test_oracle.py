@@ -9,12 +9,11 @@ from qsl.errors import DomainError
 
 class TestMinimax:
     def test_delta_zero(self):
-        rep = oracle.minimax_bruteforce_m(0.0, 256, 256)
-        assert abs(rep.value - 1.0) <= 1e-4
+        assert abs(oracle.minimax_bruteforce_m(0.0, 256, 256) - 1.0) <= 1e-4
 
     def test_matches_closed_form_at_quarter(self):
-        rep = oracle.minimax_bruteforce_m(0.25, 2048, 2048)
-        assert abs(rep.value - bounds.upper_bound_M(0.25)) <= 1e-5
+        value = oracle.minimax_bruteforce_m(0.25, 2048, 2048)
+        assert abs(value - bounds.upper_bound_M(0.25)) <= 1e-5
 
     def test_refinement_reduces_error(self):
         # grid errors carry opposite signs (theta +, y -), so strict per-doubling
@@ -22,8 +21,8 @@ class TestMinimax:
         # reduction is the robust certificate
         for delta in (0.2, 0.5, 0.8):
             target = bounds.upper_bound_M(delta)
-            coarse = abs(oracle.minimax_bruteforce_m(delta, 64, 64).value - target)
-            fine = abs(oracle.minimax_bruteforce_m(delta, 2048, 2048).value - target)
+            coarse = abs(oracle.minimax_bruteforce_m(delta, 64, 64) - target)
+            fine = abs(oracle.minimax_bruteforce_m(delta, 2048, 2048) - target)
             assert fine <= coarse / 50.0
             assert fine <= 1e-5
 
@@ -31,18 +30,10 @@ class TestMinimax:
         # at delta = 0.9 the study yields literal monotone shrink under doubling
         target = bounds.upper_bound_M(0.9)
         errs = [
-            abs(oracle.minimax_bruteforce_m(0.9, g, g).value - target)
+            abs(oracle.minimax_bruteforce_m(0.9, g, g) - target)
             for g in (64, 128, 256, 512, 1024)
         ]
         assert all(e2 <= e1 for e1, e2 in zip(errs, errs[1:]))
-
-    def test_report_fields(self):
-        rep = oracle.minimax_bruteforce_m(0.3, 128, 256)
-        assert rep.grid_sizes == (128, 256)
-        assert rep.value >= 0.0
-        yb_lo, yb_hi = rep.argmax_y_per_theta.min(), rep.argmax_y_per_theta.max()
-        assert yb_lo >= 2.33 and yb_hi <= 4.50
-        assert set(rep.as_flat_dict()) == {"delta", "value", "argmin_theta", "n_theta", "n_y"}
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -94,14 +85,16 @@ class TestTwoLevelMinTime:
         assert oracle.two_level_min_time(0.5) == pytest.approx(bounds.upper_bound_M(0.5), abs=1e-8)
 
     def test_energy_scale_cancels(self):
-        a = oracle.two_level_min_time(0.3, 1.0)
-        b = oracle.two_level_min_time(0.3, 7.0)
-        assert abs(a - b) <= 1e-12
+        # two_level_min_time works at level spacing 1: <H - E0> * t, proportional
+        # to spacing * t, is the same at any spacing
+        t1 = oracle.two_level_passage_time(0.6, 0.3, 1.0)
+        t7 = oracle.two_level_passage_time(0.6, 0.3, 7.0)
+        assert abs(t1 - 7.0 * t7) <= 1e-12
 
     def test_sandwich_against_minimax(self):
         for delta in (0.2, 0.6):
             closed = bounds.upper_bound_M(delta)
-            grid = oracle.minimax_bruteforce_m(delta, 512, 512).value
+            grid = oracle.minimax_bruteforce_m(delta, 512, 512)
             dyn = oracle.two_level_min_time(delta)
             assert abs(dyn - closed) <= 1e-8
             assert abs(grid - closed) <= 1e-3

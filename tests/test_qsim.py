@@ -47,10 +47,6 @@ class TestQuantumState:
         with pytest.raises(DomainError):
             qsim.QuantumState(np.array([0.0]), np.array([0.0], dtype=complex))
 
-    def test_from_levels(self):
-        s = qsim.QuantumState.from_levels([(0.0, math.sqrt(0.5)), (2.0, math.sqrt(0.5))])
-        assert s.dimension == 2
-
     def test_support_drops_empty_levels(self):
         s = qsim.QuantumState(np.array([0.0, 1.0, 2.0]),
                               np.array([math.sqrt(0.5), 0.0, math.sqrt(0.5)], dtype=complex))
@@ -72,13 +68,13 @@ class TestFidelity:
             assert qsim.fidelity(STATIONARY, t) == pytest.approx(1.0, abs=1e-14)
 
     def test_bounded(self):
-        state = qsim.sample_random_state(6, 3.0, seed=2)
+        state = qsim.draw_state(np.random.default_rng(2), 6, 3.0)
         for t in np.linspace(0.0, 50.0, 500):
             f = qsim.fidelity(state, float(t))
             assert -1e-12 <= f <= 1.0 + 1e-12
 
     def test_energy_shift_invariance(self):
-        state = qsim.sample_random_state(5, 2.0, seed=3)
+        state = qsim.draw_state(np.random.default_rng(3), 5, 2.0)
         shifted = qsim.QuantumState(state.energies + 17.3, state.amplitudes)
         for t in (0.2, 1.1, 8.0):
             assert qsim.fidelity(state, t) == pytest.approx(qsim.fidelity(shifted, t), abs=1e-9)
@@ -125,7 +121,7 @@ class TestFirstPassage:
     def test_crossing_value_invariant(self):
         rng = np.random.default_rng(19)
         for seed in range(20):
-            state = qsim.sample_random_state(int(rng.integers(2, 7)), 2.0, seed=seed)
+            state = qsim.draw_state(np.random.default_rng(seed), int(rng.integers(2, 7)), 2.0)
             horizon = qsim.default_horizon(state)
             r = qsim.first_passage(state, 0.4, horizon)
             if r.t_star is not None:
@@ -142,8 +138,8 @@ class TestFirstPassage:
         # trial 738 of `simulate --seed 7`: its horizon is 2.3e6, over which a
         # grid capped at 65536 points stepped 35.46 against a 9.52 period
         rng = np.random.default_rng(7 + 738)
-        state = qsim._draw_state(rng, int(rng.integers(2, 9)), 1.0)
-        assert state.dimension == 7
+        state = qsim.draw_state(rng, int(rng.integers(2, 9)), 1.0)
+        assert state.energies.size == 7
         horizon = qsim.default_horizon(state)
         assert horizon > 2e6
         ref = reference_passage(state, delta, fast_period(state) / 1024, 20.0)
@@ -154,7 +150,7 @@ class TestFirstPassage:
     def test_no_dense_sample_below_target_before_t_star(self):
         deltas = [round(0.1 * i, 1) for i in range(10)]
         for seed in range(200):
-            state = qsim.sample_random_state(2 + seed % 7, 1.0, seed=seed)
+            state = qsim.draw_state(np.random.default_rng(seed), 2 + seed % 7, 1.0)
             horizon = qsim.default_horizon(state)
             times = [qsim.first_passage(state, delta, horizon).t_star for delta in deltas]
             reached = [(d, t) for d, t in zip(deltas, times) if t is not None]
@@ -213,7 +209,7 @@ class TestFirstPassage:
         # only adds grid points after the ones a shorter one scans
         deltas = [round(0.1 * i, 1) for i in range(10)]
         for seed in range(50):
-            state = qsim.sample_random_state(2 + seed % 7, 1.0, seed=1000 + seed)
+            state = qsim.draw_state(np.random.default_rng(1000 + seed), 2 + seed % 7, 1.0)
             short, long = qsim.default_horizon(state), qsim.default_horizon(state, 1000.0)
             for delta in deltas:
                 t_star = qsim.first_passage(state, delta, short).t_star
@@ -248,27 +244,27 @@ class TestBounds:
 
 class TestSampling:
     def test_single_level(self):
-        s = qsim.sample_random_state(1, 5.0, seed=4)
-        assert s.dimension == 1
+        s = qsim.draw_state(np.random.default_rng(4), 1, 5.0)
+        assert s.energies.size == 1
         assert abs(abs(s.amplitudes[0]) - 1.0) <= 1e-12
 
     def test_normalization_across_seeds(self):
         for seed in range(1000):
-            s = qsim.sample_random_state(7, 1.0, seed=seed)
+            s = qsim.draw_state(np.random.default_rng(seed), 7, 1.0)
             assert np.sum(np.abs(s.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.diff(s.energies) >= 0.0)
 
     def test_reproducible(self):
-        a = qsim.sample_random_state(5, 2.0, seed=99)
-        b = qsim.sample_random_state(5, 2.0, seed=99)
+        a = qsim.draw_state(np.random.default_rng(99), 5, 2.0)
+        b = qsim.draw_state(np.random.default_rng(99), 5, 2.0)
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            qsim.sample_random_state(0, 1.0, seed=1)
+            qsim.draw_state(np.random.default_rng(1), 0, 1.0)
         with pytest.raises(DomainError):
-            qsim.sample_random_state(3, 0.0, seed=1)
+            qsim.draw_state(np.random.default_rng(1), 3, 0.0)
 
 
 class TestVerifyLimits:

@@ -50,31 +50,43 @@ class TestAofY:
             assert tangent.a_of_y(float(y)) > 0.0
 
 
+def central_difference(f, x, h):
+    return (f(x + h) - f(x - h)) / (2 * h)
+
+
 class TestDerivatives:
+    # the parametric derivatives, checked against the shipped maps q(y), a(y) and a(q):
+    # dq/dy = y (y - sin y)/(sin y - y cos y)^2, da/dq = -sin(y)/y
+
     def test_dq_dy_at_pi(self):
-        assert tangent.dq_dy(math.pi) == pytest.approx(1.0, abs=1e-14)
+        assert central_difference(tangent.q_of_y, math.pi, 1e-5) == pytest.approx(1.0, abs=1e-9)
 
     def test_dq_dy_positive(self):
-        for y in np.linspace(YB.y_minus, YB.y_plus - 1e-6, 500):
-            assert tangent.dq_dy(float(y)) > 0.0
+        qs = [tangent.q_of_y(float(y)) for y in np.linspace(YB.y_minus, YB.y_plus - 1e-6, 500)]
+        assert all(q1 < q2 for q1, q2 in zip(qs, qs[1:]))
 
     def test_dq_dy_matches_finite_difference(self):
-        y, h = 3.0, 1e-5
-        fd = (tangent.q_of_y(y + h) - tangent.q_of_y(y - h)) / (2 * h)
-        assert abs(tangent.dq_dy(y) - fd) / abs(fd) < 1e-6
+        y = 3.0
+        dq_dy = y * (y - math.sin(y)) / (math.sin(y) - y * math.cos(y)) ** 2
+        fd = central_difference(tangent.q_of_y, y, 1e-5)
+        assert abs(dq_dy - fd) / abs(fd) < 1e-6
 
     def test_da_dq_at_pi(self):
-        assert abs(tangent.da_dq(math.pi)) < 1e-15
+        # q(pi) = 2/pi, where a(q) has its minimum
+        assert abs(central_difference(tangent.a_of_q, TWO_OVER_PI, 1e-5)) < 1e-9
 
     def test_da_dq_at_y_minus(self):
         expected = -math.sin(YB.y_minus) / YB.y_minus
-        assert tangent.da_dq(YB.y_minus) == pytest.approx(expected, abs=1e-12)
-        assert tangent.da_dq(YB.y_minus) == pytest.approx(-0.3108422633548355, abs=1e-12)
+        assert expected == pytest.approx(-0.3108422633548355, abs=1e-12)
+        # one-sided at q = 0 = q(y_minus), the end of the domain
+        h = 1e-7
+        fd = (tangent.a_of_q(h) - tangent.a_of_q(0.0)) / h
+        assert fd == pytest.approx(expected, abs=1e-6)
 
     def test_da_dq_is_derivative_ratio(self):
-        y = 3.5
-        ratio = tangent.da_dy(y) / tangent.dq_dy(y)
-        assert abs(ratio - tangent.da_dq(y)) < 1e-10
+        y, h = 3.5, 1e-5
+        ratio = central_difference(tangent.a_of_y, y, h) / central_difference(tangent.q_of_y, y, h)
+        assert abs(ratio + math.sin(y) / y) < 1e-9
 
 
 class TestInversion:
@@ -101,12 +113,13 @@ class TestInversion:
     def test_tangency_system_residuals(self):
         rng = np.random.default_rng(5)
         for q in rng.uniform(0.0, 100.0, 200):
-            sol = tangent.tangent_solution(float(q))
-            r1 = math.cos(sol.y) + sol.q * math.sin(sol.y) - (1.0 - sol.a * sol.y)
-            r2 = -math.sin(sol.y) + sol.q * math.cos(sol.y) + sol.a
+            y = tangent.y_of_q(float(q))
+            a = tangent.a_of_y(y)
+            r1 = math.cos(y) + q * math.sin(y) - (1.0 - a * y)
+            r2 = -math.sin(y) + q * math.cos(y) + a
             assert abs(r1) < 1e-10
             assert abs(r2) < 1e-10
-            assert sol.q >= 0.0 and sol.a > 0.0
+            assert a > 0.0
 
 
 class TestAofQ:
