@@ -26,13 +26,11 @@ verification suites check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import kernels, rootfind
-from .errors import CaseError, DomainError
+from .errors import DomainError
 from .optimize import grid_golden_min
 
 _CLAMP_TOL = 1e-12
@@ -44,99 +42,51 @@ _TWO_OVER_PI = (2.0 / math.pi, -3.935735335036497e-17)
 _G_TOL = 16.0 * float(np.finfo(np.float64).eps)
 
 
-@dataclass(frozen=True)
-class CirclePoint:
-    """A point (rho, sigma) of the fidelity circle with its angle phi.
-
-    ``degenerate`` marks rho = sigma = 0 (only reachable at delta = 1,
-    theta = 0), where phi is undefined and stored as NaN.
-    """
-
-    rho: float
-    sigma: float
-    phi: float
-    degenerate: bool = False
-
-    @property
-    def radius(self) -> float:
-        return math.hypot(self.rho, self.sigma)
-
-
 def _check_delta(delta: float) -> None:
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
 
 
-def rho_sigma(theta: float, delta: float) -> CirclePoint:
-    """Map a circle angle to (rho, sigma, phi) coordinates."""
+# kept as the tests' reference for the raw inner objective that max_F_over_q resolves
+def F_of_y(y: float | np.ndarray, rho: float, sigma: float) -> float | np.ndarray:
+    """The inner objective at the circle point (rho, sigma) as a function of the tangency abscissa.
+
+    Defined on the closed interval [y_minus, y_plus], for one y or an array; at
+    y_plus the rho coefficient vanishes identically and the value equals
+    -sigma/cos(y_plus).
+    """
+    yb = rootfind.y_bounds()
+    if not np.all((yb.y_minus - 1e-12 <= y) & (y <= yb.y_plus + 1e-12)):
+        raise DomainError(f"y={y} outside [{yb.y_minus}, {yb.y_plus}]")
+    cy = np.cos(y)
+    sy = np.sin(y)
+    return (rho * (sy - y * cy) + sigma * (1.0 - cy - y * sy)) / (1.0 - cy)
+
+
+def stationary_max(rho: float | np.ndarray, sigma: float | np.ndarray) -> float | np.ndarray:
+    """Interior maximum r*(pi - phi)/sin(phi) at y = 2*pi - 2*phi; only valid in the window."""
+    phi = np.arctan2(rho, sigma)
+    return np.hypot(rho, sigma) * (np.pi - phi) / np.sin(phi)
+
+
+def max_F_over_q(theta: float | np.ndarray, delta: float) -> float | np.ndarray:
+    """Exact case-resolved maximum of F over the tangency parameter at circle angle theta.
+
+    ``theta`` is one number or an array at one ``delta``. The degenerate point
+    rho = sigma = 0 (delta = 1, theta = 0) has phi = 0 and takes the AB value 0.
+    """
     _check_delta(delta)
     root = math.sqrt(delta)
-    rho = 1.0 - root * math.cos(theta)
-    sigma = root * math.sin(theta)
-    if rho == 0.0 and sigma == 0.0:
-        return CirclePoint(rho=0.0, sigma=0.0, phi=math.nan, degenerate=True)
+    rho = 1.0 - root * np.cos(theta)
+    sigma = root * np.sin(theta)
     # sin(phi) = rho/r >= 0 and cos(phi) = sigma/r pick phi in [0, pi]
-    return CirclePoint(rho=rho, sigma=sigma, phi=math.atan2(rho, sigma))
-
-
-# kept as the tests' reference for the raw inner objective that max_F_over_q resolves
-def F_of_y(y: float, point: CirclePoint) -> float:
-    """The inner objective as a function of the tangency abscissa.
-
-    Defined on the closed interval [y_minus, y_plus]; at y_plus the rho
-    coefficient vanishes identically and the value equals -sigma/cos(y_plus).
-    """
+    phi = np.arctan2(rho, sigma)
     yb = rootfind.y_bounds()
-    if not (yb.y_minus - 1e-12 <= y <= yb.y_plus + 1e-12):
-        raise DomainError(f"y={y} outside [{yb.y_minus}, {yb.y_plus}]")
-    cy = math.cos(y)
-    sy = math.sin(y)
-    num = point.rho * (sy - y * cy) + point.sigma * (1.0 - cy - y * sy)
-    return num / (1.0 - cy)
-
-
-def stationary_y(phi: float) -> Optional[float]:
-    """Abscissa of the interior stationary point, if phi admits one."""
-    yb = rootfind.y_bounds()
-    if math.pi - 0.5 * yb.y_plus < phi <= math.pi - 0.5 * yb.y_minus:
-        return 2.0 * math.pi - 2.0 * phi
-    return None
-
-
-def f_max_at_point(point: CirclePoint) -> float:
-    """Stationary-case maximum r*(pi - phi)/sin(phi); only valid in the window."""
-    if point.degenerate:
-        raise DomainError("degenerate point has no stationary maximum")
-    if stationary_y(point.phi) is None:
-        raise CaseError(f"phi={point.phi} outside the stationary window")
-    return point.radius * (math.pi - point.phi) / math.sin(point.phi)
-
-
-def F_AB(sigma: float) -> float:
-    """Endpoint value -sigma/cos(y_plus), the y -> y_plus limit of F_of_y.
-
-    On the arc where this case applies sigma is positive, so with
-    cos(y_plus) < 0 the value is positive there; the function itself is just
-    the linear limit formula and accepts any sigma.
-    """
-    return -sigma / math.cos(rootfind.y_bounds().y_plus)
-
-
-def F_CD(rho: float) -> float:
-    """Endpoint value rho/sin(y_minus), the value of F_of_y at y_minus."""
-    return rho / math.sin(rootfind.y_bounds().y_minus)
-
-
-def max_F_over_q(point: CirclePoint) -> float:
-    """Exact case-resolved maximum of F over the tangency parameter."""
-    if point.degenerate:
-        return 0.0
-    yb = rootfind.y_bounds()
-    if point.phi <= math.pi - 0.5 * yb.y_plus:
-        return F_AB(point.sigma)
-    if point.phi > math.pi - 0.5 * yb.y_minus:
-        return F_CD(point.rho)
-    return f_max_at_point(point)
+    with np.errstate(divide="ignore", invalid="ignore"):  # stationary_max off its window
+        value = np.where(phi <= math.pi - 0.5 * yb.y_plus, -sigma / math.cos(yb.y_plus),
+                         np.where(phi > math.pi - 0.5 * yb.y_minus, rho / math.sin(yb.y_minus),
+                                  stationary_max(rho, sigma)))
+    return value[()]
 
 
 def lower_bound_m(delta: float, n_theta: int = 512) -> float:
@@ -148,12 +98,9 @@ def lower_bound_m(delta: float, n_theta: int = 512) -> float:
     _check_delta(delta)
     if n_theta < 8:
         raise DomainError(f"n_theta must be at least 8, got {n_theta}")
-
-    def objective(theta: float) -> float:
-        return max_F_over_q(rho_sigma(theta, delta))
-
-    _, val = grid_golden_min(objective, math.pi, 2.0 * math.pi, n=n_theta)
-    return (2.0 / math.pi) * val
+    _, val = grid_golden_min(lambda theta: max_F_over_q(theta, delta),
+                             math.pi, 2.0 * math.pi, n=n_theta)
+    return (2.0 / math.pi) * float(val)
 
 
 def f_max_closed(delta: float, z: float) -> float:

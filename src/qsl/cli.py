@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from typing import Callable, Optional
 
@@ -133,7 +134,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             return _usage_error(f"{flag} must {requirement}, got {getattr(ns, dest)}")
     if not ns.out:
         text, code = ns.handler(ns)
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the text left in the buffer goes to the null device at exit, not to a second error
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, 1)
+            os.close(null)
+            return _usage_error(f"stdout: {exc.strerror}")
         return code
     # opened before the handler runs, so that a bad path fails fast; a full
     # disk shows only at the write or at the flush on close

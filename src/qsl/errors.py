@@ -12,6 +12,3 @@ class NoSignChange(ValueError):
 class NoConvergence(RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
-
-class CaseError(ValueError):
-    """A case-specific formula was applied outside its validity window."""

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -36,24 +38,18 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float,
     return xv, fv
 
 
-def grid_golden_min(f: Callable[[float], float], lo: float, hi: float,
+def grid_golden_min(f: Callable, lo: float, hi: float,
                     n: int = 512, tol: float = 1e-10) -> tuple[float, float]:
     """Coarse scan on ``n`` points, then golden section inside the best cell.
 
-    The grid stage guards against non-unimodal objectives and endpoint minima;
-    the golden stage refines the winning cell.
+    ``f`` takes the whole grid as one array, then single points. The grid
+    stage guards against non-unimodal objectives and endpoint minima; the
+    golden stage refines the winning cell.
     """
-    if hi <= lo:
-        return lo, f(lo)
-    n = max(n, 3)
-    step = (hi - lo) / (n - 1)
-    xs = [lo + i * step for i in range(n)]
-    xs[-1] = hi
-    fs = [f(x) for x in xs]
-    i = min(range(n), key=fs.__getitem__)
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, n - 1)]
-    x_ref, f_ref = golden_min(f, a, b, tol=tol)
+    xs = np.linspace(lo, hi, n)
+    fs = f(xs)
+    i = int(np.argmin(fs))
+    x_ref, f_ref = golden_min(f, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n - 1)]), tol=tol)
     if fs[i] < f_ref:
-        return xs[i], fs[i]
+        return float(xs[i]), float(fs[i])
     return x_ref, f_ref

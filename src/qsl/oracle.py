@@ -108,8 +108,9 @@ def identity_suite(n_samples: int, seed: int) -> dict:
     """Randomized spot-checks of the algebraic identities used by the bounds.
 
     Covers the double-angle identity arccos(2 t^2 - 1) = 2 arccos(t), the
-    omega -> z interval involution, and the two equivalent stationary-maximum
-    forms. Returns a flat report including the largest violation found.
+    omega -> z interval involution, and bounds.stationary_max against the ratio
+    form (r^2/rho) * arccos(-sigma/r) of the same maximum. Returns a flat
+    report including the largest violation found.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be positive, got {n_samples}")
@@ -137,10 +138,8 @@ def identity_suite(n_samples: int, seed: int) -> dict:
     rho = 1.0 - np.sqrt(delta) * np.cos(theta)
     sigma = np.sqrt(delta) * np.sin(theta)
     r = np.hypot(rho, sigma)
-    phi = np.arctan2(rho, sigma)
-    angular = r * (np.pi - phi) / np.sin(phi)
     ratio = (r * r / rho) * np.arccos(-sigma / r)
-    stationary_forms = float(np.max(np.abs(angular - ratio)))
+    stationary_forms = float(np.max(np.abs(bounds.stationary_max(rho, sigma) - ratio)))
 
     report = {
         "n_samples": n_samples,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from typing import Iterable, Mapping, Sequence
 
 
@@ -13,8 +12,6 @@ def format_number(value: float) -> str:
         return str(value).lower()
     if isinstance(value, int):
         return str(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
     return f"{value:.12g}"
 
 

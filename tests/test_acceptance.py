@@ -122,10 +122,12 @@ def test_criterion_8_derivative_checks():
     # dF/dy = r (y - sin y)(cos phi - cos(phi + y))/(1 - cos y)^2 against F(y),
     # at random circle points
     for _ in range(100):
-        p = bounds.rho_sigma(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 0.95)))
+        theta, delta = rng.uniform(0, 2 * math.pi), rng.uniform(0, 0.95)
+        rho, sigma = 1.0 - math.sqrt(delta) * math.cos(theta), math.sqrt(delta) * math.sin(theta)
+        r, phi = math.hypot(rho, sigma), math.atan2(rho, sigma)
         y = float(rng.uniform(yb.y_minus + 1e-3, yb.y_plus - 1e-3))
-        fd = (bounds.F_of_y(y + h, p) - bounds.F_of_y(y - h, p)) / (2 * h)
-        dF_dy = (p.radius * (y - math.sin(y)) * (math.cos(p.phi) - math.cos(p.phi + y))
+        fd = (bounds.F_of_y(y + h, rho, sigma) - bounds.F_of_y(y - h, rho, sigma)) / (2 * h)
+        dF_dy = (r * (y - math.sin(y)) * (math.cos(phi) - math.cos(phi + y))
                  / (1.0 - math.cos(y)) ** 2)
         assert close(dF_dy, fd)
 

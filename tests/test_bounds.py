@@ -4,216 +4,288 @@ import numpy as np
 import pytest
 
 from qsl import bounds, checks
-from qsl.errors import CaseError, DomainError
+from qsl.errors import DomainError
 from qsl.rootfind import y_bounds
 
 YB = y_bounds()
+PHI_AB = math.pi - YB.y_plus / 2  # the stationary window is PHI_AB < phi <= PHI_CD
+PHI_CD = math.pi - YB.y_minus / 2
 
 
-def grid_max_F(point, n=65536):
-    # independent brute-force maximum over the closed y interval
+def circle(theta, delta):
+    """(rho, sigma, phi) of the circle point at angle theta, formed independently of bounds."""
+    rho = 1.0 - np.sqrt(delta) * np.cos(theta)
+    sigma = np.sqrt(delta) * np.sin(theta)
+    return rho, sigma, np.arctan2(rho, sigma)
+
+
+def point_at(phi):
+    """(theta, delta) of the circle point (sin^2 phi, sin phi cos phi), whose angle is phi."""
+    return (phi if phi <= math.pi / 2 else phi + math.pi), math.cos(phi) ** 2
+
+
+def grid_max_F(rho, sigma, n=65536):
+    # independent brute-force maximum over the closed y interval, 50 points at a time
     y = np.linspace(YB.y_minus, YB.y_plus, n)
     cy, sy = np.cos(y), np.sin(y)
-    f = (point.rho * (sy - y * cy) + point.sigma * (1.0 - cy - y * sy)) / (1.0 - cy)
-    return float(f.max())
+    fa, fb = (sy - y * cy) / (1.0 - cy), (1.0 - cy - y * sy) / (1.0 - cy)
+    rho, sigma = np.atleast_1d(rho), np.atleast_1d(sigma)
+    return np.concatenate([np.max(rho[k:k + 50, None] * fa + sigma[k:k + 50, None] * fb, axis=1)
+                           for k in range(0, rho.size, 50)])
+
+
+def seeded_points(seed, count, delta_lo, delta_hi):
+    """``count`` seeded circle angles and fidelities, drawn in (theta, delta) pairs."""
+    u = np.random.default_rng(seed).random((count, 2))
+    return 2 * math.pi * u[:, 0], delta_lo + (delta_hi - delta_lo) * u[:, 1]
+
+
+def resolved(theta, delta):
+    return np.array([bounds.max_F_over_q(float(t), float(d)) for t, d in zip(theta, delta)])
 
 
 class TestRhoSigma:
+    # the circle coordinates max_F_over_q forms from (theta, delta)
+
     def test_delta_zero_center(self):
-        p = bounds.rho_sigma(0.0, 0.0)
-        assert (p.rho, p.sigma) == (1.0, 0.0)
-        assert p.phi == pytest.approx(math.pi / 2, abs=1e-15)
+        # every theta maps to (rho, sigma) = (1, 0), phi = pi/2
+        values = bounds.max_F_over_q(np.linspace(0.0, 2 * math.pi, 17), 0.0)
+        assert np.allclose(values, math.pi / 2, rtol=0.0, atol=1e-15)
 
     def test_theta_pi(self):
-        p = bounds.rho_sigma(math.pi, 0.25)
-        assert p.rho == pytest.approx(1.5, abs=1e-15)
-        assert abs(p.sigma) < 1e-15
-        assert p.phi == pytest.approx(math.pi / 2, abs=1e-12)
+        # (rho, sigma) = (1.5, 0): phi = pi/2, r = 1.5
+        assert bounds.max_F_over_q(math.pi, 0.25) == pytest.approx(1.5 * math.pi / 2, abs=1e-12)
 
     def test_theta_three_half_pi(self):
-        p = bounds.rho_sigma(1.5 * math.pi, 0.25)
-        assert p.rho == pytest.approx(1.0, abs=1e-15)
-        assert p.sigma == pytest.approx(-0.5, abs=1e-15)
-        assert p.phi == pytest.approx(math.acos(-0.5 / math.sqrt(1.25)), abs=1e-12)
+        # (rho, sigma) = (1, -0.5): phi = acos(-0.5/sqrt(1.25)) lies above the window
+        assert math.acos(-0.5 / math.sqrt(1.25)) > PHI_CD
+        value = bounds.max_F_over_q(1.5 * math.pi, 0.25)
+        assert value == pytest.approx(1.0 / math.sin(YB.y_minus), abs=1e-12)
+        assert value == pytest.approx(bounds.F_of_y(YB.y_minus, 1.0, -0.5), abs=1e-12)
 
     def test_degenerate(self):
-        p = bounds.rho_sigma(0.0, 1.0)
-        assert p.degenerate
-        assert math.isnan(p.phi)
-
-    def test_circle_invariant(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            theta = float(rng.uniform(0, 2 * math.pi))
-            delta = float(rng.uniform(0, 1))
-            p = bounds.rho_sigma(theta, delta)
-            assert (p.rho - 1.0) ** 2 + p.sigma**2 == pytest.approx(delta, abs=1e-12)
-            assert p.rho >= 0.0
+        # rho = sigma = 0 at theta = 0 takes the value 0; every other point stays finite
+        values = bounds.max_F_over_q(np.linspace(0.0, 2 * math.pi, 9), 1.0)
+        assert values[0] == 0.0
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
 
     def test_invalid_delta(self):
         with pytest.raises(DomainError):
-            bounds.rho_sigma(0.0, 1.5)
+            bounds.max_F_over_q(0.0, 1.5)
 
 
 class TestFofY:
     def test_unit_point_at_pi(self):
-        p = bounds.rho_sigma(0.0, 0.0)
-        assert bounds.F_of_y(math.pi, p) == pytest.approx(math.pi / 2, abs=1e-14)
+        assert bounds.F_of_y(math.pi, 1.0, 0.0) == pytest.approx(math.pi / 2, abs=1e-14)
 
     def test_y_plus_limit(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            p = bounds.rho_sigma(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 0.99)))
-            expected = -p.sigma / math.cos(YB.y_plus)
-            assert bounds.F_of_y(YB.y_plus, p) == pytest.approx(expected, abs=1e-10)
+        rho, sigma, _ = circle(*seeded_points(9, 50, 0.0, 0.99))
+        expected = -sigma / math.cos(YB.y_plus)
+        for r, s, e in zip(rho, sigma, expected):
+            assert bounds.F_of_y(YB.y_plus, r, s) == pytest.approx(e, abs=1e-10)
 
     @pytest.mark.parametrize("theta,delta", [(0.0, 0.0), (2.1, 0.4)])
     def test_angular_form_agrees(self, theta, delta):
         # the polar rewrite of the same function must match pointwise
-        p = bounds.rho_sigma(theta, delta)
-        r, phi = p.radius, p.phi
-        for y in np.linspace(YB.y_minus, YB.y_plus, 500):
-            angular = r * (math.cos(phi) - math.cos(phi + y) - y * math.sin(phi + y)) / (1.0 - math.cos(y))
-            assert bounds.F_of_y(float(y), p) == pytest.approx(angular, abs=1e-12)
+        rho, sigma, phi = circle(theta, delta)
+        r = math.hypot(rho, sigma)
+        y = np.linspace(YB.y_minus, YB.y_plus, 500)
+        angular = r * (np.cos(phi) - np.cos(phi + y) - y * np.sin(phi + y)) / (1.0 - np.cos(y))
+        assert np.allclose(bounds.F_of_y(y, rho, sigma), angular, rtol=0.0, atol=1e-12)
 
     def test_domain(self):
-        p = bounds.rho_sigma(0.0, 0.0)
         with pytest.raises(DomainError):
-            bounds.F_of_y(1.0, p)
+            bounds.F_of_y(1.0, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            bounds.F_of_y(np.array([math.pi, 1.0]), 1.0, 0.0)
 
 
-def dF_dy(y, p):
+def dF_dy(y, rho, sigma):
     """r (y - sin y)(cos phi - cos(phi + y))/(1 - cos y)^2, the derivative behind the case split."""
-    return (p.radius * (y - math.sin(y)) * (math.cos(p.phi) - math.cos(p.phi + y))
-            / (1.0 - math.cos(y)) ** 2)
+    r, phi = math.hypot(rho, sigma), math.atan2(rho, sigma)
+    return r * (y - math.sin(y)) * (math.cos(phi) - math.cos(phi + y)) / (1.0 - math.cos(y)) ** 2
 
 
 class TestDFdy:
     # the sign of dF/dy decides the case split; checked here against the shipped F_of_y
 
     def test_stationary_at_pi_for_phi_half_pi(self):
-        p = bounds.rho_sigma(0.0, 0.0)  # phi = pi/2
-        h = 1e-5
-        assert abs(bounds.F_of_y(math.pi + h, p) - bounds.F_of_y(math.pi - h, p)) / (2 * h) < 1e-9
+        h = 1e-5  # (rho, sigma) = (1, 0): phi = pi/2
+        fd = (bounds.F_of_y(math.pi + h, 1.0, 0.0) - bounds.F_of_y(math.pi - h, 1.0, 0.0)) / (2 * h)
+        assert abs(fd) < 1e-9
 
     def test_matches_finite_difference(self):
-        p = bounds.CirclePoint(rho=1.2, sigma=-0.3, phi=math.atan2(1.2, -0.3))
         y, h = 3.0, 1e-6
-        fd = (bounds.F_of_y(y + h, p) - bounds.F_of_y(y - h, p)) / (2 * h)
-        assert abs(dF_dy(y, p) - fd) / abs(fd) < 1e-6
+        fd = (bounds.F_of_y(y + h, 1.2, -0.3) - bounds.F_of_y(y - h, 1.2, -0.3)) / (2 * h)
+        assert abs(dF_dy(y, 1.2, -0.3) - fd) / abs(fd) < 1e-6
 
     def test_positive_for_small_phi(self):
         # phi = 0.1 lies below the stationary window: F increases throughout
         phi = 0.1
-        p = bounds.CirclePoint(rho=math.sin(phi), sigma=math.cos(phi), phi=phi)
-        values = [bounds.F_of_y(float(y), p) for y in np.linspace(YB.y_minus, YB.y_plus, 300)]
-        assert all(f1 < f2 for f1, f2 in zip(values, values[1:]))
+        y = np.linspace(YB.y_minus, YB.y_plus, 300)
+        values = bounds.F_of_y(y, math.sin(phi), math.cos(phi))
+        assert np.all(np.diff(values) > 0.0)
 
 
 class TestStationaryY:
+    # where the maximum of F_of_y over y lies: y = 2*pi - 2*phi inside the window, an end outside
+
     def test_half_pi(self):
-        assert bounds.stationary_y(math.pi / 2) == pytest.approx(math.pi, abs=1e-15)
+        y = np.linspace(YB.y_minus, YB.y_plus, 4097)
+        assert abs(y[np.argmax(bounds.F_of_y(y, 1.0, 0.0))] - math.pi) <= y[1] - y[0]
+        assert bounds.max_F_over_q(0.0, 0.0) == pytest.approx(
+            bounds.F_of_y(math.pi, 1.0, 0.0), abs=1e-14)
 
     def test_below_window(self):
-        assert bounds.stationary_y(0.1) is None
+        theta, delta = point_at(0.1)
+        rho, sigma, _ = circle(theta, delta)
+        y = np.linspace(YB.y_minus, YB.y_plus, 4097)
+        assert np.argmax(bounds.F_of_y(y, rho, sigma)) == y.size - 1
+        assert bounds.max_F_over_q(theta, delta) == pytest.approx(
+            bounds.F_of_y(YB.y_plus, rho, sigma), abs=1e-12)
 
     def test_boundary_included(self):
-        phi = math.pi - YB.y_minus / 2
-        assert bounds.stationary_y(phi) == pytest.approx(YB.y_minus, abs=1e-12)
+        # at phi = pi - y_minus/2 the stationary point reaches y_minus: both forms agree there
+        theta, delta = point_at(PHI_CD)
+        rho, sigma, _ = circle(theta, delta)
+        edge = rho / math.sin(YB.y_minus)
+        assert bounds.stationary_max(rho, sigma) == pytest.approx(edge, abs=1e-12)
+        assert bounds.max_F_over_q(theta, delta) == pytest.approx(edge, abs=1e-12)
 
     def test_lower_boundary_excluded(self):
-        assert bounds.stationary_y(math.pi - YB.y_plus / 2) is None
+        # at phi = pi - y_plus/2 the stationary point reaches y_plus: both forms agree there
+        theta, delta = point_at(PHI_AB)
+        rho, sigma, _ = circle(theta, delta)
+        edge = -sigma / math.cos(YB.y_plus)
+        assert bounds.stationary_max(rho, sigma) == pytest.approx(edge, abs=1e-12)
+        assert bounds.max_F_over_q(theta, delta) == pytest.approx(edge, abs=1e-12)
 
 
 class TestFmaxAtPoint:
+    # bounds.stationary_max, the interior maximum of the window
+
     def test_unit_point(self):
-        p = bounds.rho_sigma(0.0, 0.0)
-        assert bounds.f_max_at_point(p) == pytest.approx(math.pi / 2, abs=1e-14)
+        assert bounds.stationary_max(1.0, 0.0) == pytest.approx(math.pi / 2, abs=1e-14)
 
     def test_two_forms_agree(self):
-        rng = np.random.default_rng(31)
-        checked = 0
-        while checked < 100:
-            p = bounds.rho_sigma(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 0.9)))
-            if bounds.stationary_y(p.phi) is None:
-                continue
-            ratio_form = (p.radius**2 / p.rho) * math.acos(-p.sigma / p.radius)
-            assert bounds.f_max_at_point(p) == pytest.approx(ratio_form, abs=1e-12)
-            checked += 1
+        rho, sigma, phi = circle(*seeded_points(31, 400, 0.0, 0.9))
+        inside = (PHI_AB < phi) & (phi <= PHI_CD)
+        rho, sigma = rho[inside][:100], sigma[inside][:100]
+        assert rho.size == 100
+        r = np.hypot(rho, sigma)
+        ratio_form = (r * r / rho) * np.arccos(-sigma / r)
+        assert np.allclose(bounds.stationary_max(rho, sigma), ratio_form, rtol=0.0, atol=1e-12)
 
     def test_second_derivative_negative_at_stationary_point(self):
         # curvature factor (y - sin y) sin(phi + y) / (1 - cos y)^2 at y = 2pi - 2phi
-        for phi in np.linspace(math.pi - YB.y_plus / 2 + 1e-3, math.pi - YB.y_minus / 2, 50):
+        for phi in np.linspace(PHI_AB + 1e-3, PHI_CD, 50):
             y = 2 * math.pi - 2 * phi
             curv = (y - math.sin(y)) * math.sin(phi + y) / (1 - math.cos(y)) ** 2
             assert curv < 0.0
 
     def test_outside_window_rejected(self):
-        phi = 0.2
-        p = bounds.CirclePoint(rho=math.sin(phi), sigma=math.cos(phi), phi=phi)
-        with pytest.raises(CaseError):
-            bounds.f_max_at_point(p)
+        # at phi = 0.2 the stationary form overshoots; the resolved maximum is the y_plus value
+        theta, delta = point_at(0.2)
+        rho, sigma, _ = circle(theta, delta)
+        value = bounds.max_F_over_q(theta, delta)
+        assert value == pytest.approx(-sigma / math.cos(YB.y_plus), abs=1e-12)
+        assert value < bounds.stationary_max(rho, sigma) - 1e-3
 
     def test_degenerate_rejected(self):
-        p = bounds.rho_sigma(0.0, 1.0)
-        with pytest.raises(DomainError):
-            bounds.f_max_at_point(p)
+        # rho = sigma = 0 has no stationary maximum; max_F_over_q sends it to the AB case
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(bounds.stationary_max(0.0, 0.0))
+        assert bounds.max_F_over_q(0.0, 1.0) == 0.0
 
 
 class TestEndpointCases:
     def test_F_AB_zero(self):
-        assert bounds.F_AB(0.0) == 0.0
+        # the AB value -sigma/cos(y_plus) vanishes as the point nears the origin along AB
+        t = np.array([1e-3, 1e-6, 1e-9])
+        assert np.all(circle(t, 1.0)[2] <= PHI_AB)
+        values = bounds.max_F_over_q(t, 1.0)
+        assert np.allclose(values, -np.sin(t) / math.cos(YB.y_plus), rtol=1e-12, atol=0.0)
+        assert values[-1] < 1e-8
 
     def test_F_CD_zero(self):
-        assert bounds.F_CD(0.0) == 0.0
+        # the CD value rho/sin(y_minus) vanishes as the point nears the origin along CD
+        t = np.array([1e-3, 1e-6, 1e-9])
+        assert np.all(circle(2 * math.pi - t, 1.0)[2] > PHI_CD)
+        values = bounds.max_F_over_q(2 * math.pi - t, 1.0)
+        assert np.allclose(values, circle(2 * math.pi - t, 1.0)[0] / math.sin(YB.y_minus),
+                           rtol=1e-12, atol=0.0)
+        assert values[-1] < 1e-8
 
     def test_F_AB_matches_endpoint_value(self):
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            p = bounds.rho_sigma(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 0.99)))
-            assert bounds.F_AB(p.sigma) == pytest.approx(bounds.F_of_y(YB.y_plus, p), abs=1e-10)
+        theta, delta = seeded_points(41, 400, 0.5, 0.99)
+        rho, sigma, phi = circle(theta, delta)
+        ab = phi <= PHI_AB
+        assert ab.sum() >= 50
+        ends = [bounds.F_of_y(YB.y_plus, r, s) for r, s in zip(rho[ab], sigma[ab])]
+        assert np.allclose(resolved(theta[ab], delta[ab]), ends, rtol=0.0, atol=1e-10)
 
     def test_F_CD_matches_endpoint_value(self):
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            p = bounds.rho_sigma(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 0.99)))
-            assert bounds.F_CD(p.rho) == pytest.approx(bounds.F_of_y(YB.y_minus, p), abs=1e-10)
+        theta, delta = seeded_points(43, 400, 0.2, 0.99)
+        rho, sigma, phi = circle(theta, delta)
+        cd = phi > PHI_CD
+        assert cd.sum() >= 50
+        ends = [bounds.F_of_y(YB.y_minus, r, s) for r, s in zip(rho[cd], sigma[cd])]
+        assert np.allclose(resolved(theta[cd], delta[cd]), ends, rtol=0.0, atol=1e-10)
 
     def test_F_AB_is_grid_max_below_window(self):
-        rng = np.random.default_rng(47)
-        checked = 0
-        while checked < 20:
-            p = bounds.rho_sigma(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0.5, 0.99)))
-            if p.degenerate or p.phi >= math.pi - YB.y_plus / 2:
-                continue
-            assert bounds.F_AB(p.sigma) == pytest.approx(grid_max_F(p), abs=1e-6)
-            checked += 1
+        theta, delta = seeded_points(47, 200, 0.5, 0.99)
+        rho, sigma, phi = circle(theta, delta)
+        ab = phi < PHI_AB
+        assert ab.sum() >= 20
+        assert np.allclose(resolved(theta[ab], delta[ab]), grid_max_F(rho[ab], sigma[ab]),
+                           rtol=0.0, atol=1e-6)
 
     def test_F_CD_is_grid_max_above_window(self):
-        rng = np.random.default_rng(53)
-        checked = 0
-        while checked < 20:
-            p = bounds.rho_sigma(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0.2, 0.99)))
-            if p.degenerate or p.phi <= math.pi - YB.y_minus / 2:
-                continue
-            assert bounds.F_CD(p.rho) == pytest.approx(grid_max_F(p), abs=1e-6)
-            checked += 1
+        theta, delta = seeded_points(53, 200, 0.2, 0.99)
+        rho, sigma, phi = circle(theta, delta)
+        cd = phi > PHI_CD
+        assert cd.sum() >= 20
+        assert np.allclose(resolved(theta[cd], delta[cd]), grid_max_F(rho[cd], sigma[cd]),
+                           rtol=0.0, atol=1e-6)
 
 
 class TestMaxFOverQ:
     def test_unit_point(self):
-        assert bounds.max_F_over_q(bounds.rho_sigma(0.0, 0.0)) == pytest.approx(math.pi / 2, abs=1e-14)
+        assert bounds.max_F_over_q(0.0, 0.0) == pytest.approx(math.pi / 2, abs=1e-14)
 
     def test_degenerate_point(self):
-        assert bounds.max_F_over_q(bounds.rho_sigma(0.0, 1.0)) == 0.0
+        assert bounds.max_F_over_q(0.0, 1.0) == 0.0
 
     def test_case_consistency_with_grid(self):
-        rng = np.random.default_rng(59)
-        for _ in range(1000):
-            p = bounds.rho_sigma(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 1)))
-            if p.degenerate:
-                continue
-            assert bounds.max_F_over_q(p) == pytest.approx(grid_max_F(p), abs=1e-6)
+        theta, delta = seeded_points(59, 1000, 0.0, 1.0)
+        rho, sigma, _ = circle(theta, delta)
+        assert np.allclose(resolved(theta, delta), grid_max_F(rho, sigma), rtol=0.0, atol=1e-6)
+
+    def test_one_array_call_equals_point_calls(self):
+        theta = np.linspace(0.0, 2 * math.pi, 257)
+        for delta in (0.0, 0.3, 0.9, 1.0):
+            values = bounds.max_F_over_q(theta, delta)
+            assert values.tolist() == [bounds.max_F_over_q(float(t), delta) for t in theta]
+
+    def test_case_split_matches_argmax_of_F_of_y(self):
+        # the argmax of F_of_y over a fine grid lies at y_plus below the window, at
+        # y_minus above it and within one grid step of 2*pi - 2*phi inside it
+        y = np.linspace(YB.y_minus, YB.y_plus, 16385)
+        theta, delta = seeded_points(61, 300, 0.05, 0.99)
+        rho, sigma, phi = circle(theta, delta)
+        cases = [0, 0, 0]
+        for r, s, p in zip(rho, sigma, phi):
+            at = y[np.argmax(bounds.F_of_y(y, r, s))]
+            if p <= PHI_AB:
+                assert at == y[-1]
+                cases[0] += 1
+            elif p > PHI_CD:
+                assert at == y[0]
+                cases[2] += 1
+            else:
+                assert abs(at - (2 * math.pi - 2 * p)) <= y[1] - y[0]
+                cases[1] += 1
+        assert min(cases) >= 20
 
 
 class TestBoundFunctions:
@@ -229,9 +301,7 @@ class TestBoundFunctions:
         for delta in (0.1, 0.45, 0.8):
             m = bounds.lower_bound_m(delta, 512)
             thetas = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-            full = (2.0 / math.pi) * min(
-                bounds.max_F_over_q(bounds.rho_sigma(float(t), delta)) for t in thetas
-            )
+            full = (2.0 / math.pi) * float(bounds.max_F_over_q(thetas, delta).min())
             assert m <= full + 1e-9
             assert full - m <= 1e-4  # grid-limited agreement
 

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +160,16 @@ class TestVerify:
         assert report["failed_checks"] == check
 
 
+    def test_spoiled_stationary_max_fails_equality_and_identities(self, capsys, monkeypatch):
+        # lower_bound_m and the identity suite share the one stationary form
+        shipped = bounds.stationary_max
+        monkeypatch.setattr(bounds, "stationary_max", lambda rho, sigma: 0.5 * shipped(rho, sigma))
+        code, out = run(capsys, "verify", "--quick")
+        report = dict(line.split("=", 1) for line in out.strip().split("\n"))
+        assert code == 1
+        assert report["failed_checks"] == "equality,identities"
+
+
 class TestSimulate:
     def test_small_run(self, capsys):
         code, out = run(capsys, "simulate", "--trials", "50", "--seed", "7")
@@ -212,6 +226,19 @@ def test_out_of_range_flag_is_one_line_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("alpha", "--delta", "0.5"), ("verify", "--quick")])
+def test_full_stdout_is_one_line_usage_error(argv):
+    # a real process, so that the interpreter's flush at exit is part of the test
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "qsl.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == "error: stdout: No space left on device\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ make it the callee of the code that re-derives it.
 """
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -45,17 +46,22 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def _external_names():
-    """Names that pyproject's scripts and the benchmark's hook sites look up."""
-    pyproject = (ROOT / "pyproject.toml").read_text()
-    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
-    names = set(re.findall(r":(\w+)", scripts))
+def _hook_sites():
+    """Every ``module:attr`` site of the ``HOOKS`` table in ``perfbench/layers.py``."""
     layers = ast.parse((ROOT / "perfbench" / "layers.py").read_text())
     for node in layers.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets):
             for _, _, sites in ast.literal_eval(node.value):
-                names.update(site.split(":")[1] for site in sites)
+                yield from sites
+
+
+def _external_names():
+    """Names that pyproject's scripts and the benchmark's hook sites look up."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    names = set(re.findall(r":(\w+)", scripts))
+    names.update(site.split(":")[1] for site in _hook_sites())
     return names
 
 
@@ -81,3 +87,12 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_allowlist_is_current():
     # an allowlisted name that gained a caller, or that is gone, leaves the list
     assert sorted(ALLOWED) == sorted(set(unreached_names()) & set(ALLOWED))
+
+
+def test_every_benchmark_hook_site_resolves():
+    # the traced benchmark run patches these attributes; a deleted one breaks only that run
+    sites = list(_hook_sites())
+    assert sites
+    missing = [site for site in sites
+               if not hasattr(importlib.import_module(site.split(":")[0]), site.split(":")[1])]
+    assert not missing, f"benchmark hook sites that no longer resolve: {missing}"
