@@ -44,7 +44,7 @@ def equality(quick: bool, seed: int) -> tuple[dict, bool]:
 def minimax_oracle(quick: bool, seed: int) -> tuple[dict, bool]:
     """The case-free grid minimax against the closed-form M."""
     grid, tol = (256, 5e-3) if quick else (2048, 1e-4)
-    err = max(abs(oracle.minimax_bruteforce_m(d, grid, grid) - bounds.upper_bound_M(d))
+    err = max(abs(oracle.minimax_bruteforce_m(d, grid) - bounds.upper_bound_M(d))
               for d in ORACLE_DELTAS[quick])
     return {"minimax_oracle_max_err": err, "minimax_oracle_tol": tol}, err <= tol
 
@@ -65,7 +65,7 @@ def identities(quick: bool, seed: int) -> tuple[dict, bool]:
 def tangent_inequality(quick: bool, seed: int) -> tuple[dict, bool]:
     """cos x + q sin x >= 1 - a(q) x on a grid, for seeded random slopes q."""
     rng = np.random.default_rng(seed)
-    worst = min(tangent.check_tangent_inequality(float(q), 50.0, 4096)
+    worst = min(tangent.check_tangent_inequality(float(q))
                 for q in rng.uniform(0.0, 100.0, 100 if quick else 1000))
     return {"tangent_inequality_min": worst}, worst >= -1e-9
 

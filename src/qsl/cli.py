@@ -76,9 +76,7 @@ def cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_simulate(ns: argparse.Namespace) -> tuple[str, int]:
-    deltas = [round(0.1 * i, 1) for i in range(10)]
-    report = qsim.verify_limits(ns.trials, ns.d_max, deltas, ns.seed,
-                                horizon_mult=ns.horizon_mult)
+    report = qsim.verify_limits(ns.trials, ns.d_max, ns.seed, horizon_mult=ns.horizon_mult)
     ok = report["violations"] == 0 and report["designed_violations"] == 0
     report["overall"] = "pass" if ok else "fail"
     return render_report(report), EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -8,10 +8,12 @@ from typing import Callable
 import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden sections stop once the bracket is this narrow, or after _MAX_ITER steps
+_TOL = 1e-10
+_MAX_ITER = 200
 
 
-def golden_min(f: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-10, max_iter: int = 200) -> tuple[float, float]:
+def golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Minimize ``f`` on [lo, hi]; returns (argmin, min value).
 
     Assumes ``f`` is unimodal on the interval; endpoints are compared against
@@ -21,8 +23,8 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float,
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= tol:
+    for _ in range(_MAX_ITER):
+        if b - a <= _TOL:
             break
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
@@ -38,8 +40,7 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float,
     return xv, fv
 
 
-def grid_golden_min(f: Callable, lo: float, hi: float,
-                    n: int = 512, tol: float = 1e-10) -> tuple[float, float]:
+def grid_golden_min(f: Callable, lo: float, hi: float, n: int = 512) -> tuple[float, float]:
     """Coarse scan on ``n`` points, then golden section inside the best cell.
 
     ``f`` takes the whole grid as one array, then single points. The grid
@@ -49,7 +50,7 @@ def grid_golden_min(f: Callable, lo: float, hi: float,
     xs = np.linspace(lo, hi, n)
     fs = f(xs)
     i = int(np.argmin(fs))
-    x_ref, f_ref = golden_min(f, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n - 1)]), tol=tol)
+    x_ref, f_ref = golden_min(f, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n - 1)]))
     if fs[i] < f_ref:
         return float(xs[i]), float(fs[i])
     return x_ref, f_ref

@@ -36,33 +36,31 @@ def _y_profiles(n_y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, fa, fb
 
 
-def minimax_bruteforce_m(delta: float, n_theta: int, n_y: int) -> float:
-    """Pure-grid evaluation of (2/pi) * min_theta max_y F; no case analysis."""
+def minimax_bruteforce_m(delta: float, n: int) -> float:
+    """Pure-grid evaluation of (2/pi) * min_theta max_y F on n x n points; no case analysis."""
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
-    if n_theta < 64 or n_y < 64:
-        raise DomainError(f"grids must be >= 64, got ({n_theta}, {n_y})")
-    _, fa, fb = _y_profiles(n_y)
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    if n < 64:
+        raise DomainError(f"the grid must be >= 64, got {n}")
+    _, fa, fb = _y_profiles(n)
+    theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     root = math.sqrt(delta)
     rho = 1.0 - root * np.cos(theta)
     sigma = root * np.sin(theta)
     return (2.0 / math.pi) * float(kernels.theta_max_table(rho, sigma, fa, fb).min())
 
 
-def two_level_passage_time(xi: float, delta: float, e0: float) -> Optional[float]:
+def two_level_passage_time(xi: float, delta: float) -> Optional[float]:
     """First time a two-level superposition reaches fidelity ``delta``.
 
-    The state carries weight 1 - xi^2 on energy 0 and xi^2 on energy ``e0``;
-    its fidelity is (1-xi^2)^2 + xi^4 + 2 xi^2 (1-xi^2) cos(e0 t). Returns
+    The state carries weight 1 - xi^2 on energy 0 and xi^2 on energy 1;
+    its fidelity is (1-xi^2)^2 + xi^4 + 2 xi^2 (1-xi^2) cos(t). Returns
     None when the target fidelity is below the reachable minimum.
     """
     if not 0.0 < xi < 1.0:
         raise DomainError(f"xi must lie in (0, 1), got {xi}")
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
-    if not e0 > 0.0:
-        raise DomainError(f"e0 must be positive, got {e0}")
     u = xi * xi
     amp = 2.0 * u * (1.0 - u)
     arg = (delta - (1.0 - u) ** 2 - u * u) / amp
@@ -72,7 +70,7 @@ def two_level_passage_time(xi: float, delta: float, e0: float) -> Optional[float
         arg = -1.0
     if arg > 1.0:
         arg = 1.0
-    return math.acos(arg) / e0
+    return math.acos(arg)
 
 
 def two_level_min_time(delta: float) -> float:
@@ -89,7 +87,7 @@ def two_level_min_time(delta: float) -> float:
     xi_hi = math.sqrt((1.0 + root) / 2.0)
 
     def objective(xi: float) -> float:
-        t = two_level_passage_time(xi, delta, 1.0)
+        t = two_level_passage_time(xi, delta)
         if t is None:  # grid endpoints can fall a rounding error outside
             return math.inf
         return (2.0 / math.pi) * (xi * xi) * t

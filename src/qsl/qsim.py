@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .errors import DomainError
 
 # amplitudes below this are treated as absent from the support
 SUPPORT_EPS = 1e-15
+# the target fidelities 0, 0.1, ..., 0.9 that verify_limits checks
+DELTAS = np.arange(10) / 10.0
+DELTAS.setflags(write=False)
 
 # passage scans sample the fidelity this many times per period of its fastest
 # oscillation, 2*pi / (E_max - E_min), whatever the horizon
@@ -51,8 +54,8 @@ class QuantumState:
             raise DomainError("energies and amplitudes must be 1-d arrays of equal length")
         if self.energies.size < 1:
             raise DomainError("a state needs at least one level")
-        if not np.all(np.isfinite(self.energies)):
-            raise DomainError("energies must be finite")
+        if not (np.all(np.isfinite(self.energies)) and np.all(np.isfinite(self.amplitudes))):
+            raise DomainError("energies and amplitudes must be finite")
         norm = float(np.sum(np.abs(self.amplitudes) ** 2))
         if norm == 0.0:
             raise DomainError("at least one amplitude must be nonzero")
@@ -64,21 +67,6 @@ class QuantumState:
         mask = np.abs(self.amplitudes) > SUPPORT_EPS
         p = np.abs(self.amplitudes[mask]) ** 2
         return self.energies[mask], p / p.sum()
-
-
-@dataclass(frozen=True)
-class PassageResult:
-    """First-passage measurement: time of first fidelity down-crossing."""
-
-    t_star: Optional[float]
-    achieved_fidelity: float
-    horizon: float
-
-
-def fidelity(state: QuantumState, t: float) -> float:
-    """Squared overlap between the initial and the time-``t`` state."""
-    energies, p = state.support()
-    return float(kernels.fidelity_scalar(p, energies, float(t)))
 
 
 def dispersion(state: QuantumState) -> float:
@@ -222,7 +210,7 @@ def _touches(curve: _Curve, a, b, relevant, deltas, lo, hi, touch) -> None:
 
 
 def _passage_times(energies: np.ndarray, p: np.ndarray, deltas: np.ndarray,
-                   horizon: float) -> tuple[np.ndarray, float]:
+                   horizon: float) -> np.ndarray:
     """First-passage time to each target of the increasing ``deltas`` within [0, horizon].
 
     The scan steps forward in chunks of a uniform grid with
@@ -230,17 +218,15 @@ def _passage_times(energies: np.ndarray, p: np.ndarray, deltas: np.ndarray,
     cell before a reported time (:func:`_first_events`). It stops when every
     target is reached. nan marks a target not reached: provably unreachable,
     since f >= (2*p_max - 1)**2 when p_max > 1/2, or not reached within the
-    horizon or the point budget. Also returns the lowest fidelity sampled in
-    [0, horizon] (inf if the scan sampled none).
+    horizon or the point budget.
     """
     t_star = np.where(deltas >= 1.0, 0.0, np.nan)
     p_max = float(p.max())
     floor = (2.0 * p_max - 1.0) ** 2 if p_max > 0.5 else 0.0
     span = float(energies.max() - energies.min())
     todo = np.nonzero((deltas < 1.0) & (deltas + _TOUCH_ACCEPT >= floor))[0]
-    f_low = math.inf
     if span <= 0.0 or not todo.size:
-        return t_star, f_low
+        return t_star
     curve = _Curve.of(energies, p)
     dt = 2.0 * math.pi / (_SAMPLES_PER_FAST_PERIOD * span)
     steps = horizon / dt  # inf for an infinite horizon
@@ -257,7 +243,6 @@ def _passage_times(energies: np.ndarray, p: np.ndarray, deltas: np.ndarray,
         else:
             f[0] = f_prev  # the previous chunk's last value, as certified there
         t = (k0 + np.arange(n + 1)) * dt
-        f_low = min(f_low, float(f[t <= horizon].min()))
         lo, hi, touch = _first_events(curve, t[:-1], f[:-1], f[1:], dt, deltas[todo])
         touched = ~np.isnan(touch)
         t_star[todo[touched]] = touch[touched]
@@ -273,11 +258,11 @@ def _passage_times(energies: np.ndarray, p: np.ndarray, deltas: np.ndarray,
         t_star[at] = kernels.refine_crossing(curve.p, curve.e, np.concatenate(found_lo),
                                              np.concatenate(found_hi), deltas[at])
     t_star[t_star > horizon] = np.nan
-    return t_star, f_low
+    return t_star
 
 
-def first_passage(state: QuantumState, delta: float, horizon: float) -> PassageResult:
-    """First time the fidelity curve comes down to ``delta``.
+def first_passage(state: QuantumState, delta: float, horizon: float) -> Optional[float]:
+    """First time the fidelity curve comes down to ``delta``, or None.
 
     Scans forward at a fixed number of samples per period of the fastest
     oscillation and certifies every grid cell before the reported time: by
@@ -292,46 +277,34 @@ def first_passage(state: QuantumState, delta: float, horizon: float) -> PassageR
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     if not horizon > 0.0:
         raise DomainError(f"horizon must be positive, got {horizon}")
-    if delta >= 1.0:
-        return PassageResult(t_star=0.0, achieved_fidelity=1.0, horizon=horizon)
-    energies, p = state.support()
-    t_star, f_low = _passage_times(energies, p, np.array([float(delta)]), horizon)
-    if math.isnan(t_star[0]):
-        return PassageResult(t_star=None, achieved_fidelity=min(f_low, fidelity(state, horizon)),
-                             horizon=horizon)
-    t = float(t_star[0])
-    return PassageResult(t_star=t, achieved_fidelity=fidelity(state, t), horizon=horizon)
+    t_star = _passage_times(*state.support(), np.array([float(delta)]), horizon)[0]
+    return None if math.isnan(t_star) else float(t_star)
 
 
-def ml_bound(state: QuantumState, delta: float) -> float:
-    """Excitation-energy speed limit (pi/2) * alpha(delta) / <H - E0>."""
-    excess = mean_excess_energy(state)
-    if excess == 0.0:
-        return math.inf
-    return 0.5 * math.pi * bounds.alpha(delta) / excess
+def _limits(state: QuantumState, ml_coeff: np.ndarray,
+            mt_coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both speed limits of ``state`` per target, from their numerators.
+
+    The excitation-energy limit is ml_coeff / <H - E0> with ml_coeff =
+    (pi/2) * alpha(delta); the dispersion limit is mt_coeff / dE with
+    mt_coeff = arccos(sqrt(delta)). A limit whose denominator vanishes is inf.
+    """
+    excess, de = mean_excess_energy(state), dispersion(state)
+    return (ml_coeff / excess if excess > 0.0 else np.full_like(ml_coeff, math.inf),
+            mt_coeff / de if de > 0.0 else np.full_like(mt_coeff, math.inf))
 
 
-def mt_bound(state: QuantumState, delta: float) -> float:
-    """Dispersion speed limit arccos(sqrt(delta)) / dE."""
-    de = dispersion(state)
-    if de == 0.0:
-        return math.inf
-    return bounds.mt_alpha(delta) / de
-
-
-def two_level_state(xi: float, e0: float = 1.0) -> QuantumState:
-    """Weight 1 - xi^2 on energy 0 and xi^2 on energy ``e0``."""
+def two_level_state(xi: float) -> QuantumState:
+    """Weight 1 - xi^2 on energy 0 and xi^2 on energy 1."""
     if not 0.0 < xi < 1.0:
         raise DomainError(f"xi must lie in (0, 1), got {xi}")
-    return QuantumState(np.array([0.0, e0]),
+    return QuantumState(np.array([0.0, 1.0]),
                         np.array([math.sqrt(1.0 - xi * xi), xi], dtype=np.complex128))
 
 
-def draw_state(rng: np.random.Generator, d: int, e_max: float) -> QuantumState:
-    """Energies uniform in [0, e_max] (sorted); amplitudes Haar-uniform."""
-    if not e_max > 0.0:
-        raise DomainError(f"e_max must be positive, got {e_max}")
-    energies = np.sort(rng.uniform(0.0, e_max, d))
+def draw_state(rng: np.random.Generator, d: int) -> QuantumState:
+    """Energies uniform in [0, 1] (sorted); amplitudes Haar-uniform."""
+    energies = np.sort(rng.uniform(0.0, 1.0, d))
     amps = rng.normal(size=d) + 1j * rng.normal(size=d)
     amps /= np.linalg.norm(amps)
     return QuantumState(energies, amps)
@@ -340,12 +313,11 @@ def draw_state(rng: np.random.Generator, d: int, e_max: float) -> QuantumState:
 _HIST_EDGES = (1e-6, 1e-3, 1e-2, 1e-1, 1.0)
 
 
-def _empty_report(trials: int, d_max: int, delta_grid: Sequence[float],
-                  seed: int, horizon_mult: float) -> dict:
+def _empty_report(trials: int, d_max: int, seed: int, horizon_mult: float) -> dict:
     report = {
         "trials": trials,
         "d_max": d_max,
-        "deltas": ",".join(f"{d:g}" for d in delta_grid),
+        "deltas": ",".join(f"{d:g}" for d in DELTAS.tolist()),
         "seed": seed,
         "horizon_mult": horizon_mult,
         "checks": 0,
@@ -371,69 +343,54 @@ def _bin_slack(report: dict, rel_slack: float) -> None:
     report["hist_rel_slack_gt_1"] += 1
 
 
-def verify_limits(trials: int, d_max: int, delta_grid: Sequence[float], seed: int,
-                  horizon_mult: float = 1.0) -> dict:
+def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0) -> dict:
     """Monte-Carlo check that measured passage times respect both limits.
 
     Each trial draws a state (dimension uniform in {2..d_max}, energies in
     [0, 1], per-trial seed ``seed + trial``), measures the first passage for
-    every target fidelity, and asserts t_star >= bound - 1e-9 for both limits. The saturating
-    two-level states are included as designed cases. Violations are counted,
-    not raised.
+    every target fidelity of DELTAS, and asserts t_star >= bound - 1e-9 for
+    both limits. The saturating two-level states are included as designed
+    cases, checked the same way. Violations are counted, not raised.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
     if d_max < 2:
         raise DomainError(f"d_max must be at least 2, got {d_max}")
-    deltas = [float(d) for d in delta_grid]
-    for d in deltas:
-        if not 0.0 <= d <= 1.0:
-            raise DomainError(f"delta grid entry {d} outside [0, 1]")
-    report = _empty_report(trials, d_max, deltas, seed, horizon_mult)
+    report = _empty_report(trials, d_max, seed, horizon_mult)
     if trials == 0:
         return report
 
-    ml_coeff = dict(zip(deltas, (0.5 * math.pi * bounds.alpha(np.array(deltas))).tolist()))
-    mt_coeff = {d: bounds.mt_alpha(d) for d in deltas}
-
-    targets = np.unique(deltas)
-    slot = np.searchsorted(targets, deltas)
+    ml_coeff = 0.5 * math.pi * bounds.alpha(DELTAS)
+    mt_coeff = np.array([bounds.mt_alpha(d) for d in DELTAS.tolist()])
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
-        d = int(rng.integers(2, d_max + 1))
-        state = draw_state(rng, d, 1.0)
+        state = draw_state(rng, int(rng.integers(2, d_max + 1)))
         horizon = default_horizon(state, horizon_mult)
         if horizon is None:
-            report["skips"] += len(deltas)
+            report["skips"] += DELTAS.size
             continue
-        energies, p = state.support()
-        t_star, _ = _passage_times(energies, p, targets, horizon)
-        excess = mean_excess_energy(state)
-        de = dispersion(state)
-        for delta, t in zip(deltas, t_star[slot]):
+        t_star = _passage_times(*state.support(), DELTAS, horizon)
+        ml, mt = _limits(state, ml_coeff, mt_coeff)
+        for t, ml_d, mt_d in zip(t_star.tolist(), ml.tolist(), mt.tolist()):
             if math.isnan(t):
                 report["skips"] += 1
-                continue
-            ml = ml_coeff[delta] / excess if excess > 0.0 else math.inf
-            mt = mt_coeff[delta] / de if de > 0.0 else math.inf
-            _record_check(report, float(t), ml, mt)
+            else:
+                _record_check(report, t, ml_d, mt_d)
 
-    _, z_opts = bounds._upper_bound_argmin(np.array(deltas))
-    for delta, z_opt in zip(deltas, z_opts.tolist()):
+    _, z_opts = bounds._upper_bound_argmin(DELTAS)
+    for i, (delta, z_opt) in enumerate(zip(DELTAS.tolist(), z_opts.tolist())):
         u = 0.5 * (1.0 + z_opt)
         if not 0.0 < u < 1.0:
             continue
         state = two_level_state(math.sqrt(u))
-        horizon = default_horizon(state, max(horizon_mult, 1.0))
-        result = first_passage(state, delta, horizon)
+        t_star = first_passage(state, delta, default_horizon(state, max(horizon_mult, 1.0)))
         report["designed_cases"] += 1
-        if result.t_star is None:
+        if t_star is None:
             report["designed_violations"] += 1
             continue
-        ml = ml_bound(state, delta)
-        mt = mt_bound(state, delta)
-        _record_check(report, result.t_star, ml, mt)
-        rel = abs(result.t_star / ml - 1.0)
+        ml, mt = (float(limit[i]) for limit in _limits(state, ml_coeff, mt_coeff))
+        _record_check(report, t_star, ml, mt)
+        rel = abs(t_star / ml - 1.0)
         report["designed_max_rel_slack"] = max(report["designed_max_rel_slack"], rel)
         if rel > 1e-6:
             report["designed_violations"] += 1

@@ -144,11 +144,11 @@ class TestVerify:
     # each check's one callee, spoiled so that only that check can fail
     @pytest.mark.parametrize("check, module, callee, spoiled", [
         ("equality", bounds, "lower_bound_m", lambda delta, n_theta: 0.0),
-        ("minimax_oracle", oracle, "minimax_bruteforce_m", lambda delta, n_theta, n_y: 10.0),
+        ("minimax_oracle", oracle, "minimax_bruteforce_m", lambda delta, n: 10.0),
         ("two_level_oracle", oracle, "two_level_min_time", lambda delta: 10.0),
         ("identities", oracle, "identity_suite", lambda n, seed: {"max_violation": 1.0}),
         ("identities", bounds, "omega_to_z", lambda omega, delta: -(delta - omega) / (1.0 - omega)),
-        ("tangent_inequality", tangent, "check_tangent_inequality", lambda q, x_max, n: -1.0),
+        ("tangent_inequality", tangent, "check_tangent_inequality", lambda q: -1.0),
         ("arc_gaps", bounds, "arc_gap_CD", lambda psi, delta, branch: -1.0),
     ])
     def test_spoiled_callee_fails_its_check_only(self, capsys, monkeypatch,
@@ -226,6 +226,26 @@ def test_out_of_range_flag_is_one_line_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("alpha", "--delta", "5e-324"),
+    ("alpha", "--delta", "-0.0"),
+    ("verify", "--quick", "--seed", str(10**30)),
+    ("simulate", "--trials", "2", "--seed", str(10**30)),
+    ("simulate", "--trials", "2", "--horizon-mult", "5e-324"),
+    ("alpha", "--grid", "2", "--format", "json"),
+    ("plotdata", "--grid", "2", "--format", "json"),
+    ("tangent", "--grid", "2", "--format", "json"),
+])
+def test_extreme_valid_input_runs_without_traceback(capsys, argv):
+    # the smallest subnormal, a negative zero, a seed past 64 bits, the
+    # smallest horizon and the smallest table are all in range
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [("alpha", "--delta", "0.5"), ("verify", "--quick")])

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qsl import bounds, oracle
+from qsl import bounds, oracle, qsim
 from qsl.errors import DomainError
 
 
 class TestMinimax:
     def test_delta_zero(self):
-        assert abs(oracle.minimax_bruteforce_m(0.0, 256, 256) - 1.0) <= 1e-4
+        assert abs(oracle.minimax_bruteforce_m(0.0, 256) - 1.0) <= 1e-4
 
     def test_matches_closed_form_at_quarter(self):
-        value = oracle.minimax_bruteforce_m(0.25, 2048, 2048)
+        value = oracle.minimax_bruteforce_m(0.25, 2048)
         assert abs(value - bounds.upper_bound_M(0.25)) <= 1e-5
 
     def test_refinement_reduces_error(self):
@@ -21,8 +21,8 @@ class TestMinimax:
         # reduction is the robust certificate
         for delta in (0.2, 0.5, 0.8):
             target = bounds.upper_bound_M(delta)
-            coarse = abs(oracle.minimax_bruteforce_m(delta, 64, 64) - target)
-            fine = abs(oracle.minimax_bruteforce_m(delta, 2048, 2048) - target)
+            coarse = abs(oracle.minimax_bruteforce_m(delta, 64) - target)
+            fine = abs(oracle.minimax_bruteforce_m(delta, 2048) - target)
             assert fine <= coarse / 50.0
             assert fine <= 1e-5
 
@@ -30,36 +30,36 @@ class TestMinimax:
         # at delta = 0.9 the study yields literal monotone shrink under doubling
         target = bounds.upper_bound_M(0.9)
         errs = [
-            abs(oracle.minimax_bruteforce_m(0.9, g, g) - target)
+            abs(oracle.minimax_bruteforce_m(0.9, g) - target)
             for g in (64, 128, 256, 512, 1024)
         ]
         assert all(e2 <= e1 for e1, e2 in zip(errs, errs[1:]))
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
-            oracle.minimax_bruteforce_m(0.5, 32, 256)
+            oracle.minimax_bruteforce_m(0.5, 32)
         with pytest.raises(DomainError):
-            oracle.minimax_bruteforce_m(1.5, 256, 256)
+            oracle.minimax_bruteforce_m(1.5, 256)
 
 
 class TestTwoLevelPassage:
     def test_orthogonalization_case(self):
-        t = oracle.two_level_passage_time(math.sqrt(0.5), 0.0, 1.0)
+        t = oracle.two_level_passage_time(math.sqrt(0.5), 0.0)
         assert t == pytest.approx(math.pi, abs=1e-12)
 
     def test_unreachable(self):
-        assert oracle.two_level_passage_time(math.sqrt(0.9), 0.0, 1.0) is None
+        assert oracle.two_level_passage_time(math.sqrt(0.9), 0.0) is None
 
     def test_plug_back(self):
         rng = np.random.default_rng(71)
         for _ in range(200):
             xi = float(rng.uniform(0.05, 0.95))
             delta = float(rng.uniform(0.0, 1.0))
-            t = oracle.two_level_passage_time(xi, delta, 2.5)
+            t = oracle.two_level_passage_time(xi, delta)
             if t is None:
                 continue
             u = xi * xi
-            fid = (1 - u) ** 2 + u * u + 2 * u * (1 - u) * math.cos(2.5 * t)
+            fid = (1 - u) ** 2 + u * u + 2 * u * (1 - u) * math.cos(t)
             assert fid == pytest.approx(delta, abs=1e-10)
 
     def test_reachability_frontier(self):
@@ -68,13 +68,13 @@ class TestTwoLevelPassage:
         for edge in ((1 - math.sqrt(delta)) / 2, (1 + math.sqrt(delta)) / 2):
             inside = math.sqrt(edge + 1e-9) if edge < 0.5 else math.sqrt(edge - 1e-9)
             outside = math.sqrt(edge - 1e-9) if edge < 0.5 else math.sqrt(edge + 1e-9)
-            assert oracle.two_level_passage_time(inside, delta, 1.0) is not None
-            assert oracle.two_level_passage_time(outside, delta, 1.0) is None
+            assert oracle.two_level_passage_time(inside, delta) is not None
+            assert oracle.two_level_passage_time(outside, delta) is None
 
-    @pytest.mark.parametrize("xi,delta,e0", [(0.0, 0.5, 1.0), (1.0, 0.5, 1.0), (0.5, -0.1, 1.0), (0.5, 0.5, 0.0)])
-    def test_validation(self, xi, delta, e0):
+    @pytest.mark.parametrize("xi,delta", [(0.0, 0.5), (1.0, 0.5), (0.5, -0.1)])
+    def test_validation(self, xi, delta):
         with pytest.raises(DomainError):
-            oracle.two_level_passage_time(xi, delta, e0)
+            oracle.two_level_passage_time(xi, delta)
 
 
 class TestTwoLevelMinTime:
@@ -86,15 +86,17 @@ class TestTwoLevelMinTime:
 
     def test_energy_scale_cancels(self):
         # two_level_min_time works at level spacing 1: <H - E0> * t, proportional
-        # to spacing * t, is the same at any spacing
-        t1 = oracle.two_level_passage_time(0.6, 0.3, 1.0)
-        t7 = oracle.two_level_passage_time(0.6, 0.3, 7.0)
+        # to spacing * t, is the same at any spacing; the passage time of the
+        # same weights at spacing 7, measured by the scan, is 1/7 of the oracle's
+        t1 = oracle.two_level_passage_time(0.6, 0.3)
+        state = qsim.QuantumState(np.array([0.0, 7.0]), np.array([0.8, 0.6], dtype=complex))
+        t7 = qsim.first_passage(state, 0.3, qsim.default_horizon(state))
         assert abs(t1 - 7.0 * t7) <= 1e-12
 
     def test_sandwich_against_minimax(self):
         for delta in (0.2, 0.6):
             closed = bounds.upper_bound_M(delta)
-            grid = oracle.minimax_bruteforce_m(delta, 512, 512)
+            grid = oracle.minimax_bruteforce_m(delta, 512)
             dyn = oracle.two_level_min_time(delta)
             assert abs(dyn - closed) <= 1e-8
             assert abs(grid - closed) <= 1e-3

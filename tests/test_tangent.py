@@ -144,7 +144,7 @@ class TestAofQ:
 
 class TestInequality:
     def test_q_zero(self):
-        val = tangent.check_tangent_inequality(0.0, 20.0, 100_000)
+        val = tangent.check_tangent_inequality(0.0)
         assert val >= -1e-9
         # away from the origin (also an exact zero) the minimum sits at the
         # tangency abscissa
@@ -153,7 +153,7 @@ class TestInequality:
         assert abs(x[int(np.argmin(curve))] - YB.y_minus) < 1e-3
 
     def test_q_one(self):
-        assert tangent.check_tangent_inequality(1.0, 20.0, 100_000) >= -1e-9
+        assert tangent.check_tangent_inequality(1.0) >= -1e-9
 
     def test_origin_value_is_zero(self):
         q = 3.7
@@ -162,9 +162,9 @@ class TestInequality:
     def test_random_q_certificate(self):
         rng = np.random.default_rng(23)
         for q in rng.uniform(0.0, 100.0, 1000):
-            assert tangent.check_tangent_inequality(float(q), 20.0, 2048) >= -1e-9
+            assert tangent.check_tangent_inequality(float(q)) >= -1e-9
 
-    @pytest.mark.parametrize("q,x_max,n", [(-1.0, 10.0, 100), (1.0, 0.0, 100), (1.0, 10.0, 1)])
-    def test_invalid_inputs(self, q, x_max, n):
+    @pytest.mark.parametrize("q", [-1.0])
+    def test_invalid_inputs(self, q):
         with pytest.raises(DomainError):
-            tangent.check_tangent_inequality(q, x_max, n)
+            tangent.check_tangent_inequality(q)
