@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from . import kernels, rootfind
-from .errors import DomainError
+from .errors import DomainError, require
 from .optimize import grid_golden_min
 
 _CLAMP_TOL = 1e-12
@@ -123,8 +123,7 @@ def _upper_bound_argmin(delta: float | np.ndarray) -> tuple:
     delta = 1 every z gives 0; the minimizer's limit z = -1 is returned.
     """
     d = np.array(delta, dtype=np.float64, ndmin=1)
-    for bad in d[~((d >= 0.0) & (d <= 1.0))][:1]:
-        _check_delta(float(bad))
+    require((d >= 0.0) & (d <= 1.0), d, "delta must lie in [0, 1]")
     root, co = np.sqrt(d), np.sqrt(1.0 - d)
     gap = (1.0 - d) / (1.0 + root)  # 1 - sqrt(delta)
     inner = (root > 0.0) & (co > 0.0)
@@ -186,43 +185,42 @@ def omega_to_z(omega: float | np.ndarray, delta: float) -> float | np.ndarray:
     return (delta - omega) / (1.0 - omega)
 
 
-def _intersection_factor(psi: float, delta: float, branch: int) -> float:
-    """The shared factor sin(psi) +/- sqrt(delta - cos^2 psi) >= 0."""
+def _arc_gap(psi, delta: float, branch: int, arc: tuple, term) -> float | np.ndarray:
+    """The gap of one arc, (s/(2 sin psi)) * (2*psi - term(2*psi)), at one psi or an array.
+
+    s = sin(psi) +/- sqrt(delta - cos^2 psi) >= 0 is the intersection factor; 2*psi
+    must lie in ``arc``. The gap is 0 where s or sin(psi) vanishes.
+    """
+    _check_delta(delta)
     if branch not in (1, -1):
         raise DomainError(f"branch must be +1 or -1, got {branch}")
-    disc = delta - math.cos(psi) ** 2
-    if disc < -_CLAMP_TOL:
-        raise DomainError(f"cos^2(psi)={math.cos(psi)**2} exceeds delta={delta}")
-    return math.sin(psi) + branch * math.sqrt(max(disc, 0.0))
+    two_psi = 2.0 * np.asarray(psi, dtype=np.float64)
+    require((arc[0] - 1e-9 <= two_psi) & (two_psi <= arc[1] + 1e-9), two_psi,
+            f"2*psi must lie in [{arc[0]}, {arc[1]}]")
+    sin, cos = np.sin(psi), np.cos(psi)
+    disc = delta - cos * cos
+    require(disc >= -_CLAMP_TOL, cos * cos, f"cos^2(psi) must not exceed delta={delta}")
+    s = sin + branch * np.sqrt(np.maximum(disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = (s / (2.0 * sin)) * (two_psi - term(two_psi))
+    return np.where((s == 0.0) | (sin == 0.0), 0.0, gap)[()]
 
 
-def arc_gap_AB(psi: float, delta: float, branch: int = 1) -> float:
+def arc_gap_AB(psi: float | np.ndarray, delta: float, branch: int = 1) -> float | np.ndarray:
     """Gap between the stationary formula and the y_plus endpoint value.
 
     Nonnegative on 2*psi in [y_plus, 2*pi], vanishing at 2*psi = y_plus.
     """
-    _check_delta(delta)
     yb = rootfind.y_bounds()
-    if not (yb.y_plus - 1e-9 <= 2.0 * psi <= 2.0 * math.pi + 1e-9):
-        raise DomainError(f"2*psi={2 * psi} outside [y_plus, 2*pi]")
-    s = _intersection_factor(psi, delta, branch)
-    sp = math.sin(psi)
-    if s == 0.0 or sp == 0.0:
-        return 0.0
-    return (s / (2.0 * sp)) * (2.0 * psi - math.sin(2.0 * psi) / math.cos(yb.y_plus))
+    return _arc_gap(psi, delta, branch, (yb.y_plus, 2.0 * math.pi),
+                    lambda two_psi: np.sin(two_psi) / math.cos(yb.y_plus))
 
 
-def arc_gap_CD(psi: float, delta: float, branch: int = 1) -> float:
+def arc_gap_CD(psi: float | np.ndarray, delta: float, branch: int = 1) -> float | np.ndarray:
     """Gap between the stationary formula and the y_minus endpoint value.
 
     Nonnegative on 2*psi in [0, y_minus], vanishing at 2*psi = y_minus.
     """
-    _check_delta(delta)
     yb = rootfind.y_bounds()
-    if not (-1e-9 <= 2.0 * psi <= yb.y_minus + 1e-9):
-        raise DomainError(f"2*psi={2 * psi} outside [0, y_minus]")
-    s = _intersection_factor(psi, delta, branch)
-    sp = math.sin(psi)
-    if s == 0.0 or sp == 0.0:
-        return 0.0
-    return (s / (2.0 * sp)) * (2.0 * psi - (1.0 - math.cos(2.0 * psi)) / math.sin(yb.y_minus))
+    return _arc_gap(psi, delta, branch, (0.0, yb.y_minus),
+                    lambda two_psi: (1.0 - np.cos(two_psi)) / math.sin(yb.y_minus))

@@ -63,11 +63,14 @@ def identities(quick: bool, seed: int) -> tuple[dict, bool]:
 
 
 def tangent_inequality(quick: bool, seed: int) -> tuple[dict, bool]:
-    """cos x + q sin x >= 1 - a(q) x on a grid, for seeded random slopes q."""
-    rng = np.random.default_rng(seed)
-    worst = min(tangent.check_tangent_inequality(float(q))
-                for q in rng.uniform(0.0, 100.0, 100 if quick else 1000))
-    return {"tangent_inequality_min": worst}, worst >= -1e-9
+    """cos x + q sin x >= 1 - a(q) x on a grid, with equality at x = y(q), for seeded random q."""
+    q = np.random.default_rng(seed).uniform(0.0, 100.0, 100 if quick else 1000)
+    worst = float(np.min(tangent.check_tangent_inequality(q)))
+    y = tangent.y_of_q(q)
+    # residual (q - q(y)) sin y at the rounded y: q' = 7.8e3 at q = 100 times ulp/2 is 3.4e-12
+    tight = float(np.max(np.abs(np.cos(y) + q * np.sin(y) - 1.0 + tangent.a_of_q(q) * y)))
+    lines = {"tangent_inequality_min": worst, "tangent_tightness_max": tight}
+    return lines, worst >= -1e-9 and tight <= 1e-11
 
 
 def arc_gaps(quick: bool, seed: int) -> tuple[dict, bool]:
@@ -78,10 +81,11 @@ def arc_gaps(quick: bool, seed: int) -> tuple[dict, bool]:
         for gap, lo, hi, edge in arcs(delta):
             if lo > hi:
                 continue
+            psi = np.append(np.linspace(lo, hi, npoints), edge)
             for branch in (1, -1):
-                worst = min(worst, min(gap(float(p), delta, branch)
-                                       for p in np.linspace(lo, hi, npoints)))
-                boundary = max(boundary, abs(gap(edge, delta, branch)))
+                values = gap(psi, delta, branch)
+                worst = min(worst, float(values[:-1].min()))
+                boundary = max(boundary, abs(float(values[-1])))
     lines = {"arc_gap_min": worst, "arc_gap_boundary_max": boundary}
     return lines, worst >= -1e-10 and boundary <= 1e-8
 

@@ -65,7 +65,7 @@ def cmd_tangent(ns: argparse.Namespace) -> tuple[str, int]:
     yb = rootfind.y_bounds()
     ys = np.linspace(yb.y_minus, yb.y_plus - 1e-6, ns.grid)
     ys = np.union1d(ys, [math.pi])  # the midpoint row q = a = 2/pi is a fixture
-    rows = [[float(y), tangent.q_of_y(float(y)), tangent.a_of_y(float(y))] for y in ys]
+    rows = np.column_stack([ys, tangent.q_of_y(ys), tangent.a_of_y(ys)]).tolist()
     return _table(ns, ["y", "q", "a"], rows), EXIT_OK
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the domain check of array arguments."""
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -12,3 +14,9 @@ class NoSignChange(ValueError):
 class NoConvergence(RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
+
+def require(ok, values, requirement: str) -> None:
+    """Raise DomainError naming the first of ``values`` (one number or an array) where ``ok`` fails."""
+    bad = np.extract(np.logical_not(ok), values)
+    if bad.size:
+        raise DomainError(f"{requirement}, got {bad[0]}")

@@ -1,9 +1,7 @@
-"""Bracketed scalar root solving and the two universal angle constants.
+"""The two universal angle constants, and the scalar root solver the benchmark hooks.
 
-The solver is a guaranteed-bracketing bisection with an interleaved secant
-acceleration step: every other iteration halves the bracket, so convergence
-is unconditional, while the secant step gives near-superlinear behaviour on
-the smooth transcendental equations this package actually solves.
+Both constants come from one ``kernels.newton`` solve on two fixed analytic
+brackets, each holding exactly one root.
 """
 
 from __future__ import annotations
@@ -13,11 +11,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
+from . import kernels
 from .errors import DomainError, NoConvergence, NoSignChange
 
-# absolute tolerance on the abscissa of every root this package brackets
-_TOL = 1e-12
-_MAX_ITER = 200
+# |g| at which the Newton solve takes its last step: g's rounding error, 4 eps
+# per unit of its terms, which sum to below 7 on both brackets
+_G_TOL = 28.0 * float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -32,24 +33,14 @@ class YBounds:
     y_plus: float
 
 
+# no caller in the package: kept as a hook site of perfbench/layers.py
 def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
-                   max_iter: int = _MAX_ITER) -> float:
-    """Find a root of ``f`` in the sign-change interval [lo, hi].
+                   max_iter: int = 200) -> float:
+    """A point within 1e-12 of a sign change of ``f`` in [lo, hi], by bisection
+    interleaved with safeguarded secant steps.
 
-    Args:
-        f: Continuous scalar function with a sign change across the interval.
-        lo: Lower end of the interval.
-        hi: Upper end of the interval (must exceed ``lo``).
-        max_iter: Iteration budget.
-
-    Returns:
-        A point within 1e-12 of a sign change of ``f``.
-
-    Raises:
-        DomainError: If ``lo`` is not below ``hi``.
-        NoSignChange: If ``f`` has the same sign at both ends.
-        NoConvergence: If the budget is exhausted before the bracket shrinks
-            below tolerance.
+    Raises DomainError unless lo < hi, NoSignChange if ``f`` has the same sign
+    at both ends, NoConvergence if ``max_iter`` steps leave a wider bracket.
     """
     if not lo < hi:
         raise DomainError(f"bracket needs lo < hi, got [{lo}, {hi}]")
@@ -65,7 +56,7 @@ def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
     best_x, best_f = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
     use_secant = False
     for _ in range(max_iter):
-        if hi - lo <= _TOL:
+        if hi - lo <= 1e-12:
             return best_x
         x = 0.5 * (lo + hi)
         if use_secant and fhi != flo:
@@ -87,40 +78,20 @@ def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
     raise NoConvergence(f"bracket still [{lo}, {hi}] after {max_iter} iterations")
 
 
-def _polish_newton(y: float, f: Callable[[float], float], df: Callable[[float], float],
-                   lo: float, hi: float, steps: int = 3) -> float:
-    """Newton steps clipped to [lo, hi]; drives the residual to machine level."""
-    for _ in range(steps):
-        d = df(y)
-        if d == 0.0:
-            break
-        step = f(y) / d
-        y = min(max(y - step, lo), hi)
-    return y
-
-
 @functools.cache
 def y_bounds() -> YBounds:
     """Solve for the two angle constants once; later calls return the cached pair.
 
-    The defining conditions have exactly one root in their stated intervals,
-    so the fixed analytic brackets below cannot fail.
+    Row 0 solves -(1 - cos y - y sin y) = 0 on [pi/2, pi], row 1
+    sin y - y cos y = 0 on [pi, 3*pi/2]; each is positive at its lower end.
     """
 
-    def f_minus(y: float) -> float:
-        return 1.0 - math.cos(y) - y * math.sin(y)
+    def g(y, rows):
+        sin, cos = np.sin(y), np.cos(y)
+        minus = rows == 0
+        return (np.where(minus, -(1.0 - cos - y * sin), sin - y * cos),
+                y * np.where(minus, cos, sin))
 
-    def df_minus(y: float) -> float:
-        return -y * math.cos(y)
-
-    def f_plus(y: float) -> float:
-        return math.sin(y) - y * math.cos(y)
-
-    def df_plus(y: float) -> float:
-        return y * math.sin(y)
-
-    y_minus = bracketed_root(f_minus, 0.5 * math.pi, math.pi)
-    y_minus = _polish_newton(y_minus, f_minus, df_minus, 0.5 * math.pi, math.pi)
-    y_plus = bracketed_root(f_plus, math.pi, 1.5 * math.pi)
-    y_plus = _polish_newton(y_plus, f_plus, df_plus, math.pi, 1.5 * math.pi)
+    y_minus, y_plus = kernels.newton(g, [0.5 * math.pi, math.pi], [math.pi, 1.5 * math.pi],
+                                     _G_TOL).tolist()
     return YBounds(y_minus=y_minus, y_plus=y_plus)

@@ -3,80 +3,96 @@
 The coefficient a(q) is defined by tangency of the line 1 - a*x to the
 left-hand side. Both q and a are rational-trigonometric functions of the
 tangency abscissa y, which runs over [y_minus, y_plus); q(y) is strictly
-increasing there, so the map is inverted by a bracketed root search.
+increasing there, so the map is inverted by one safeguarded Newton solve
+(``kernels.newton``) for a whole array of q. Every function takes one number
+or an array and returns the same.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from . import rootfind
-from .errors import DomainError
-from .rootfind import bracketed_root
+from . import kernels, rootfind
+from .errors import require
+from .rootfind import bracketed_root  # noqa: F401  no caller: a hook site of perfbench/layers.py
 
 # open upper endpoint: q and a diverge as y -> y_plus
 ENDPOINT_EPS = 1e-12
 
+# g's rounding error per unit of 1 + q: 4 eps per unit of its terms, which sum
+# to at most (2 + y_plus)(1 + q) < 6.5 (1 + q)
+_G_TOL = 26.0 * float(np.finfo(np.float64).eps)
 
-def _check_y(y: float) -> None:
+# check_tangent_inequality's grid of x, and the slopes q evaluated on it at once
+_X = np.linspace(0.0, 50.0, 4096)
+_COS_X, _SIN_X = np.cos(_X), np.sin(_X)
+_Q_BLOCK = 32
+
+
+def _checked_y(y) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
     yb = rootfind.y_bounds()
-    if not (yb.y_minus - 1e-12 <= y < yb.y_plus):
-        raise DomainError(f"y={y} outside [{yb.y_minus}, {yb.y_plus})")
+    require((yb.y_minus - 1e-12 <= y) & (y < yb.y_plus), y,
+            f"y must lie in [{yb.y_minus}, {yb.y_plus})")
+    return y
 
 
-def q_of_y(y: float) -> float:
+def q_of_y(y: float | np.ndarray) -> float | np.ndarray:
     """q(y) = (1 - cos y - y sin y) / (sin y - y cos y)."""
-    _check_y(y)
-    return (1.0 - math.cos(y) - y * math.sin(y)) / (math.sin(y) - y * math.cos(y))
+    y = _checked_y(y)
+    return (1.0 - np.cos(y) - y * np.sin(y)) / (np.sin(y) - y * np.cos(y))
 
 
-def a_of_y(y: float) -> float:
+def a_of_y(y: float | np.ndarray) -> float | np.ndarray:
     """a(y) = (1 - cos y) / (sin y - y cos y)."""
-    _check_y(y)
-    return (1.0 - math.cos(y)) / (math.sin(y) - y * math.cos(y))
+    y = _checked_y(y)
+    return (1.0 - np.cos(y)) / (np.sin(y) - y * np.cos(y))
 
 
-def y_of_q(q: float) -> float:
-    """Invert the strictly monotone q(y) on [y_minus, y_plus).
+def _g(y, q):
+    """g(y) = q (sin y - y cos y) - (1 - cos y - y sin y), zero where q(y) = q, and its slope."""
+    sin, cos = np.sin(y), np.cos(y)
+    return q * (sin - y * cos) - (1.0 - cos - y * sin), y * (cos + q * sin)
 
-    The root equation is used in denominator-cleared form
-    g(y) = (1 - cos y - y sin y) - q (sin y - y cos y),
-    which is finite at y_plus and shares the root of q(y) = q; two Newton
-    polish steps push the abscissa error to machine level, which downstream
-    inequality checks rely on.
+
+def y_of_q(q: float | np.ndarray) -> float | np.ndarray:
+    """Invert the strictly increasing q(y) on [y_minus, y_plus).
+
+    The root equation is used in the denominator-cleared form g(y) above,
+    which is finite at y_plus and, for q > 0, positive at y_minus: one
+    ``kernels.newton`` call solves it on [y_minus, y_plus - ENDPOINT_EPS] for
+    every q. Where g(y_minus) is within g's rounding error (q up to about
+    2.6e-15, whose root lies within 9 ulp of y_minus), y_minus itself is
+    returned: a solve there would land anywhere in the rounding noise.
     """
-    if q < 0:
-        raise DomainError(f"q must be nonnegative, got {q}")
+    q = np.array(q, dtype=np.float64)
+    require((q >= 0.0) & np.isfinite(q), q, "q must be finite and nonnegative")
     yb = rootfind.y_bounds()
-    if q == 0.0:
-        return yb.y_minus
-
-    def g(y: float) -> float:
-        return (1.0 - math.cos(y) - y * math.sin(y)) - q * (math.sin(y) - y * math.cos(y))
-
-    def dg(y: float) -> float:
-        return -y * (math.cos(y) + q * math.sin(y))
-
-    y = bracketed_root(g, yb.y_minus, yb.y_plus)
-    return rootfind._polish_newton(y, g, dg, yb.y_minus, yb.y_plus - ENDPOINT_EPS, steps=2)
+    flat = q.ravel()
+    tol = _G_TOL * (1.0 + flat)
+    y = np.full(flat.size, yb.y_minus)
+    inner = np.flatnonzero(_g(y, flat)[0] > tol)
+    y[inner] = kernels.newton(lambda t, rows: _g(t, flat[inner[rows]]), y[inner],
+                              np.full(inner.size, yb.y_plus - ENDPOINT_EPS), tol[inner])
+    return y.reshape(q.shape)[()]
 
 
-def a_of_q(q: float) -> float:
+def a_of_q(q: float | np.ndarray) -> float | np.ndarray:
     """The tangency coefficient as a function of the slope mix q."""
     return a_of_y(y_of_q(q))
 
 
-def check_tangent_inequality(q: float) -> float:
+def check_tangent_inequality(q: float | np.ndarray) -> float | np.ndarray:
     """Grid minimum of cos x + q sin x - 1 + a(q) x on 4096 points of x in [0, 50].
 
     A return value >= -1e-9 certifies the inequality on the grid; the grid is
-    a smoke test, the tangency construction is the actual guarantee.
+    a smoke test, the tangency construction is the actual guarantee. Blocks
+    of 32 slopes are evaluated at once, bounding the memory.
     """
-    if q < 0:
-        raise DomainError(f"q must be nonnegative, got {q}")
-    a = a_of_q(q)
-    x = np.linspace(0.0, 50.0, 4096)
-    vals = np.cos(x) + q * np.sin(x) - 1.0 + a * x
-    return float(vals.min())
+    a = np.ravel(a_of_q(q))
+    flat = np.ravel(q)
+    low = np.empty(flat.size)
+    for s in range(0, flat.size, _Q_BLOCK):
+        e = s + _Q_BLOCK
+        low[s:e] = (_COS_X + flat[s:e, None] * _SIN_X - 1.0 + a[s:e, None] * _X).min(axis=1)
+    return low.reshape(np.shape(q))[()]

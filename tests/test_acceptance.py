@@ -67,8 +67,9 @@ def test_criterion_5_tangent_inequality():
     elapsed = time.perf_counter() - t0
     assert passed, lines
     assert elapsed < 10.0
-    report(f"criterion 5: PASS — grid min = {lines['tangent_inequality_min']:.3e} over 1000 "
-           f"seeded q, runtime={elapsed:.2f}s")
+    report(f"criterion 5: PASS — grid min = {lines['tangent_inequality_min']:.3e}, tangency "
+           f"residual = {lines['tangent_tightness_max']:.3e} over 1000 seeded q, "
+           f"runtime={elapsed:.2f}s")
 
 
 def test_criterion_6_arc_gaps():

@@ -527,3 +527,29 @@ class TestArcGaps:
             bounds.arc_gap_CD(2.0, 0.9)
         with pytest.raises(DomainError):
             bounds.arc_gap_CD(0.2, 0.1)  # cos^2(psi) > delta
+
+    def test_one_array_call_equals_point_calls(self):
+        # delta = 1 puts psi = 0, where sin(psi) vanishes, on the CD arc
+        for delta in (0.3, 0.6, 0.9, 1.0):
+            for gap, lo, hi, edge in checks.arcs(delta):
+                if lo > hi:
+                    continue
+                psi = np.append(np.linspace(lo, hi, 101), edge)
+                for branch in (1, -1):
+                    values = gap(psi, delta, branch)
+                    assert values.tolist() == [gap(float(p), delta, branch) for p in psi]
+
+    def test_scalar_in_scalar_out(self):
+        for gap, psi in ((bounds.arc_gap_AB, 2.5), (bounds.arc_gap_CD, 1.0)):
+            value = gap(psi, 0.9, -1)
+            assert np.ndim(value) == 0 and isinstance(value, float)
+
+    @pytest.mark.parametrize("gap, psi, delta", [
+        (bounds.arc_gap_AB, [2.5, 0.5], 0.9),  # 2*psi below y_plus
+        (bounds.arc_gap_CD, [1.0, 2.0], 0.9),  # 2*psi above y_minus
+        (bounds.arc_gap_CD, [1.1, 0.2], 0.5),  # cos^2(psi) > delta
+    ])
+    def test_one_bad_element_raises(self, gap, psi, delta):
+        gap(psi[0], delta)
+        with pytest.raises(DomainError):
+            gap(np.array(psi), delta)

@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qsl import bounds, cli, oracle, tangent
@@ -128,6 +129,13 @@ class TestVerify:
         assert float(report["equality_max_gap"]) <= 1e-6
         assert report["overall"] == "pass"
 
+    def test_tightness_line_follows_the_grid_minimum(self, capsys):
+        _, out = run(capsys, "verify", "--quick")
+        keys = [line.split("=", 1)[0] for line in out.splitlines()]
+        assert keys[keys.index("tangent_inequality_min") + 1] == "tangent_tightness_max"
+        report = dict(line.split("=", 1) for line in out.splitlines())
+        assert 0.0 <= float(report["tangent_tightness_max"]) <= 1e-11
+
     def test_corrupted_build_fails_with_named_check(self, capsys, monkeypatch):
         import qsl.rootfind as rootfind
         from qsl.rootfind import YBounds
@@ -149,7 +157,14 @@ class TestVerify:
         ("identities", oracle, "identity_suite", lambda n, seed: {"max_violation": 1.0}),
         ("identities", bounds, "omega_to_z", lambda omega, delta: -(delta - omega) / (1.0 - omega)),
         ("tangent_inequality", tangent, "check_tangent_inequality", lambda q: -1.0),
-        ("arc_gaps", bounds, "arc_gap_CD", lambda psi, delta, branch: -1.0),
+        # an a(q) off by a relative 1e-9: too large still clears the grid, not the tightness
+        pytest.param("tangent_inequality", tangent, "a_of_q",
+                     lambda q, shipped=tangent.a_of_q: shipped(q) * (1.0 + 1e-9),
+                     id="tangent_inequality-qsl.tangent-a_of_q-high"),
+        pytest.param("tangent_inequality", tangent, "a_of_q",
+                     lambda q, shipped=tangent.a_of_q: shipped(q) * (1.0 - 1e-9),
+                     id="tangent_inequality-qsl.tangent-a_of_q-low"),
+        ("arc_gaps", bounds, "arc_gap_CD", lambda psi, delta, branch: np.full(np.shape(psi), -1.0)),
     ])
     def test_spoiled_callee_fails_its_check_only(self, capsys, monkeypatch,
                                                  check, module, callee, spoiled):

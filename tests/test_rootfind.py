@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from qsl.errors import DomainError, NoConvergence, NoSignChange
@@ -54,6 +55,14 @@ def test_y_bounds_residuals():
     yb = y_bounds()
     assert abs(1.0 - math.cos(yb.y_minus) - yb.y_minus * math.sin(yb.y_minus)) <= 1e-9
     assert abs(math.sin(yb.y_plus) - yb.y_plus * math.cos(yb.y_plus)) <= 1e-9
+
+
+def test_y_bounds_are_the_rounded_roots():
+    with mpmath.workdps(40):
+        y_minus = mpmath.findroot(lambda y: 1 - mpmath.cos(y) - y * mpmath.sin(y), 2.33)
+        y_plus = mpmath.findroot(lambda y: mpmath.sin(y) - y * mpmath.cos(y), 4.49)
+    yb = y_bounds()
+    assert (yb.y_minus, yb.y_plus) == (float(y_minus), float(y_plus))
 
 
 def test_y_bounds_idempotent():

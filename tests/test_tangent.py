@@ -168,3 +168,43 @@ class TestInequality:
     def test_invalid_inputs(self, q):
         with pytest.raises(DomainError):
             tangent.check_tangent_inequality(q)
+
+
+class TestArrays:
+    Q = np.array([0.0, 1e-300, 1e-17, 1e-16, 1e-15, 1e-12, 0.3, TWO_OVER_PI, 7.0, 99.5, 1e6])
+    Y = np.array([YB.y_minus, 2.5, math.pi, 4.0, YB.y_plus - 1e-6])
+    # 70 slopes span three of check_tangent_inequality's blocks of 32
+    Q_GRID = np.random.default_rng(3).uniform(0.0, 100.0, 70)
+
+    def cases(self):
+        return [(tangent.y_of_q, self.Q), (tangent.q_of_y, self.Y), (tangent.a_of_y, self.Y),
+                (tangent.a_of_q, self.Q), (tangent.check_tangent_inequality, self.Q_GRID)]
+
+    def test_one_array_call_equals_point_calls(self):
+        for fn, xs in self.cases():
+            assert fn(xs).tolist() == [fn(float(x)) for x in xs], fn.__name__
+            assert fn(xs.reshape(-1, 1)).shape == (xs.size, 1)
+
+    def test_scalar_in_scalar_out(self):
+        for fn, xs in self.cases():
+            value = fn(float(xs[1]))
+            assert np.ndim(value) == 0 and isinstance(value, float), fn.__name__
+
+    @pytest.mark.parametrize("fn, values", [
+        (tangent.y_of_q, [1.0, -0.5, 2.0]), (tangent.y_of_q, [1.0, math.nan, 2.0]),
+        (tangent.a_of_q, [1.0, -1e-300, 2.0]), (tangent.check_tangent_inequality, [1.0, -1.0]),
+        (tangent.q_of_y, [3.0, YB.y_plus, 4.0]), (tangent.a_of_y, [3.0, 1.0, 4.0]),
+    ])
+    def test_one_bad_element_raises(self, fn, values):
+        with pytest.raises(DomainError):
+            fn(np.array(values))
+
+    def test_small_q_nondecreasing_and_pinned_to_y_minus(self):
+        # below q = 1e-16 the root lies within an ulp of y_minus, where g(y_minus) is
+        # rounding noise; a solve there used to raise NoSignChange or land ulps too high
+        qs = [0.0, 1e-300, 1e-17, 1e-16, 1e-15, 1e-12]
+        ys = [tangent.y_of_q(q) for q in qs]
+        assert all(y1 <= y2 for y1, y2 in zip(ys, ys[1:]))
+        assert ys[:4] == [YB.y_minus] * 4
+        assert tangent.a_of_q(1e-17) == tangent.a_of_q(0.0)
+        assert tangent.check_tangent_inequality(1e-17) >= -1e-9
