@@ -69,14 +69,15 @@ def stationary_max(rho: float | np.ndarray, sigma: float | np.ndarray) -> float 
     return np.hypot(rho, sigma) * (np.pi - phi) / np.sin(phi)
 
 
-def max_F_over_q(theta: float | np.ndarray, delta: float) -> float | np.ndarray:
+def max_F_over_q(theta: float | np.ndarray, delta: float | np.ndarray) -> float | np.ndarray:
     """Exact case-resolved maximum of F over the tangency parameter at circle angle theta.
 
-    ``theta`` is one number or an array at one ``delta``. The degenerate point
-    rho = sigma = 0 (delta = 1, theta = 0) has phi = 0 and takes the AB value 0.
+    ``theta`` and ``delta`` are numbers or arrays that broadcast together. The
+    degenerate point rho = sigma = 0 (delta = 1, theta = 0) has phi = 0 and
+    takes the AB value 0.
     """
-    _check_delta(delta)
-    root = math.sqrt(delta)
+    require((0.0 <= delta) & (delta <= 1.0), delta, "delta must lie in [0, 1]")
+    root = np.sqrt(delta)
     rho = 1.0 - root * np.cos(theta)
     sigma = root * np.sin(theta)
     # sin(phi) = rho/r >= 0 and cos(phi) = sigma/r pick phi in [0, pi]
@@ -89,18 +90,24 @@ def max_F_over_q(theta: float | np.ndarray, delta: float) -> float | np.ndarray:
     return value[()]
 
 
-def lower_bound_m(delta: float, n_theta: int = 512) -> float:
+def lower_bound_m(delta: float | np.ndarray, n_theta: int = 512) -> float | np.ndarray:
     """Minimax lower bound: (2/pi) * min over the circle of the resolved max.
 
-    The search runs over theta in [pi, 2*pi] (sigma <= 0), where the minimum
-    is attained; the full-circle agreement is asserted by tests.
+    ``delta`` is one number or an array, and the bound takes its shape. The
+    search runs over theta in [pi, 2*pi] (sigma <= 0), where the minimum is
+    attained, for every delta at once; the full-circle agreement is asserted
+    by tests.
     """
-    _check_delta(delta)
+    d = np.array(delta, dtype=np.float64, ndmin=1).ravel()
+    require((d >= 0.0) & (d <= 1.0), d, "delta must lie in [0, 1]")
     if n_theta < 8:
         raise DomainError(f"n_theta must be at least 8, got {n_theta}")
-    _, val = grid_golden_min(lambda theta: max_F_over_q(theta, delta),
-                             math.pi, 2.0 * math.pi, n=n_theta)
-    return (2.0 / math.pi) * float(val)
+    _, val = grid_golden_min(lambda theta, rows: max_F_over_q(theta, d[rows]),
+                             np.full(d.size, math.pi), np.full(d.size, 2.0 * math.pi), n=n_theta)
+    m = (2.0 / math.pi) * val
+    if np.ndim(delta) == 0:
+        return float(m[0])
+    return m.reshape(np.shape(delta))
 
 
 def f_max_closed(delta: float, z: float) -> float:

@@ -1,4 +1,9 @@
-"""Bounded one-dimensional minimization: golden section with a coarse-grid stage."""
+"""Bounded one-dimensional minimization of one bracket per row: golden section and a grid stage.
+
+The objective follows the convention of ``kernels.newton``: ``f(x, rows)``
+returns the values at points ``x`` of the brackets ``rows``, where ``x`` and
+``rows`` are arrays of one shape (or broadcast to one).
+"""
 
 from __future__ import annotations
 
@@ -13,44 +18,56 @@ _TOL = 1e-10
 _MAX_ITER = 200
 
 
-def golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Minimize ``f`` on [lo, hi]; returns (argmin, min value).
+def golden_min(f: Callable, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ``f`` on each bracket [lo, hi]; returns (argmin, min value) per bracket.
 
-    Assumes ``f`` is unimodal on the interval; endpoints are compared against
-    the interior result so an endpoint minimum is never missed.
+    Assumes ``f`` is unimodal on each bracket; endpoints are compared against
+    the interior result so an endpoint minimum is never missed. Each bracket
+    takes the steps of a scalar golden section: it stops once b - a <= _TOL or
+    after _MAX_ITER steps, and of its five candidates the first minimum wins.
     """
-    a, b = lo, hi
+    lo = np.array(lo, dtype=np.float64, ndmin=1)
+    hi = np.array(hi, dtype=np.float64, ndmin=1)
+    a, b = lo.copy(), hi.copy()
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
+    every = np.arange(lo.size)
+    f1, f2 = f(x1, every), f(x2, every)
     for _ in range(_MAX_ITER):
-        if b - a <= _TOL:
+        rows = np.flatnonzero(b - a > _TOL)
+        if rows.size == 0:
             break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
+        left = f1[rows] <= f2[rows]
+        lr, rr = rows[left], rows[~left]
+        b[lr], x2[lr], f2[lr] = x2[lr], x1[lr], f1[lr]
+        a[rr], x1[rr], f1[rr] = x1[rr], x2[rr], f2[rr]
+        x1[lr] = b[lr] - _INV_PHI * (b[lr] - a[lr])
+        x2[rr] = a[rr] + _INV_PHI * (b[rr] - a[rr])
+        fresh = f(np.concatenate((x1[lr], x2[rr])), np.concatenate((lr, rr)))
+        f1[lr], f2[rr] = fresh[:lr.size], fresh[lr.size:]
     xm = 0.5 * (a + b)
-    candidates = [(f(xm), xm), (f(lo), lo), (f(hi), hi), (f1, x1), (f2, x2)]
-    fv, xv = min(candidates, key=lambda c: c[0])
-    return xv, fv
+    ends = f(np.concatenate((xm, lo, hi)), np.tile(every, 3)).reshape(3, -1)
+    fs = np.vstack((ends, f1, f2))
+    xs = np.vstack((xm, lo, hi, x1, x2))
+    pick = np.argmin(fs, axis=0)
+    return xs[pick, every], fs[pick, every]
 
 
-def grid_golden_min(f: Callable, lo: float, hi: float, n: int = 512) -> tuple[float, float]:
-    """Coarse scan on ``n`` points, then golden section inside the best cell.
+def grid_golden_min(f: Callable, lo, hi, n: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse scan of each bracket on ``n`` points, then golden section inside its best cell.
 
-    ``f`` takes the whole grid as one array, then single points. The grid
-    stage guards against non-unimodal objectives and endpoint minima; the
-    golden stage refines the winning cell.
+    ``f`` first takes the whole (brackets, n) grid, then points of single
+    brackets. The grid stage guards against non-unimodal objectives and
+    endpoint minima; the golden stage refines the winning cell, and the grid
+    value is kept where it is strictly lower.
     """
-    xs = np.linspace(lo, hi, n)
-    fs = f(xs)
-    i = int(np.argmin(fs))
-    x_ref, f_ref = golden_min(f, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n - 1)]))
-    if fs[i] < f_ref:
-        return float(xs[i]), float(fs[i])
-    return x_ref, f_ref
+    lo = np.array(lo, dtype=np.float64, ndmin=1)
+    hi = np.array(hi, dtype=np.float64, ndmin=1)
+    every = np.arange(lo.size)
+    xs = np.linspace(lo, hi, n, axis=1)
+    fs = f(xs, every[:, None])
+    i = np.argmin(fs, axis=1)
+    x_ref, f_ref = golden_min(f, xs[every, np.maximum(i - 1, 0)],
+                              xs[every, np.minimum(i + 1, n - 1)])
+    grid_wins = fs[every, i] < f_ref
+    return np.where(grid_wins, xs[every, i], x_ref), np.where(grid_wins, fs[every, i], f_ref)

@@ -10,12 +10,11 @@ signal.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from . import bounds, kernels, rootfind
-from .errors import DomainError
+from .errors import DomainError, require
 from .optimize import golden_min
 
 
@@ -50,56 +49,59 @@ def minimax_bruteforce_m(delta: float, n: int) -> float:
     return (2.0 / math.pi) * float(kernels.theta_max_table(rho, sigma, fa, fb).min())
 
 
-def two_level_passage_time(xi: float, delta: float) -> Optional[float]:
+def two_level_passage_time(xi: float | np.ndarray, delta: float | np.ndarray):
     """First time a two-level superposition reaches fidelity ``delta``.
 
     The state carries weight 1 - xi^2 on energy 0 and xi^2 on energy 1;
-    its fidelity is (1-xi^2)^2 + xi^4 + 2 xi^2 (1-xi^2) cos(t). Returns
-    None when the target fidelity is below the reachable minimum.
+    its fidelity is (1-xi^2)^2 + xi^4 + 2 xi^2 (1-xi^2) cos(t). ``xi`` and
+    ``delta`` are numbers or arrays that broadcast together. Where the target
+    fidelity is below the reachable minimum the time is inf, and a single such
+    pair returns None.
     """
-    if not 0.0 < xi < 1.0:
-        raise DomainError(f"xi must lie in (0, 1), got {xi}")
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must lie in [0, 1], got {delta}")
+    xi = np.asarray(xi, dtype=np.float64)
+    require((0.0 < xi) & (xi < 1.0), xi, "xi must lie in (0, 1)")
+    require((0.0 <= delta) & (delta <= 1.0), delta, "delta must lie in [0, 1]")
     u = xi * xi
     amp = 2.0 * u * (1.0 - u)
     arg = (delta - (1.0 - u) ** 2 - u * u) / amp
-    if arg < -1.0:
-        if arg < -1.0 - 1e-12:
-            return None
-        arg = -1.0
-    if arg > 1.0:
-        arg = 1.0
-    return math.acos(arg)
+    # an argument a rounding error below -1 is clamped
+    t = np.where(arg < -1.0 - 1e-12, math.inf, np.arccos(np.clip(arg, -1.0, 1.0)))
+    if t.ndim == 0:
+        return None if t == math.inf else float(t)
+    return t
 
 
-def two_level_min_time(delta: float) -> float:
+def two_level_min_time(delta: float | np.ndarray) -> float | np.ndarray:
     """Dimensionless minimal passage time (2/pi) * <H - E0> * t over the family.
 
     Minimizes over the reachable weights xi^2 in [(1-sqrt(d))/2, (1+sqrt(d))/2]
     by a dense grid plus golden refinement, at level spacing 1: the energy
-    scale cancels in the product.
+    scale cancels in the product. ``delta`` is one number or an array, and the
+    time takes its shape.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must lie in [0, 1], got {delta}")
-    root = math.sqrt(delta)
-    xi_lo = math.sqrt((1.0 - root) / 2.0)
-    xi_hi = math.sqrt((1.0 + root) / 2.0)
+    d = np.array(delta, dtype=np.float64, ndmin=1).ravel()
+    require((d >= 0.0) & (d <= 1.0), d, "delta must lie in [0, 1]")
+    root = np.sqrt(d)
+    xi_lo = np.sqrt((1.0 - root) / 2.0)
+    xi_hi = np.sqrt((1.0 + root) / 2.0)
 
-    def objective(xi: float) -> float:
-        t = two_level_passage_time(xi, delta)
-        if t is None:  # grid endpoints can fall a rounding error outside
-            return math.inf
-        return (2.0 / math.pi) * (xi * xi) * t
+    def objective(xi, rows):
+        # grid endpoints can fall a rounding error outside the reachable weights: inf there
+        return (2.0 / math.pi) * (xi * xi) * two_level_passage_time(xi, d[rows])
 
-    if xi_hi - xi_lo < 1e-15:
-        return objective(0.5 * (xi_lo + xi_hi))
+    best = objective(0.5 * (xi_lo + xi_hi), np.arange(d.size))
+    wide = np.flatnonzero(xi_hi - xi_lo >= 1e-15)
     n = 4096
-    xs = np.linspace(xi_lo, xi_hi, n)
-    vals = np.array([objective(x) for x in xs])
-    i = int(np.argmin(vals))
-    _, refined = golden_min(objective, xs[max(i - 1, 0)], xs[min(i + 1, n - 1)])
-    return min(float(vals[i]), refined)
+    xs = np.linspace(xi_lo[wide], xi_hi[wide], n, axis=1)
+    vals = objective(xs, wide[:, None])
+    rows = np.arange(wide.size)
+    i = np.argmin(vals, axis=1)
+    _, refined = golden_min(lambda xi, cell: objective(xi, wide[cell]),
+                            xs[rows, np.maximum(i - 1, 0)], xs[rows, np.minimum(i + 1, n - 1)])
+    best[wide] = np.minimum(vals[rows, i], refined)
+    if np.ndim(delta) == 0:
+        return float(best[0])
+    return best.reshape(np.shape(delta))
 
 
 def identity_suite(n_samples: int, seed: int) -> dict:

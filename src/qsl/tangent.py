@@ -87,12 +87,21 @@ def check_tangent_inequality(q: float | np.ndarray) -> float | np.ndarray:
 
     A return value >= -1e-9 certifies the inequality on the grid; the grid is
     a smoke test, the tangency construction is the actual guarantee. Blocks
-    of 32 slopes are evaluated at once, bounding the memory.
+    of 32 slopes are evaluated at once in two reused buffers, bounding the memory.
     """
     a = np.ravel(a_of_q(q))
     flat = np.ravel(q)
     low = np.empty(flat.size)
+    value = np.empty((_Q_BLOCK, _X.size))
+    term = np.empty((_Q_BLOCK, _X.size))
     for s in range(0, flat.size, _Q_BLOCK):
-        e = s + _Q_BLOCK
-        low[s:e] = (_COS_X + flat[s:e, None] * _SIN_X - 1.0 + a[s:e, None] * _X).min(axis=1)
+        e = min(s + _Q_BLOCK, flat.size)
+        v, t = value[:e - s], term[:e - s]
+        # cos x + q sin x - 1 + a x, summed left to right
+        np.multiply(flat[s:e, None], _SIN_X, out=v)
+        np.add(_COS_X, v, out=v)
+        np.subtract(v, 1.0, out=v)
+        np.multiply(a[s:e, None], _X, out=t)
+        np.add(v, t, out=v)
+        v.min(axis=1, out=low[s:e])
     return low.reshape(np.shape(q))[()]

@@ -1,4 +1,7 @@
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +270,18 @@ class TestMaxFOverQ:
             values = bounds.max_F_over_q(theta, delta)
             assert values.tolist() == [bounds.max_F_over_q(float(t), delta) for t in theta]
 
+    def test_delta_array_equals_point_calls(self):
+        theta = np.linspace(math.pi, 2 * math.pi, 33)
+        deltas = np.array([0.0, 1e-12, 0.3, 0.9, 1.0])
+        values = bounds.max_F_over_q(theta, deltas[:, None])
+        assert values.shape == (deltas.size, theta.size)
+        assert values.tolist() == [[bounds.max_F_over_q(float(t), float(d)) for t in theta]
+                                   for d in deltas]
+
+    def test_one_bad_delta_raises(self):
+        with pytest.raises(DomainError):
+            bounds.max_F_over_q(0.0, np.array([0.5, 1.5, 0.2]))
+
     def test_case_split_matches_argmax_of_F_of_y(self):
         # the argmax of F_of_y over a fine grid lies at y_plus below the window, at
         # y_minus above it and within one grid step of 2*pi - 2*phi inside it
@@ -304,6 +319,23 @@ class TestBoundFunctions:
             full = (2.0 / math.pi) * float(bounds.max_F_over_q(thetas, delta).min())
             assert m <= full + 1e-9
             assert full - m <= 1e-4  # grid-limited agreement
+
+    @pytest.mark.parametrize("n_theta", [256, 720])
+    def test_lower_bound_array_equals_point_calls(self, n_theta):
+        # the two grid sizes of qsl verify, with both endpoints of [0, 1]
+        deltas = np.array([0.0, 1e-9, 0.05, 0.37, 0.5, 0.93, 1.0 - 1e-9, 1.0])
+        values = bounds.lower_bound_m(deltas, n_theta)
+        assert values.tolist() == [bounds.lower_bound_m(float(d), n_theta) for d in deltas]
+        assert bounds.lower_bound_m(deltas.reshape(2, 4), n_theta).tolist() == \
+            values.reshape(2, 4).tolist()
+
+    def test_lower_bound_scalar_in_scalar_out(self):
+        value = bounds.lower_bound_m(0.3, 256)
+        assert np.ndim(value) == 0 and isinstance(value, float)
+
+    def test_lower_bound_one_bad_delta_raises(self):
+        with pytest.raises(DomainError):
+            bounds.lower_bound_m(np.array([0.2, -0.1, 0.5]), 256)
 
     def test_invalid_delta(self):
         with pytest.raises(DomainError):
@@ -348,6 +380,37 @@ class TestBoundFunctions:
     def test_upper_bound_endpoints(self):
         assert bounds.upper_bound_M(0.0) == pytest.approx(1.0, abs=1e-12)
         assert bounds.upper_bound_M(1.0) == pytest.approx(0.0, abs=1e-12)
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "alpha_reference.json"
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """The stored deltas and their 50-digit alpha, as exact fractions."""
+    table = json.loads(REFERENCE.read_text())["alpha"]
+    return np.array([float(d) for d in table]), [Fraction(a) for a in table.values()]
+
+
+class TestAgainstReference:
+    # one call per bound over every delta of perfbench/alpha_reference.json
+
+    def test_upper_bound_within_4_ulp(self, reference):
+        deltas, exact = reference
+        values = bounds.upper_bound_M(deltas)
+        ulps = [abs(Fraction(v) - a) / Fraction(math.ulp(float(a)))
+                for d, v, a in zip(deltas, values, exact) if 0.0 < d < 1.0]
+        assert len(ulps) == deltas.size - 2
+        assert max(ulps) <= 4
+        assert bounds.upper_bound_M(np.array([0.0, 1.0])).tolist() == [1.0, 0.0]
+
+    def test_lower_bound_within_two_ulp_of_one(self, reference):
+        # m is 2.5e-16 off at most, but not a few ulps relative as delta -> 1: alpha
+        # tends to 0 there, and about 200 stored delta above 0.5 are more than 4 ulp
+        # off. Closing that takes a Newton solve for m, not its grid-and-golden search.
+        deltas, exact = reference
+        values = bounds.lower_bound_m(deltas, 720)
+        assert max(abs(Fraction(v) - a) for v, a in zip(values, exact)) <= Fraction(4.4e-16)
 
 
 def alpha_mp(delta):

@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsl import bounds, cli, oracle, tangent
+from qsl import bounds, checks, cli, oracle, tangent
 
 
 def run(capsys, *argv):
@@ -126,7 +127,7 @@ class TestVerify:
         code, out = run(capsys, "verify")
         assert code == 0
         report = dict(line.split("=", 1) for line in out.strip().split("\n"))
-        assert float(report["equality_max_gap"]) <= 1e-6
+        assert float(report["equality_max_gap"]) <= float(report["equality_tol"]) <= 1e-15
         assert report["overall"] == "pass"
 
     def test_tightness_line_follows_the_grid_minimum(self, capsys):
@@ -149,7 +150,7 @@ class TestVerify:
         report = dict(line.split("=", 1) for line in out.strip().split("\n"))
         assert report["failed_checks"] != "none"
 
-    # each check's one callee, spoiled so that only that check can fail
+    # a callee of the checks, spoiled so that only the checks that call it can fail
     @pytest.mark.parametrize("check, module, callee, spoiled", [
         ("equality", bounds, "lower_bound_m", lambda delta, n_theta: 0.0),
         ("minimax_oracle", oracle, "minimax_bruteforce_m", lambda delta, n: 10.0),
@@ -165,6 +166,14 @@ class TestVerify:
                      lambda q, shipped=tangent.a_of_q: shipped(q) * (1.0 - 1e-9),
                      id="tangent_inequality-qsl.tangent-a_of_q-low"),
         ("arc_gaps", bounds, "arc_gap_CD", lambda psi, delta, branch: np.full(np.shape(psi), -1.0)),
+        # a bound off by a relative 1e-10 is about 1e5 times the few-ulp gates
+        pytest.param("equality", bounds, "lower_bound_m",
+                     lambda delta, n_theta, shipped=bounds.lower_bound_m:
+                     shipped(delta, n_theta) * (1.0 + 1e-10),
+                     id="equality-qsl.bounds-lower_bound_m-high"),
+        pytest.param("equality,two_level_oracle", bounds, "upper_bound_M",
+                     lambda delta, shipped=bounds.upper_bound_M: shipped(delta) * (1.0 + 1e-10),
+                     id="equality,two_level_oracle-qsl.bounds-upper_bound_M-high"),
     ])
     def test_spoiled_callee_fails_its_check_only(self, capsys, monkeypatch,
                                                  check, module, callee, spoiled):
@@ -174,6 +183,33 @@ class TestVerify:
         assert code == 1
         assert report["failed_checks"] == check
 
+
+    @pytest.mark.parametrize("callee, failed", [("lower_bound_m", "equality"),
+                                                ("upper_bound_M", "equality,two_level_oracle")])
+    def test_bound_off_by_1e10_fails_in_full_mode(self, capsys, monkeypatch, callee, failed):
+        shipped = getattr(bounds, callee)
+        monkeypatch.setattr(bounds, callee, lambda *args: shipped(*args) * (1.0 + 1e-10))
+        code, out = run(capsys, "verify")
+        report = dict(line.split("=", 1) for line in out.strip().split("\n"))
+        assert code == 1
+        assert report["failed_checks"] == failed
+
+    def test_equality_and_two_level_make_one_call_per_bound(self, monkeypatch):
+        calls = Counter()
+        for module, name in ((bounds, "lower_bound_m"), (bounds, "upper_bound_M"),
+                             (oracle, "two_level_min_time")):
+            def stand_in(*args, shipped=getattr(module, name), name=name):
+                calls[name] += 1
+                return shipped(*args)
+
+            monkeypatch.setattr(module, name, stand_in)
+        for quick in (True, False):
+            calls.clear()
+            assert checks.equality(quick, 7)[1]
+            assert calls == {"lower_bound_m": 1, "upper_bound_M": 1}
+            calls.clear()
+            assert checks.two_level_oracle(quick, 7)[1]
+            assert calls == {"two_level_min_time": 1, "upper_bound_M": 1}
 
     def test_spoiled_stationary_max_fails_equality_and_identities(self, capsys, monkeypatch):
         # lower_bound_m and the identity suite share the one stationary form

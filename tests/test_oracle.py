@@ -76,6 +76,15 @@ class TestTwoLevelPassage:
         with pytest.raises(DomainError):
             oracle.two_level_passage_time(xi, delta)
 
+    def test_array_equals_point_calls(self):
+        # inf in the array where a single call returns None
+        xi = np.linspace(0.05, 0.95, 37)
+        for delta in (0.0, 0.3, 0.9):
+            times = oracle.two_level_passage_time(xi, delta)
+            points = [oracle.two_level_passage_time(float(x), delta) for x in xi]
+            assert times.tolist() == [math.inf if t is None else t for t in points]
+            assert None in points or delta == 0.9
+
 
 class TestTwoLevelMinTime:
     def test_delta_zero(self):
@@ -83,6 +92,22 @@ class TestTwoLevelMinTime:
 
     def test_matches_closed_form(self):
         assert oracle.two_level_min_time(0.5) == pytest.approx(bounds.upper_bound_M(0.5), abs=1e-8)
+
+    def test_array_equals_point_calls(self):
+        # qsl verify's deltas, the degenerate delta = 0 and one below its 1e-15 cell
+        deltas = np.array([0.0, 1e-31, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-9])
+        values = oracle.two_level_min_time(deltas)
+        assert values.tolist() == [oracle.two_level_min_time(float(d)) for d in deltas]
+        assert oracle.two_level_min_time(deltas.reshape(4, 2)).tolist() == \
+            values.reshape(4, 2).tolist()
+
+    def test_scalar_in_scalar_out(self):
+        value = oracle.two_level_min_time(0.3)
+        assert np.ndim(value) == 0 and isinstance(value, float)
+
+    def test_one_bad_delta_raises(self):
+        with pytest.raises(DomainError):
+            oracle.two_level_min_time(np.array([0.3, 1.2, 0.7]))
 
     def test_energy_scale_cancels(self):
         # two_level_min_time works at level spacing 1: <H - E0> * t, proportional

@@ -185,6 +185,18 @@ class TestArrays:
             assert fn(xs).tolist() == [fn(float(x)) for x in xs], fn.__name__
             assert fn(xs.reshape(-1, 1)).shape == (xs.size, 1)
 
+    def test_blocks_equal_one_unblocked_evaluation(self, monkeypatch):
+        # the buffered blocks add the same terms in the same order as the plain
+        # expression; a lowered a(q) moves each minimum off x = 0, where it is exactly 0
+        shipped = tangent.a_of_q
+        monkeypatch.setattr(tangent, "a_of_q", lambda q: shipped(q) * (1.0 - 1e-3))
+        x = np.linspace(0.0, 50.0, 4096)
+        a = tangent.a_of_q(self.Q_GRID)[:, None]
+        q = self.Q_GRID[:, None]
+        whole = (np.cos(x) + q * np.sin(x) - 1.0 + a * x).min(axis=1)
+        assert np.all(whole < 0.0)
+        np.testing.assert_array_equal(tangent.check_tangent_inequality(self.Q_GRID), whole)
+
     def test_scalar_in_scalar_out(self):
         for fn, xs in self.cases():
             value = fn(float(xs[1]))
