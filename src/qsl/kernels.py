@@ -1,6 +1,8 @@
 """Hot numeric kernels, one numpy implementation each.
 
-``theta_max_table`` serves the grid-minimax oracle. The first-passage scans of
+``theta_max_table`` serves the grid-minimax oracle. Each of its cells is
+rounded on its own, so a table of any subset of rows or columns holds the same
+values, which lets the oracle prune rows exactly. The first-passage scans of
 :mod:`qsl.qsim` use the rest: the fidelity on uniform grids (one complex
 matrix product per block of rows), the fidelity and its first two time
 derivatives at arbitrary times, the rounding bound of both, and the two
@@ -13,9 +15,10 @@ import math
 
 import numpy as np
 
-# rows of the theta_max_table block evaluated at once, in two buffers that every
-# block reuses: a few hundred kB at 2048 columns, so they stay in cache
-_THETA_CHUNK = 16
+# cells of the theta_max_table block evaluated at once (4 rows of 2048 columns,
+# 126 rows of a pruning pass's 65), in two 64 kB buffers that every block
+# reuses, so they stay in cache
+_THETA_CELLS = 4 * 2048
 
 # complex entries of fidelity_rows' left factor per block of rows, bounding its memory
 _ROW_BLOCK = 1 << 16
@@ -30,11 +33,12 @@ _NEWTON_STEPS = 64
 def theta_max_table(rho, sigma, fa, fb):
     """For each (rho, sigma) row, the max of rho*fa + sigma*fb over the y profiles."""
     n_t = rho.shape[0]
+    rows = max(1, min(n_t, _THETA_CELLS // fa.size))
     best = np.empty(n_t)
-    block = np.empty((_THETA_CHUNK, fa.size))
-    term = np.empty((_THETA_CHUNK, fa.size))
-    for s in range(0, n_t, _THETA_CHUNK):
-        e = min(s + _THETA_CHUNK, n_t)
+    block = np.empty((rows, fa.size))
+    term = np.empty((rows, fa.size))
+    for s in range(0, n_t, rows):
+        e = min(s + rows, n_t)
         b, t = block[:e - s], term[:e - s]
         np.multiply(rho[s:e, None], fa, out=b)
         np.multiply(sigma[s:e, None], fb, out=t)

@@ -211,6 +211,19 @@ class TestVerify:
             assert checks.two_level_oracle(quick, 7)[1]
             assert calls == {"two_level_min_time": 1, "upper_bound_M": 1}
 
+    def test_minimax_oracle_makes_one_call_per_bound(self, monkeypatch):
+        calls = Counter()
+        for module, name in ((oracle, "minimax_bruteforce_m"), (bounds, "upper_bound_M")):
+            def stand_in(*args, shipped=getattr(module, name), name=name):
+                calls[name] += 1
+                return shipped(*args)
+
+            monkeypatch.setattr(module, name, stand_in)
+        for quick in (True, False):
+            calls.clear()
+            assert checks.minimax_oracle(quick, 7)[1]
+            assert calls == {"minimax_bruteforce_m": 1, "upper_bound_M": 1}
+
     def test_spoiled_stationary_max_fails_equality_and_identities(self, capsys, monkeypatch):
         # lower_bound_m and the identity suite share the one stationary form
         shipped = bounds.stationary_max

@@ -16,12 +16,12 @@ def random_state_arrays(seed, d=6):
 
 
 def test_theta_max_table_matches_full_matrix_argmax():
-    # 300 rows: whole blocks and a partial one; the buffered sums are the same
+    # 310 rows: whole blocks and a partial one; the buffered sums are the same
     # products added in the same order, so the maxima are equal bit for bit
-    assert 300 % kernels._THETA_CHUNK != 0
+    assert 310 % (kernels._THETA_CELLS // 400) != 0
     rng = np.random.default_rng(5)
-    rho = rng.uniform(0.0, 2.0, 300)
-    sigma = rng.uniform(-1.0, 1.0, 300)
+    rho = rng.uniform(0.0, 2.0, 310)
+    sigma = rng.uniform(-1.0, 1.0, 310)
     fa = rng.uniform(-2.0, 2.0, 400)
     fb = rng.uniform(-2.0, 2.0, 400)
     full = np.outer(rho, fa) + np.outer(sigma, fb)

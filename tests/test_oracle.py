@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsl import bounds, oracle, qsim
+from qsl import bounds, checks, kernels, oracle, qsim, rootfind
 from qsl.errors import DomainError
 
 
@@ -34,6 +34,55 @@ class TestMinimax:
             for g in (64, 128, 256, 512, 1024)
         ]
         assert all(e2 <= e1 for e1, e2 in zip(errs, errs[1:]))
+
+    @pytest.mark.parametrize("n", [64, 256, 2048])
+    def test_pruning_changes_nothing(self, n):
+        # the full table's minimum, bit for bit: at delta = 0 every row is equal
+        deltas = np.linspace(0.0, 1.0, 201)
+        _, fa, fb = oracle._y_profiles(n)
+        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        full = [(2.0 / math.pi) * float(kernels.theta_max_table(
+                    1.0 - math.sqrt(d) * np.cos(theta), math.sqrt(d) * np.sin(theta), fa, fb).min())
+                for d in deltas]
+        values = oracle.minimax_bruteforce_m(deltas, n)
+        assert values.tolist() == full
+        assert [oracle.minimax_bruteforce_m(float(d), n) for d in deltas] == full
+        assert oracle.minimax_bruteforce_m(deltas.reshape(3, 67), n).tolist() == \
+            values.reshape(3, 67).tolist()
+
+    def test_scalar_in_scalar_out(self):
+        value = oracle.minimax_bruteforce_m(0.3, 256)
+        assert np.ndim(value) == 0 and isinstance(value, float)
+
+    def test_gate_curvatures_bound_the_objective(self):
+        # the error model of checks.minimax_oracle: near its minimiser in theta,
+        # (2/pi) max_y F rises no faster than c_theta s^2 / 2 within half a
+        # 256-point step s, and (2/pi) F bends no more than c_y in y near its maximiser
+        half = math.pi / 256
+        s = np.concatenate((np.linspace(-half, -half / 64, 64), np.linspace(half / 64, half, 64)))
+        yb = rootfind.y_bounds()
+        for delta in checks.ORACLE_DELTAS[False]:
+            theta = np.linspace(math.pi, 2.0 * math.pi, 400_001)
+            star = theta[np.argmin(bounds.max_F_over_q(theta, delta))]
+            rise = (bounds.max_F_over_q(star + s, delta) - bounds.max_F_over_q(star, delta))
+            assert np.max((2.0 / math.pi) * 2.0 * rise / s**2) <= checks._THETA_CURVATURE
+            root = math.sqrt(delta)
+            rho, sigma = 1.0 - root * math.cos(star), root * math.sin(star)
+            y = np.linspace(yb.y_minus, yb.y_plus, 20_001)
+            f = (2.0 / math.pi) * bounds.F_of_y(y, rho, sigma)
+            k = int(np.argmax(f))
+            assert 0 < k < y.size - 1  # an interior maximum, as in the window
+            bend = -(f[k - 1] - 2.0 * f[k] + f[k + 1]) / (y[1] - y[0]) ** 2
+            assert bend <= checks._Y_CURVATURE
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_every_oracle_delta_within_the_gate(self, quick):
+        # all five deltas on both grids, not only the ones the mode checks
+        deltas = np.array(checks.ORACLE_DELTAS[False])
+        err = oracle.minimax_bruteforce_m(deltas, 256 if quick else 2048) - \
+            bounds.upper_bound_M(deltas)
+        lines, _ = checks.minimax_oracle(quick, 7)
+        assert np.max(np.abs(err)) <= lines["minimax_oracle_tol"]
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -100,6 +149,18 @@ class TestTwoLevelMinTime:
         assert values.tolist() == [oracle.two_level_min_time(float(d)) for d in deltas]
         assert oracle.two_level_min_time(deltas.reshape(4, 2)).tolist() == \
             values.reshape(4, 2).tolist()
+
+    def test_defined_up_to_one(self):
+        # every float in [1 - 1e-15, 1]: the top weight rounds to 1 at the last two
+        assert oracle.two_level_min_time(1.0) == 0.0
+        deltas = [1.0]
+        while deltas[-1] >= 1.0 - 1e-15:
+            deltas.append(float(np.nextafter(deltas[-1], 0.0)))
+        deltas = np.array(deltas)
+        values = oracle.two_level_min_time(deltas)
+        eps = float(np.finfo(np.float64).eps)
+        assert np.max(np.abs(values - bounds.upper_bound_M(deltas))) <= 4.0 * eps
+        assert values.tolist() == [oracle.two_level_min_time(float(d)) for d in deltas]
 
     def test_scalar_in_scalar_out(self):
         value = oracle.two_level_min_time(0.3)

@@ -40,3 +40,5 @@ def test_traced_commands_run_and_reach_the_hooks():
                  "kernels.theta_max_table.calls", "kernels.fidelity_grid.calls",
                  "qsim.verify_limits.calls", "reports.render.calls"):
         assert stats.get(name, 0) > 0, name
+    # verify --quick prunes its two 256 x 256 minimax tables to a few full rows
+    assert stats["kernels.theta_max_table.cells"] <= 2 * 256 * 256 / 4
