@@ -7,6 +7,9 @@ values, which lets the oracle prune rows exactly. The first-passage scans of
 matrix product per block of rows), the fidelity and its first two time
 derivatives at arbitrary times, the rounding bound of both, and the two
 vectorised Newton refiners, whose ``newton`` also solves for :mod:`qsl.bounds`' M.
+``refine_crossing`` takes one state or one zero-padded state row per bracket,
+so that a block of trials is refined in one call; it sums each bracket's levels
+in order, so that the padding changes no bit of a bracket's f and f'.
 """
 
 from __future__ import annotations
@@ -116,8 +119,8 @@ def d2fidelity(p, energies, t):
                   - z.real * zdd.real - z.imag * zdd.imag)
 
 
-# The refiners look the helpers up under these names, where
-# perfbench/layers.py installs its call counters.
+# perfbench/layers.py installs its call counters under these names;
+# refine_minimum looks its slope up there
 _fidelity_scalar = fidelity_scalar
 _dfidelity_scalar = dfidelity_scalar
 
@@ -159,16 +162,35 @@ def refine_crossing(p, energies, lo, hi, level):
     """Solve f(t) = level in each bracket, where f(lo) > level >= f(hi).
 
     ``lo``, ``hi`` and ``level`` are arrays over the brackets (``level`` may
-    be one number for all); Newton's method on the analytic derivative.
+    be one number for all). ``p`` and ``energies`` are one state's, shared by
+    every bracket (1-d), or one zero-padded row per bracket (2-d). Newton's
+    method on the analytic derivative, with f and f' from one exp table per
+    pass. Each bracket stops at the rounding bound of its own state, whose
+    levels are its nonzero p.
     """
     level = np.broadcast_to(np.asarray(level, dtype=np.float64), np.shape(lo)).ravel()
+    # level-major tables (no copy for the transpose of a level-major array):
+    # the sum over levels adds one level after the other, so a padding level
+    # (p = 0) adds exact zeros and changes no bit
+    p_t = np.ascontiguousarray(np.atleast_2d(p).T)
+    e_t = np.ascontiguousarray(np.atleast_2d(energies).T)
+    tables = p_t, e_t, p_t * e_t
+
+    def sums(t, rows):
+        # take, unlike [:, rows], keeps the tables level-major; one shared column broadcasts
+        p_r, e_r, pe_r = (a.take(rows, axis=1) for a in tables) if p.ndim > 1 else tables
+        w = -1j * (e_r * t)
+        np.exp(w, out=w)
+        return (w * p_r).sum(axis=0), (w * pe_r).sum(axis=0)
 
     def g(t, rows):
-        return (_fidelity_scalar(p, energies, t) - level[rows],
-                _dfidelity_scalar(p, energies, t))
+        z, zd = sums(t, rows)
+        return (z.real * z.real + z.imag * z.imag - level[rows],
+                2.0 * (z.real * zd.imag - z.imag * zd.real))
 
-    scale = float(np.abs(energies).max())
-    return newton(g, lo, hi, rounding_bound(np.asarray(hi), energies.size, scale))
+    tol = rounding_bound(np.asarray(hi), np.count_nonzero(p, axis=-1),
+                         np.abs(energies).max(axis=-1))
+    return newton(g, lo, hi, tol)
 
 
 def refine_minimum(p, energies, lo, hi):

@@ -86,10 +86,11 @@ def two_level_passage_time(xi: float | np.ndarray, delta: float | np.ndarray):
     require((0.0 < xi) & (xi < 1.0), xi, "xi must lie in (0, 1)")
     require((0.0 <= delta) & (delta <= 1.0), delta, "delta must lie in [0, 1]")
     u = xi * xi
-    amp = 2.0 * u * (1.0 - u)
-    arg = (delta - (1.0 - u) ** 2 - u * u) / amp
-    # an argument a rounding error below -1 is clamped
-    t = np.where(arg < -1.0 - 1e-12, math.inf, np.arccos(np.clip(arg, -1.0, 1.0)))
+    # f = 1 - 2*amp*sin(t/2)^2 with amp = 2u(1 - u): solved from 1 - delta,
+    # which stays exact as delta -> 1 where delta - (1-u)^2 - u^2 would cancel
+    s = (1.0 - delta) / (4.0 * u * (1.0 - u))
+    # a square a rounding error above 1 is clamped
+    t = np.where(s > 1.0 + 5e-13, math.inf, 2.0 * np.arcsin(np.sqrt(np.minimum(s, 1.0))))
     if t.ndim == 0:
         return None if t == math.inf else float(t)
     return t

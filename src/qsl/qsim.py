@@ -38,6 +38,10 @@ _SPLIT = 16
 _MAX_DEPTH = 5
 # a local minimum this close to the target reaches it (a tangential touch)
 _TOUCH_ACCEPT = 1e-12
+# verify_limits refines its pending crossings once their brackets' zero-padded
+# (p, e) rows reach this many entries: the row block of the fidelity kernels,
+# so the refinement's memory stays bounded at any --dmax
+_REFINE_CELLS = kernels._ROW_BLOCK
 
 
 @dataclass
@@ -69,23 +73,20 @@ class QuantumState:
         return self.energies[mask], p / p.sum()
 
 
-def dispersion(state: QuantumState) -> float:
-    """Energy standard deviation in the state."""
-    energies, p = state.support()
+def dispersion(energies: np.ndarray, p: np.ndarray) -> float:
+    """Energy standard deviation of a state with support (energies, p)."""
     mean = float(p @ energies)
     var = float(p @ (energies - mean) ** 2)
     return math.sqrt(max(var, 0.0))
 
 
-def mean_excess_energy(state: QuantumState) -> float:
-    """Mean energy above the lowest occupied level."""
-    energies, p = state.support()
+def mean_excess_energy(energies: np.ndarray, p: np.ndarray) -> float:
+    """Mean energy above the lowest occupied level of a state with support (energies, p)."""
     return float(p @ energies) - float(energies.min())
 
 
-def default_horizon(state: QuantumState, mult: float = 1.0) -> Optional[float]:
-    """Scan horizon 4*pi / (smallest occupied energy gap), or None if static."""
-    energies, _ = state.support()
+def default_horizon(energies: np.ndarray, mult: float = 1.0) -> Optional[float]:
+    """Scan horizon 4*pi / (smallest gap of the occupied ``energies``), or None if static."""
     if energies.size < 2:
         return None
     gaps = np.diff(np.sort(energies))
@@ -209,16 +210,23 @@ def _touches(curve: _Curve, a, b, relevant, deltas, lo, hi, touch) -> None:
             touch[j] = t_min[i]
 
 
-def _passage_times(energies: np.ndarray, p: np.ndarray, deltas: np.ndarray,
-                   horizon: float) -> np.ndarray:
-    """First-passage time to each target of the increasing ``deltas`` within [0, horizon].
+# the crossing brackets of a state without any: (curve, at, lo, hi) as _scan returns them
+_NO_BRACKETS = (None, np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
+
+
+def _scan(energies: np.ndarray, p: np.ndarray, deltas: np.ndarray,
+          horizon: float) -> tuple[np.ndarray, tuple]:
+    """First passage to each target of the increasing ``deltas``, up to refinement.
 
     The scan steps forward in chunks of a uniform grid with
     _SAMPLES_PER_FAST_PERIOD points per fastest period and certifies every
     cell before a reported time (:func:`_first_events`). It stops when every
-    target is reached. nan marks a target not reached: provably unreachable,
-    since f >= (2*p_max - 1)**2 when p_max > 1/2, or not reached within the
-    horizon or the point budget.
+    target is reached. Returns the passage times found so far (0 for a
+    target met at the start, the time of a touch; nan for one not reached:
+    provably unreachable, since f >= (2*p_max - 1)**2 when p_max > 1/2, or not
+    reached within the point budget) and the crossings still to refine as
+    (curve, at, lo, hi): f first comes down to deltas[at] in [lo, hi]. A time
+    past ``horizon`` counts as not reached once the crossings are refined.
     """
     t_star = np.where(deltas >= 1.0, 0.0, np.nan)
     p_max = float(p.max())
@@ -226,7 +234,7 @@ def _passage_times(energies: np.ndarray, p: np.ndarray, deltas: np.ndarray,
     span = float(energies.max() - energies.min())
     todo = np.nonzero((deltas < 1.0) & (deltas + _TOUCH_ACCEPT >= floor))[0]
     if span <= 0.0 or not todo.size:
-        return t_star
+        return t_star, _NO_BRACKETS
     curve = _Curve.of(energies, p)
     dt = 2.0 * math.pi / (_SAMPLES_PER_FAST_PERIOD * span)
     steps = horizon / dt  # inf for an infinite horizon
@@ -253,12 +261,8 @@ def _passage_times(energies: np.ndarray, p: np.ndarray, deltas: np.ndarray,
         todo = todo[lo == math.inf]
         f_prev = f[-1]
         k0 += n
-    at = np.concatenate(found_at)
-    if at.size:
-        t_star[at] = kernels.refine_crossing(curve.p, curve.e, np.concatenate(found_lo),
-                                             np.concatenate(found_hi), deltas[at])
-    t_star[t_star > horizon] = np.nan
-    return t_star
+    return t_star, (curve, np.concatenate(found_at), np.concatenate(found_lo),
+                    np.concatenate(found_hi))
 
 
 def first_passage(state: QuantumState, delta: float, horizon: float) -> Optional[float]:
@@ -277,19 +281,24 @@ def first_passage(state: QuantumState, delta: float, horizon: float) -> Optional
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     if not horizon > 0.0:
         raise DomainError(f"horizon must be positive, got {horizon}")
-    t_star = _passage_times(*state.support(), np.array([float(delta)]), horizon)[0]
-    return None if math.isnan(t_star) else float(t_star)
+    deltas = np.array([float(delta)])
+    t_star, (curve, at, lo, hi) = _scan(*state.support(), deltas, horizon)
+    if at.size:
+        t_star[at] = kernels.refine_crossing(curve.p, curve.e, lo, hi, deltas[at])
+    t = float(t_star[0])
+    return None if math.isnan(t) or t > horizon else t
 
 
-def _limits(state: QuantumState, ml_coeff: np.ndarray,
+def _limits(energies: np.ndarray, p: np.ndarray, ml_coeff: np.ndarray,
             mt_coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both speed limits of ``state`` per target, from their numerators.
+    """Both speed limits per target of the state with support (energies, p).
 
     The excitation-energy limit is ml_coeff / <H - E0> with ml_coeff =
     (pi/2) * alpha(delta); the dispersion limit is mt_coeff / dE with
-    mt_coeff = arccos(sqrt(delta)). A limit whose denominator vanishes is inf.
+    mt_coeff = arccos(sqrt(delta)), the numerators. A limit whose denominator
+    vanishes is inf.
     """
-    excess, de = mean_excess_energy(state), dispersion(state)
+    excess, de = mean_excess_energy(energies, p), dispersion(energies, p)
     return (ml_coeff / excess if excess > 0.0 else np.full_like(ml_coeff, math.inf),
             mt_coeff / de if de > 0.0 else np.full_like(mt_coeff, math.inf))
 
@@ -311,6 +320,7 @@ def draw_state(rng: np.random.Generator, d: int) -> QuantumState:
 
 
 _HIST_EDGES = (1e-6, 1e-3, 1e-2, 1e-1, 1.0)
+_HIST_KEYS = [f"hist_rel_slack_le_{edge:g}" for edge in _HIST_EDGES] + ["hist_rel_slack_gt_1"]
 
 
 def _empty_report(trials: int, d_max: int, seed: int, horizon_mult: float) -> dict:
@@ -329,18 +339,61 @@ def _empty_report(trials: int, d_max: int, seed: int, horizon_mult: float) -> di
         "designed_violations": 0,
         "designed_max_rel_slack": 0.0,
     }
-    for edge in _HIST_EDGES:
-        report[f"hist_rel_slack_le_{edge:g}"] = 0
-    report["hist_rel_slack_gt_1"] = 0
+    report.update(dict.fromkeys(_HIST_KEYS, 0))
     return report
 
 
-def _bin_slack(report: dict, rel_slack: float) -> None:
-    for edge in _HIST_EDGES:
-        if rel_slack <= edge:
-            report[f"hist_rel_slack_le_{edge:g}"] += 1
-            return
-    report["hist_rel_slack_gt_1"] += 1
+def _tally(report: dict, t_star: np.ndarray, ml: np.ndarray, mt: np.ndarray) -> None:
+    """Add to ``report`` the checks of the passage times ``t_star`` against the limits ml and mt.
+
+    A nan time is a skip. A check's slack against an infinite limit is inf; it
+    is a violation when either slack is below -1e-9, and it is binned by its
+    relative slack t_star / min(ml, mt) - 1 when that limit is finite and positive.
+    """
+    checked = ~np.isnan(t_star)
+    t, ml, mt = t_star[checked], ml[checked], mt[checked]
+    report["skips"] += t_star.size - t.size
+    if not t.size:
+        return
+    report["checks"] += t.size
+    ml_slack = np.where(np.isfinite(ml), t - ml, math.inf)
+    mt_slack = np.where(np.isfinite(mt), t - mt, math.inf)
+    report["min_ml_slack"] = min(report["min_ml_slack"], float(ml_slack.min()))
+    report["min_mt_slack"] = min(report["min_mt_slack"], float(mt_slack.min()))
+    report["violations"] += int(np.count_nonzero((ml_slack < -1e-9) | (mt_slack < -1e-9)))
+    binding = np.minimum(ml, mt)
+    binned = np.isfinite(binding) & (binding > 0.0)
+    rel = t[binned] / binding[binned] - 1.0
+    # the first edge at or above each slack; past the last edge, the gt_1 bin
+    bins = np.bincount(np.searchsorted(_HIST_EDGES, rel), minlength=len(_HIST_EDGES) + 1)
+    for key, count in zip(_HIST_KEYS, bins.tolist()):
+        report[key] += count
+
+
+def _settle(report: dict, block: list) -> None:
+    """Refine the crossings of a block of scanned trials in one call, then tally the block.
+
+    ``block`` holds (t_star, horizon, ml, mt, (curve, at, lo, hi)) per trial.
+    Each bracket becomes a row of its state's (p, e), zero-padded to the
+    widest state of the block.
+    """
+    t_star, horizon, ml, mt, brackets = zip(*block)
+    t_star = np.array(t_star)
+    pending = [(i, *b) for i, b in enumerate(brackets) if b[1].size]
+    if pending:
+        trial, curves, ats, los, his = zip(*pending)
+        slot = np.concatenate([i * DELTAS.size + at for i, at in zip(trial, ats)])
+        # level-major, so that the kernel takes the rows' transpose as it is
+        p, e = np.zeros((2, max(curve.p.size for curve in curves), slot.size))
+        r = 0
+        for curve, at in zip(curves, ats):
+            p[:curve.p.size, r:r + at.size] = curve.p[:, None]
+            e[:curve.e.size, r:r + at.size] = curve.e[:, None]
+            r += at.size
+        t_star.ravel()[slot] = kernels.refine_crossing(
+            p.T, e.T, np.concatenate(los), np.concatenate(his), DELTAS[slot % DELTAS.size])
+    t_star[t_star > np.array(horizon)[:, None]] = np.nan
+    _tally(report, t_star.ravel(), np.concatenate(ml), np.concatenate(mt))
 
 
 def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0) -> dict:
@@ -349,8 +402,12 @@ def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0)
     Each trial draws a state (dimension uniform in {2..d_max}, energies in
     [0, 1], per-trial seed ``seed + trial``), measures the first passage for
     every target fidelity of DELTAS, and asserts t_star >= bound - 1e-9 for
-    both limits. The saturating two-level states are included as designed
-    cases, checked the same way. Violations are counted, not raised.
+    both limits. The trials are scanned one by one; their crossings are
+    refined in blocks, by one kernels.refine_crossing call each time the
+    pending brackets' zero-padded (p, e) rows reach _REFINE_CELLS entries,
+    and each block is tallied at once. The saturating two-level states are
+    included as designed cases, checked the same way. Violations are counted,
+    not raised.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
@@ -362,49 +419,43 @@ def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0)
 
     ml_coeff = 0.5 * math.pi * bounds.alpha(DELTAS)
     mt_coeff = np.array([bounds.mt_alpha(d) for d in DELTAS.tolist()])
+    block, rows, width = [], 0, 0
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
-        state = draw_state(rng, int(rng.integers(2, d_max + 1)))
-        horizon = default_horizon(state, horizon_mult)
+        energies, p = draw_state(rng, int(rng.integers(2, d_max + 1))).support()
+        horizon = default_horizon(energies, horizon_mult)
         if horizon is None:
-            report["skips"] += DELTAS.size
-            continue
-        t_star = _passage_times(*state.support(), DELTAS, horizon)
-        ml, mt = _limits(state, ml_coeff, mt_coeff)
-        for t, ml_d, mt_d in zip(t_star.tolist(), ml.tolist(), mt.tolist()):
-            if math.isnan(t):
-                report["skips"] += 1
-            else:
-                _record_check(report, t, ml_d, mt_d)
+            t_star, brackets, horizon = np.full(DELTAS.size, np.nan), _NO_BRACKETS, math.inf
+        else:
+            t_star, brackets = _scan(energies, p, DELTAS, horizon)
+        block.append((t_star, horizon, *_limits(energies, p, ml_coeff, mt_coeff), brackets))
+        if brackets[1].size:
+            rows, width = rows + brackets[1].size, max(width, p.size)
+        if rows * width >= _REFINE_CELLS:
+            _settle(report, block)
+            block, rows, width = [], 0, 0
+    if block:
+        _settle(report, block)
 
     _, z_opts = bounds._upper_bound_argmin(DELTAS)
+    designed = []
     for i, (delta, z_opt) in enumerate(zip(DELTAS.tolist(), z_opts.tolist())):
         u = 0.5 * (1.0 + z_opt)
         if not 0.0 < u < 1.0:
             continue
         state = two_level_state(math.sqrt(u))
-        t_star = first_passage(state, delta, default_horizon(state, max(horizon_mult, 1.0)))
+        energies, p = state.support()
+        t_star = first_passage(state, delta, default_horizon(energies, max(horizon_mult, 1.0)))
         report["designed_cases"] += 1
         if t_star is None:
             report["designed_violations"] += 1
             continue
-        ml, mt = (float(limit[i]) for limit in _limits(state, ml_coeff, mt_coeff))
-        _record_check(report, t_star, ml, mt)
+        ml, mt = (float(limit[i]) for limit in _limits(energies, p, ml_coeff, mt_coeff))
+        designed.append((t_star, ml, mt))
         rel = abs(t_star / ml - 1.0)
         report["designed_max_rel_slack"] = max(report["designed_max_rel_slack"], rel)
         if rel > 1e-6:
             report["designed_violations"] += 1
+    if designed:
+        _tally(report, *np.array(designed).T)
     return report
-
-
-def _record_check(report: dict, t_star: float, ml: float, mt: float) -> None:
-    report["checks"] += 1
-    ml_slack = t_star - ml if math.isfinite(ml) else math.inf
-    mt_slack = t_star - mt if math.isfinite(mt) else math.inf
-    report["min_ml_slack"] = min(report["min_ml_slack"], ml_slack)
-    report["min_mt_slack"] = min(report["min_mt_slack"], mt_slack)
-    if ml_slack < -1e-9 or mt_slack < -1e-9:
-        report["violations"] += 1
-    binding = min(ml, mt)
-    if math.isfinite(binding) and binding > 0.0:
-        _bin_slack(report, t_star / binding - 1.0)

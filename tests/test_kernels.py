@@ -91,6 +91,57 @@ def test_refine_crossing_lands_on_level():
     np.testing.assert_allclose(kernels.fidelity_scalar(p, energies, t), levels, rtol=0, atol=1e-13)
 
 
+def padded_crossings(states, width):
+    """Brackets of each state's crossings, as zero-padded (p, e) rows of ``width``.
+
+    Each bracket is the grid cell where f first comes down to one of the
+    levels 0.2, 0.5 and 0.8 that it reaches. Returns the rows
+    (p, e, lo, hi, level) and each state's own (p, e, lo, hi, level).
+    """
+    rows, own = [], []
+    step = 0.01
+    for energies, p in states:
+        f = kernels.fidelity_grid(p, energies, 0.0, step, 5000)
+        levels = np.array([level for level in (0.2, 0.5, 0.8) if f.min() <= level])
+        hi = np.array([int(np.argmax(f <= level)) for level in levels]) * step
+        own.append((p, energies, hi - step, hi, levels))
+        pad = (0, width - p.size)
+        rows.append((np.tile(np.pad(p, pad), (levels.size, 1)),
+                     np.tile(np.pad(energies, pad), (levels.size, 1)), hi - step, hi, levels))
+    return [np.concatenate(part) for part in zip(*rows)], own
+
+
+def test_refine_crossing_on_padded_rows_matches_one_call_per_state():
+    # one call on the zero-padded rows of states of 2, 5 and 8 levels, as
+    # verify_limits refines a block, against one call per state, as first_passage
+    states = [random_state_arrays(seed, d) for seed, d in ((41, 2), (43, 5), (47, 8))]
+    rows, own = padded_crossings(states, 8)
+    assert [args[4].size for args in own] == [2, 3, 3]  # two levels do not reach 0.2
+    t = kernels.refine_crossing(*rows)
+    ref = np.concatenate([kernels.refine_crossing(*args) for args in own])
+    assert np.all(np.abs(t - ref) <= 4 * np.spacing(ref))
+    assert np.all((rows[2] < t) & (t <= rows[3]))
+
+
+def test_padding_level_leaves_f_and_slope_bit_identical(monkeypatch):
+    # the same rows with one more p = 0 column: each Newton pass sees the same
+    # value and slope bit for bit, so the refined times are equal too
+    calls = []
+    newton = kernels.newton
+    monkeypatch.setattr(kernels, "newton",
+                        lambda g, lo, hi, tol: calls.append((g, tol)) or newton(g, lo, hi, tol))
+    states = [random_state_arrays(seed, d) for seed, d in ((41, 2), (43, 5), (47, 8))]
+    narrow, _ = padded_crossings(states, 8)
+    wide, _ = padded_crossings(states, 9)
+    np.testing.assert_array_equal(kernels.refine_crossing(*narrow), kernels.refine_crossing(*wide))
+    (g8, tol8), (g9, tol9) = calls
+    np.testing.assert_array_equal(tol8, tol9)  # a bracket's tolerance counts its state's levels
+    rows = np.arange(narrow[2].size)
+    for t in (narrow[2], 0.5 * (narrow[2] + narrow[3]), narrow[3] + 1.7):
+        for a, b in zip(g8(t, rows), g9(t, rows)):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_refine_minimum_lands_on_stationary_point():
     # each bracket runs between the grid maxima around one grid minimum, so
     # it holds inflection points where a Newton step on f' can leave it

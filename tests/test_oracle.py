@@ -162,6 +162,18 @@ class TestTwoLevelMinTime:
         assert np.max(np.abs(values - bounds.upper_bound_M(deltas))) <= 4.0 * eps
         assert values.tolist() == [oracle.two_level_min_time(float(d)) for d in deltas]
 
+    def test_relative_accuracy_near_one(self):
+        # solved from 1 - delta, the time keeps its relative accuracy as it
+        # falls to 0; the difference of squares lost it all at 1 - 2**-52
+        near = np.array([1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15, 1.0 - 2.0 ** -52])
+        np.testing.assert_allclose(oracle.two_level_min_time(near), bounds.upper_bound_M(near),
+                                   rtol=1e-5, atol=0.0)
+        deltas = [float(np.nextafter(1.0, 0.0))]
+        while deltas[-1] >= 1.0 - 1e-15:
+            deltas.append(float(np.nextafter(deltas[-1], 0.0)))
+        deltas = np.concatenate((np.linspace(0.0, 1.0, 1001)[:-1], deltas))
+        assert np.all(oracle.two_level_min_time(deltas) > 0.0)
+
     def test_scalar_in_scalar_out(self):
         value = oracle.two_level_min_time(0.3)
         assert np.ndim(value) == 0 and isinstance(value, float)
@@ -176,7 +188,7 @@ class TestTwoLevelMinTime:
         # same weights at spacing 7, measured by the scan, is 1/7 of the oracle's
         t1 = oracle.two_level_passage_time(0.6, 0.3)
         state = qsim.QuantumState(np.array([0.0, 7.0]), np.array([0.8, 0.6], dtype=complex))
-        t7 = qsim.first_passage(state, 0.3, qsim.default_horizon(state))
+        t7 = qsim.first_passage(state, 0.3, qsim.default_horizon(state.support()[0]))
         assert abs(t1 - 7.0 * t7) <= 1e-12
 
     def test_sandwich_against_minimax(self):

@@ -27,6 +27,10 @@ def dense_fidelity(state, t):
     return np.abs(z) ** 2
 
 
+def scan_horizon(state, mult=1.0):
+    return qsim.default_horizon(state.support()[0], mult)
+
+
 def fast_period(state):
     energies, _ = state.support()
     return 2 * math.pi / (energies.max() - energies.min())
@@ -90,25 +94,26 @@ class TestFidelity:
         shifted = qsim.QuantumState(state.energies + 17.3, state.amplitudes)
         for t in (0.2, 1.1, 8.0):
             assert kernel_fidelity(state, t) == pytest.approx(kernel_fidelity(shifted, t), abs=1e-9)
-        assert qsim.dispersion(state) == pytest.approx(qsim.dispersion(shifted), abs=1e-12)
-        assert qsim.mean_excess_energy(state) == pytest.approx(
-            qsim.mean_excess_energy(shifted), abs=1e-12)
+        for functional in (qsim.dispersion, qsim.mean_excess_energy):
+            assert functional(*state.support()) == pytest.approx(
+                functional(*shifted.support()), abs=1e-12)
 
 
 class TestEnergyFunctionals:
     def test_equal_weight_two_level(self):
-        assert qsim.dispersion(EQUAL_WEIGHT) == pytest.approx(0.5, abs=1e-14)
-        assert qsim.mean_excess_energy(EQUAL_WEIGHT) == pytest.approx(0.5, abs=1e-14)
+        assert qsim.dispersion(*EQUAL_WEIGHT.support()) == pytest.approx(0.5, abs=1e-14)
+        assert qsim.mean_excess_energy(*EQUAL_WEIGHT.support()) == pytest.approx(0.5, abs=1e-14)
 
     def test_single_level(self):
-        assert qsim.dispersion(STATIONARY) == 0.0
-        assert qsim.mean_excess_energy(STATIONARY) == 0.0
+        assert qsim.dispersion(*STATIONARY.support()) == 0.0
+        assert qsim.mean_excess_energy(*STATIONARY.support()) == 0.0
 
     def test_weighted_two_level(self):
         for u in (0.1, 0.4, 0.9):
             s = qsim.two_level_state(math.sqrt(u))
-            assert qsim.mean_excess_energy(s) == pytest.approx(u, abs=1e-12)
-            assert qsim.dispersion(s) == pytest.approx(math.sqrt(u * (1.0 - u)), abs=1e-12)
+            assert qsim.mean_excess_energy(*s.support()) == pytest.approx(u, abs=1e-12)
+            assert qsim.dispersion(*s.support()) == pytest.approx(
+                math.sqrt(u * (1.0 - u)), abs=1e-12)
 
 
 class TestFirstPassage:
@@ -132,7 +137,7 @@ class TestFirstPassage:
         rng = np.random.default_rng(19)
         for seed in range(20):
             state = qsim.draw_state(np.random.default_rng(seed), int(rng.integers(2, 7)))
-            horizon = qsim.default_horizon(state)
+            horizon = scan_horizon(state)
             t_star = qsim.first_passage(state, 0.4, horizon)
             if t_star is not None:
                 assert 0.0 <= t_star <= horizon
@@ -150,7 +155,7 @@ class TestFirstPassage:
         rng = np.random.default_rng(7 + 738)
         state = qsim.draw_state(rng, int(rng.integers(2, 9)))
         assert state.energies.size == 7
-        horizon = qsim.default_horizon(state)
+        horizon = scan_horizon(state)
         assert horizon > 2e6
         ref = reference_passage(state, delta, fast_period(state) / 1024, 20.0)
         t_star = qsim.first_passage(state, delta, horizon)
@@ -161,7 +166,7 @@ class TestFirstPassage:
         deltas = qsim.DELTAS.tolist()
         for seed in range(200):
             state = qsim.draw_state(np.random.default_rng(seed), 2 + seed % 7)
-            horizon = qsim.default_horizon(state)
+            horizon = scan_horizon(state)
             times = [qsim.first_passage(state, delta, horizon) for delta in deltas]
             reached = [(d, t) for d, t in zip(deltas, times) if t is not None]
             if not reached:
@@ -218,7 +223,7 @@ class TestFirstPassage:
         # only adds grid points after the ones a shorter one scans
         for seed in range(50):
             state = qsim.draw_state(np.random.default_rng(1000 + seed), 2 + seed % 7)
-            short, long = qsim.default_horizon(state), qsim.default_horizon(state, 1000.0)
+            short, long = scan_horizon(state), scan_horizon(state, 1000.0)
             for delta in qsim.DELTAS.tolist():
                 t_star = qsim.first_passage(state, delta, short)
                 if t_star is not None:
@@ -231,7 +236,7 @@ def limits(state, deltas):
     deltas = np.asarray(deltas, dtype=float)
     ml_coeff = 0.5 * math.pi * bounds.alpha(deltas)
     mt_coeff = np.array([bounds.mt_alpha(d) for d in deltas.tolist()])
-    return qsim._limits(state, ml_coeff, mt_coeff)
+    return qsim._limits(*state.support(), ml_coeff, mt_coeff)
 
 
 class TestBounds:
@@ -255,7 +260,7 @@ class TestBounds:
         delta = 0.5
         _, z_opt = bounds._upper_bound_argmin(delta)
         state = qsim.two_level_state(math.sqrt((1.0 + z_opt) / 2.0))
-        t_star = qsim.first_passage(state, delta, qsim.default_horizon(state))
+        t_star = qsim.first_passage(state, delta, scan_horizon(state))
         ml, _ = limits(state, [delta])
         assert abs(t_star / ml[0] - 1.0) <= 1e-8
 
@@ -284,7 +289,67 @@ class TestSampling:
             qsim.draw_state(np.random.default_rng(1), 0)
 
 
+def scalar_tally(report, t_star, ml, mt):
+    """The check of each time against both limits, one at a time, as a reference for _tally."""
+    for t, ml_d, mt_d in zip(t_star.tolist(), ml.tolist(), mt.tolist()):
+        if math.isnan(t):
+            report["skips"] += 1
+            continue
+        report["checks"] += 1
+        ml_slack = t - ml_d if math.isfinite(ml_d) else math.inf
+        mt_slack = t - mt_d if math.isfinite(mt_d) else math.inf
+        report["min_ml_slack"] = min(report["min_ml_slack"], ml_slack)
+        report["min_mt_slack"] = min(report["min_mt_slack"], mt_slack)
+        if ml_slack < -1e-9 or mt_slack < -1e-9:
+            report["violations"] += 1
+        binding = min(ml_d, mt_d)
+        if math.isfinite(binding) and binding > 0.0:
+            rel = t / binding - 1.0
+            edge = next((e for e in qsim._HIST_EDGES if rel <= e), None)
+            report["hist_rel_slack_gt_1" if edge is None else f"hist_rel_slack_le_{edge:g}"] += 1
+
+
 class TestVerifyLimits:
+    def test_array_tally_matches_scalar_reference(self):
+        rng = np.random.default_rng(5)
+        n = 4000
+        t_star = rng.uniform(0.0, 3.0, n)
+        ml = t_star / (1.0 + 10.0 ** rng.uniform(-8.0, 1.0, n))  # slack in every bin
+        mt = rng.uniform(0.0, 4.0, n)  # some above t_star: violations
+        t_star[rng.random(n) < 0.1] = np.nan
+        ml[rng.random(n) < 0.1] = np.inf
+        mt[rng.random(n) < 0.1] = np.inf
+        ml[:3], mt[:3] = 0.0, np.inf  # a zero binding limit is not binned
+        t_star[3:6], ml[3:6], mt[3:6] = [1.0, 2.0, 1.0 + 2e-6], 1.0, np.inf  # on and near edges
+        ml[6:8], mt[6:8] = np.inf, np.inf  # no finite limit
+        t_star[6] = 2.5
+        for cut in (n, 2000, 17):  # one tally, or several into the same report
+            reference = qsim._empty_report(n, 8, 0, 1.0)
+            scalar_tally(reference, t_star, ml, mt)
+            report = qsim._empty_report(n, 8, 0, 1.0)
+            for s in range(0, n, cut):
+                qsim._tally(report, t_star[s:s + cut], ml[s:s + cut], mt[s:s + cut])
+            assert report == reference
+            assert all(type(report[key]) is type(reference[key]) for key in report)
+        assert reference["violations"] > 0 and reference["skips"] > 0
+        assert all(reference[key] > 0 for key in qsim._HIST_KEYS)
+
+    @pytest.mark.parametrize("args", [(300, 8, 7), (100, 40, 3, 0.3)])
+    def test_block_boundary_does_not_change_the_report(self, monkeypatch, args):
+        # with a cell budget of 1 every trial with a crossing is refined alone,
+        # in a zero-padded block only as wide as its own state
+        blocks = []
+        refine = kernels.refine_crossing
+        monkeypatch.setattr(kernels, "refine_crossing",
+                            lambda p, *rest: blocks.append(np.ndim(p)) or refine(p, *rest))
+        default = qsim.verify_limits(*args)
+        assert blocks.count(2) == 1
+        blocks.clear()
+        monkeypatch.setattr(qsim, "_REFINE_CELLS", 1)
+        assert qsim.verify_limits(*args) == default
+        assert blocks.count(2) > 0.9 * args[0]
+
+
     def test_small_run_clean(self):
         rep = qsim.verify_limits(200, 8, seed=7)
         assert rep["violations"] == 0
