@@ -40,11 +40,8 @@ _TWO_OVER_PI = (2.0 / math.pi, -3.935735335036497e-17)
 # |g| at which the Newton solve takes its last step: g's rounding error, its terms
 # being below 2 near the root
 _G_TOL = 16.0 * float(np.finfo(np.float64).eps)
-
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must lie in [0, 1], got {delta}")
+# points of the theta grid that lower_bound_m refines by golden section
+_N_THETA = 720
 
 
 # kept as the tests' reference for the raw inner objective that max_F_over_q resolves
@@ -90,7 +87,7 @@ def max_F_over_q(theta: float | np.ndarray, delta: float | np.ndarray) -> float 
     return value[()]
 
 
-def lower_bound_m(delta: float | np.ndarray, n_theta: int = 512) -> float | np.ndarray:
+def lower_bound_m(delta: float | np.ndarray) -> float | np.ndarray:
     """Minimax lower bound: (2/pi) * min over the circle of the resolved max.
 
     ``delta`` is one number or an array, and the bound takes its shape. The
@@ -100,10 +97,8 @@ def lower_bound_m(delta: float | np.ndarray, n_theta: int = 512) -> float | np.n
     """
     d = np.array(delta, dtype=np.float64, ndmin=1).ravel()
     require((d >= 0.0) & (d <= 1.0), d, "delta must lie in [0, 1]")
-    if n_theta < 8:
-        raise DomainError(f"n_theta must be at least 8, got {n_theta}")
     _, val = grid_golden_min(lambda theta, rows: max_F_over_q(theta, d[rows]),
-                             np.full(d.size, math.pi), np.full(d.size, 2.0 * math.pi), n=n_theta)
+                             np.full(d.size, math.pi), np.full(d.size, 2.0 * math.pi), _N_THETA)
     m = (2.0 / math.pi) * val
     if np.ndim(delta) == 0:
         return float(m[0])
@@ -116,7 +111,7 @@ def f_max_closed(delta: float, z: float) -> float:
     Evaluated by the half-angle formula as (1+z) * atan2(sqrt(1-delta),
     sqrt(delta-z^2)), which does not cancel as z^2 nears delta.
     """
-    _check_delta(delta)
+    require((0.0 <= delta) & (delta <= 1.0), delta, "delta must lie in [0, 1]")
     if z * z > delta + _CLAMP_TOL:
         raise DomainError(f"z^2={z * z} exceeds delta={delta}")
     w = delta - z * z
@@ -174,7 +169,7 @@ def alpha(delta: float | np.ndarray) -> float | np.ndarray:
 
 def mt_alpha(delta: float) -> float:
     """Numerator arccos(sqrt(delta)) of the dispersion-based limit."""
-    _check_delta(delta)
+    require((0.0 <= delta) & (delta <= 1.0), delta, "delta must lie in [0, 1]")
     return math.acos(math.sqrt(delta))
 
 
@@ -183,7 +178,7 @@ def omega_to_z(omega: float | np.ndarray, delta: float) -> float | np.ndarray:
 
     ``omega`` is one number or an array; z takes its shape.
     """
-    _check_delta(delta)
+    require((0.0 <= delta) & (delta <= 1.0), delta, "delta must lie in [0, 1]")
     worst = float(np.max(np.abs(omega)))
     if worst > math.sqrt(delta) + _CLAMP_TOL:
         raise DomainError(f"|omega|={worst} exceeds sqrt(delta)")
@@ -198,7 +193,7 @@ def _arc_gap(psi, delta: float, branch: int, arc: tuple, term) -> float | np.nda
     s = sin(psi) +/- sqrt(delta - cos^2 psi) >= 0 is the intersection factor; 2*psi
     must lie in ``arc``. The gap is 0 where s or sin(psi) vanishes.
     """
-    _check_delta(delta)
+    require((0.0 <= delta) & (delta <= 1.0), delta, "delta must lie in [0, 1]")
     if branch not in (1, -1):
         raise DomainError(f"branch must be +1 or -1, got {branch}")
     two_psi = 2.0 * np.asarray(psi, dtype=np.float64)

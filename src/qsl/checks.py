@@ -1,9 +1,9 @@
 """The checks of ``qsl verify``, each defined once.
 
-A check is a function of ``(quick, seed)`` that returns its report lines (an
+A check is a function of ``seed`` that returns its report lines (an
 insertion-ordered dict) and whether it passed. Its grids, sample fidelities
 and tolerances are written here and nowhere else: ``qsl verify`` runs every
-check through :func:`run`, and the acceptance gate calls the full variants.
+check through :func:`run`, and the acceptance gate calls the same checks.
 Callees are looked up as module attributes at call time, so a test or a
 tracer can replace them.
 """
@@ -18,12 +18,13 @@ import numpy as np
 from . import bounds, oracle, rootfind, tangent
 
 ARC_DELTAS = (0.3, 0.6, 0.9)
-ORACLE_DELTAS = {True: (0.3, 0.7), False: (0.1, 0.3, 0.5, 0.7, 0.9)}  # keyed by quick
+ORACLE_DELTAS = (0.1, 0.3, 0.5, 0.7, 0.9)
+ORACLE_GRID = 2048  # points per axis of the minimax oracle's tables
 
 # bounds on the curvature of (2/pi) max_y F in theta near its minimiser, and of
-# (2/pi) F in y near its maximiser there, within half a step of the 256-point grid
-# at every delta of ORACLE_DELTAS: measured at most 21.8 (delta = 0.9) and 0.30
-# (delta = 0.1), with 10% to spare
+# (2/pi) F in y near its maximiser there, within pi/256 (eight half-steps of the
+# oracle's grid) at every delta of ORACLE_DELTAS: measured at most 21.8
+# (delta = 0.9) and 0.30 (delta = 0.1), with 10% to spare
 _THETA_CURVATURE = 24.0
 _Y_CURVATURE = 0.33
 
@@ -42,47 +43,45 @@ def arcs(delta: float) -> list[tuple]:
             (bounds.arc_gap_CD, reach, 0.5 * yb.y_minus, 0.5 * yb.y_minus)]
 
 
-def equality(quick: bool, seed: int) -> tuple[dict, bool]:
+def equality(seed: int) -> tuple[dict, bool]:
     """The paper's theorem m(delta) = M(delta), as the largest gap over a delta grid."""
-    deltas = np.arange(0.05, 1.0, 0.05) if quick else np.arange(0.01, 1.0, 0.01)
-    n_theta = 256 if quick else 720
-    m = bounds.lower_bound_m(deltas, n_theta)
+    deltas = np.arange(0.01, 1.0, 0.01)
+    m = bounds.lower_bound_m(deltas)
     gap = float(np.max(np.abs(m - bounds.upper_bound_M(deltas))))
     # m and M each lie within 2 ulp of alpha (the 50-digit reference pins both): gap <= 2 eps
     return {"equality_max_gap": gap, "equality_tol": _FEW_ULPS}, gap <= _FEW_ULPS
 
 
-def minimax_oracle(quick: bool, seed: int) -> tuple[dict, bool]:
+def minimax_oracle(seed: int) -> tuple[dict, bool]:
     """The case-free grid minimax against the closed-form M."""
-    grid = 256 if quick else 2048
-    deltas = np.array(ORACLE_DELTAS[quick])
-    err = float(np.max(np.abs(oracle.minimax_bruteforce_m(deltas, grid)
+    deltas = np.array(ORACLE_DELTAS)
+    err = float(np.max(np.abs(oracle.minimax_bruteforce_m(deltas, ORACLE_GRID)
                               - bounds.upper_bound_M(deltas))))
     yb = rootfind.y_bounds()
     # both extrema are smooth and a grid point lies within half a step of each, so the grid
     # minimum - M lies in [-c_y (h_y/2)^2 / 2, c_theta (h/2)^2 / 2], h = 2 pi/n, h_y = span/(n-1)
-    tol = 0.5 * (_THETA_CURVATURE * (math.pi / grid) ** 2
-                 + _Y_CURVATURE * (0.5 * (yb.y_plus - yb.y_minus) / (grid - 1)) ** 2)
+    tol = 0.5 * (_THETA_CURVATURE * (math.pi / ORACLE_GRID) ** 2
+                 + _Y_CURVATURE * (0.5 * (yb.y_plus - yb.y_minus) / (ORACLE_GRID - 1)) ** 2)
     return {"minimax_oracle_max_err": err, "minimax_oracle_tol": tol}, err <= tol
 
 
-def two_level_oracle(quick: bool, seed: int) -> tuple[dict, bool]:
+def two_level_oracle(seed: int) -> tuple[dict, bool]:
     """The fastest two-level passage time against the closed-form M."""
-    deltas = np.array(ORACLE_DELTAS[quick])
+    deltas = np.array(ORACLE_DELTAS)
     err = float(np.max(np.abs(oracle.two_level_min_time(deltas) - bounds.upper_bound_M(deltas))))
     # a golden section on a flat minimum errs by the objective's few-ulp rounding, as M does
     return {"two_level_oracle_max_err": err}, err <= _FEW_ULPS
 
 
-def identities(quick: bool, seed: int) -> tuple[dict, bool]:
+def identities(seed: int) -> tuple[dict, bool]:
     """The seeded trigonometric identities the closed forms rest on."""
-    worst = oracle.identity_suite(1000 if quick else 10000, seed)["max_violation"]
+    worst = oracle.identity_suite(10000, seed)["max_violation"]
     return {"identities_max_violation": worst}, worst <= 1e-12
 
 
-def tangent_inequality(quick: bool, seed: int) -> tuple[dict, bool]:
+def tangent_inequality(seed: int) -> tuple[dict, bool]:
     """cos x + q sin x >= 1 - a(q) x on a grid, with equality at x = y(q), for seeded random q."""
-    q = np.random.default_rng(seed).uniform(0.0, 100.0, 100 if quick else 1000)
+    q = np.random.default_rng(seed).uniform(0.0, 100.0, 1000)
     worst = float(np.min(tangent.check_tangent_inequality(q)))
     y = tangent.y_of_q(q)
     # residual (q - q(y)) sin y at the rounded y: q' = 7.8e3 at q = 100 times ulp/2 is 3.4e-12
@@ -91,15 +90,14 @@ def tangent_inequality(quick: bool, seed: int) -> tuple[dict, bool]:
     return lines, worst >= -1e-9 and tight <= 1e-11
 
 
-def arc_gaps(quick: bool, seed: int) -> tuple[dict, bool]:
+def arc_gaps(seed: int) -> tuple[dict, bool]:
     """Both arc gaps are nonnegative on both branches and vanish at the arc boundaries."""
-    npoints = 200 if quick else 2000
     worst, boundary = math.inf, 0.0
     for delta in ARC_DELTAS:
         for gap, lo, hi, edge in arcs(delta):
             if lo > hi:
                 continue
-            psi = np.append(np.linspace(lo, hi, npoints), edge)
+            psi = np.append(np.linspace(lo, hi, 2000), edge)
             for branch in (1, -1):
                 values = gap(psi, delta, branch)
                 worst = min(worst, float(values[:-1].min()))
@@ -108,7 +106,7 @@ def arc_gaps(quick: bool, seed: int) -> tuple[dict, bool]:
     return lines, worst >= -1e-10 and boundary <= 1e-8
 
 
-CHECKS: dict[str, Callable[[bool, int], tuple[dict, bool]]] = {
+CHECKS: dict[str, Callable[[int], tuple[dict, bool]]] = {
     "equality": equality,
     "minimax_oracle": minimax_oracle,
     "two_level_oracle": two_level_oracle,
@@ -118,12 +116,13 @@ CHECKS: dict[str, Callable[[bool, int], tuple[dict, bool]]] = {
 }
 
 
-def run(quick: bool, seed: int) -> dict:
+def run(seed: int) -> dict:
     """Every check in order: its lines, then ``<name>=pass|fail``, then the verdict."""
-    report: dict = {"mode": "quick" if quick else "full", "seed": seed}
+    # the one mode is still named: readers of the report key on mode=full
+    report: dict = {"mode": "full", "seed": seed}
     failed = []
     for name, check in CHECKS.items():
-        lines, passed = check(quick, seed)
+        lines, passed = check(seed)
         report.update(lines)
         report[name] = "pass" if passed else "fail"
         if not passed:

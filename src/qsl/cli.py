@@ -70,7 +70,7 @@ def cmd_tangent(ns: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
-    report = checks.run(ns.quick, ns.seed)
+    report = checks.run(ns.seed)
     code = EXIT_OK if report["overall"] == "pass" else EXIT_CHECK_FAILED
     return render_report(report), code
 
@@ -105,9 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_alpha = add("alpha", cmd_alpha, "bound coefficient: one value or a table", grid=101)
     p_alpha.add_argument("--delta", type=float, default=None)
-    p_verify = add("verify", cmd_verify, "run the analytic/brute-force cross-check suite",
-                   seed=True)
-    p_verify.add_argument("--quick", action="store_true", help="coarse grids, looser tolerances")
+    add("verify", cmd_verify, "run the analytic/brute-force cross-check suite", seed=True)
     p_sim = add("simulate", cmd_simulate, "Monte-Carlo speed-limit verification", seed=True)
     p_sim.add_argument("--trials", type=int, default=1000)
     p_sim.add_argument("--dmax", dest="d_max", type=int, default=8)

@@ -53,7 +53,7 @@ def golden_min(f: Callable, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return xs[pick, every], fs[pick, every]
 
 
-def grid_golden_min(f: Callable, lo, hi, n: int = 512) -> tuple[np.ndarray, np.ndarray]:
+def grid_golden_min(f: Callable, lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Coarse scan of each bracket on ``n`` points, then golden section inside its best cell.
 
     ``f`` first takes the whole (brackets, n) grid, then points of single

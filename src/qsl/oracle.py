@@ -15,7 +15,8 @@ import numpy as np
 
 from . import bounds, kernels, rootfind
 from .errors import DomainError, require
-from .optimize import golden_min
+from .optimize import golden_min  # noqa: F401  no caller: a hook site of perfbench/layers.py
+from .optimize import grid_golden_min
 
 # every _PRUNE_STRIDE-th y column of a minimax table, and the last, give each
 # row's lower bound in minimax_bruteforce_m: 65 of 2048 columns, 9 of 256
@@ -117,15 +118,9 @@ def two_level_min_time(delta: float | np.ndarray) -> float | np.ndarray:
     best = objective(0.5 * (xi_lo + xi_hi), np.arange(d.size))
     # at delta = 1 every weight has t = 0, which the midpoint xi = 1/2 gives exactly
     wide = np.flatnonzero((xi_hi - xi_lo >= 1e-15) & (d < 1.0))
-    n = 4096
     # within 2 ulp of delta = 1 the top weight rounds to 1: the largest float below stands in
-    xs = np.linspace(xi_lo[wide], np.minimum(xi_hi[wide], np.nextafter(1.0, 0.0)), n, axis=1)
-    vals = objective(xs, wide[:, None])
-    rows = np.arange(wide.size)
-    i = np.argmin(vals, axis=1)
-    _, refined = golden_min(lambda xi, cell: objective(xi, wide[cell]),
-                            xs[rows, np.maximum(i - 1, 0)], xs[rows, np.minimum(i + 1, n - 1)])
-    best[wide] = np.minimum(vals[rows, i], refined)
+    _, best[wide] = grid_golden_min(lambda xi, rows: objective(xi, wide[rows]), xi_lo[wide],
+                                    np.minimum(xi_hi[wide], np.nextafter(1.0, 0.0)), 4096)
     if np.ndim(delta) == 0:
         return float(best[0])
     return best.reshape(np.shape(delta))

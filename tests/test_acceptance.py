@@ -1,7 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
-Criteria 2, 3, 5 and 6 run the full variants of the `qsl.checks` definitions
-that `qsl verify` runs, so their grids and tolerances live there.
+Criteria 2, 3, 5 and 6 run the `qsl.checks` definitions that `qsl verify`
+runs, so their grids and tolerances live there.
 """
 
 import math
@@ -32,7 +32,7 @@ def test_criterion_1_constants():
 
 def test_criterion_2_equality_theorem():
     t0 = time.perf_counter()
-    lines, passed = checks.equality(quick=False, seed=SEED)
+    lines, passed = checks.equality(seed=SEED)
     elapsed = time.perf_counter() - t0
     assert passed, lines
     assert elapsed < 10.0
@@ -42,8 +42,8 @@ def test_criterion_2_equality_theorem():
 
 def test_criterion_3_oracle_triangulation():
     t0 = time.perf_counter()
-    mm_lines, mm_passed = checks.minimax_oracle(quick=False, seed=SEED)
-    tl_lines, tl_passed = checks.two_level_oracle(quick=False, seed=SEED)
+    mm_lines, mm_passed = checks.minimax_oracle(seed=SEED)
+    tl_lines, tl_passed = checks.two_level_oracle(seed=SEED)
     elapsed = time.perf_counter() - t0
     assert mm_passed, mm_lines
     assert tl_passed, tl_lines
@@ -63,7 +63,7 @@ def test_criterion_4_endpoints():
 
 def test_criterion_5_tangent_inequality():
     t0 = time.perf_counter()
-    lines, passed = checks.tangent_inequality(quick=False, seed=2024)
+    lines, passed = checks.tangent_inequality(seed=2024)
     elapsed = time.perf_counter() - t0
     assert passed, lines
     assert elapsed < 10.0
@@ -77,7 +77,7 @@ def test_criterion_6_arc_gaps():
     assert 0.3 < math.cos(rootfind.y_bounds().y_plus / 2) ** 2
     _, lo, hi, _ = checks.arcs(0.3)[0]
     assert lo > hi
-    lines, passed = checks.arc_gaps(quick=False, seed=SEED)
+    lines, passed = checks.arc_gaps(seed=SEED)
     assert passed, lines
     report(f"criterion 6: PASS — arc-gap min = {lines['arc_gap_min']:.3e}, "
            f"boundary residual = {lines['arc_gap_boundary_max']:.3e}")

@@ -305,8 +305,8 @@ class TestMaxFOverQ:
 
 class TestBoundFunctions:
     def test_lower_bound_endpoints(self):
-        assert bounds.lower_bound_m(0.0, 64) == pytest.approx(1.0, abs=1e-12)
-        assert bounds.lower_bound_m(1.0, 64) == pytest.approx(0.0, abs=1e-12)
+        assert bounds.lower_bound_m(0.0) == pytest.approx(1.0, abs=1e-12)
+        assert bounds.lower_bound_m(1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_equality_at_quarter(self):
         assert abs(bounds.lower_bound_m(0.25) - bounds.upper_bound_M(0.25)) <= 1e-7
@@ -314,28 +314,27 @@ class TestBoundFunctions:
     def test_sigma_restriction_matches_full_circle(self):
         # the search over theta in [pi, 2pi] must agree with a full-circle scan
         for delta in (0.1, 0.45, 0.8):
-            m = bounds.lower_bound_m(delta, 512)
+            m = bounds.lower_bound_m(delta)
             thetas = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
             full = (2.0 / math.pi) * float(bounds.max_F_over_q(thetas, delta).min())
             assert m <= full + 1e-9
             assert full - m <= 1e-4  # grid-limited agreement
 
-    @pytest.mark.parametrize("n_theta", [256, 720])
-    def test_lower_bound_array_equals_point_calls(self, n_theta):
-        # the two grid sizes of qsl verify, with both endpoints of [0, 1]
+    def test_lower_bound_array_equals_point_calls(self):
+        # both endpoints of [0, 1] among them
         deltas = np.array([0.0, 1e-9, 0.05, 0.37, 0.5, 0.93, 1.0 - 1e-9, 1.0])
-        values = bounds.lower_bound_m(deltas, n_theta)
-        assert values.tolist() == [bounds.lower_bound_m(float(d), n_theta) for d in deltas]
-        assert bounds.lower_bound_m(deltas.reshape(2, 4), n_theta).tolist() == \
+        values = bounds.lower_bound_m(deltas)
+        assert values.tolist() == [bounds.lower_bound_m(float(d)) for d in deltas]
+        assert bounds.lower_bound_m(deltas.reshape(2, 4)).tolist() == \
             values.reshape(2, 4).tolist()
 
     def test_lower_bound_scalar_in_scalar_out(self):
-        value = bounds.lower_bound_m(0.3, 256)
+        value = bounds.lower_bound_m(0.3)
         assert np.ndim(value) == 0 and isinstance(value, float)
 
     def test_lower_bound_one_bad_delta_raises(self):
         with pytest.raises(DomainError):
-            bounds.lower_bound_m(np.array([0.2, -0.1, 0.5]), 256)
+            bounds.lower_bound_m(np.array([0.2, -0.1, 0.5]))
 
     def test_invalid_delta(self):
         with pytest.raises(DomainError):
@@ -371,7 +370,7 @@ class TestBoundFunctions:
 
     def test_evaluate_bounds_ranges(self):
         for delta in (0.0, 0.2, 0.55, 0.95, 1.0):
-            m = bounds.lower_bound_m(delta, 128)
+            m = bounds.lower_bound_m(delta)
             big_m = bounds.upper_bound_M(delta)
             assert 0.0 <= big_m <= 1.0
             assert 0.0 <= m <= 1.0
@@ -409,7 +408,7 @@ class TestAgainstReference:
         # tends to 0 there, and about 200 stored delta above 0.5 are more than 4 ulp
         # off. Closing that takes a Newton solve for m, not its grid-and-golden search.
         deltas, exact = reference
-        values = bounds.lower_bound_m(deltas, 720)
+        values = bounds.lower_bound_m(deltas)
         assert max(abs(Fraction(v) - a) for v, a in zip(values, exact)) <= Fraction(4.4e-16)
 
 

@@ -117,11 +117,21 @@ class TestPlotdata:
 
 
 class TestVerify:
-    def test_quick_passes(self, capsys):
-        code, out = run(capsys, "verify", "--quick")
+    def test_report_keys_in_order(self, capsys):
+        # readers of the report key on its first lines, mode=full and the seed
+        code, out = run(capsys, "verify", "--seed", "0")
         assert code == 0
-        assert "overall=pass" in out
-        assert "failed_checks=none" in out
+        report = [line.split("=", 1) for line in out.splitlines()]
+        assert report[:2] == [["mode", "full"], ["seed", "0"]]
+        assert [key for key, _ in report[2:]] == [
+            "equality_max_gap", "equality_tol", "equality",
+            "minimax_oracle_max_err", "minimax_oracle_tol", "minimax_oracle",
+            "two_level_oracle_max_err", "two_level_oracle",
+            "identities_max_violation", "identities",
+            "tangent_inequality_min", "tangent_tightness_max", "tangent_inequality",
+            "arc_gap_min", "arc_gap_boundary_max", "arc_gaps",
+            "failed_checks", "overall"]
+        assert report[-2:] == [["failed_checks", "none"], ["overall", "pass"]]
 
     def test_full_run_reports_tight_gap(self, capsys):
         code, out = run(capsys, "verify")
@@ -131,7 +141,7 @@ class TestVerify:
         assert report["overall"] == "pass"
 
     def test_tightness_line_follows_the_grid_minimum(self, capsys):
-        _, out = run(capsys, "verify", "--quick")
+        _, out = run(capsys, "verify")
         keys = [line.split("=", 1)[0] for line in out.splitlines()]
         assert keys[keys.index("tangent_inequality_min") + 1] == "tangent_tightness_max"
         report = dict(line.split("=", 1) for line in out.splitlines())
@@ -144,7 +154,7 @@ class TestVerify:
         good = rootfind.y_bounds()
         monkeypatch.setattr(rootfind, "y_bounds",
                             lambda: YBounds(good.y_minus, good.y_plus + 0.05))
-        code, out = run(capsys, "verify", "--quick")
+        code, out = run(capsys, "verify")
         assert code == 1
         assert "overall=fail" in out
         report = dict(line.split("=", 1) for line in out.strip().split("\n"))
@@ -152,7 +162,7 @@ class TestVerify:
 
     # a callee of the checks, spoiled so that only the checks that call it can fail
     @pytest.mark.parametrize("check, module, callee, spoiled", [
-        ("equality", bounds, "lower_bound_m", lambda delta, n_theta: 0.0),
+        ("equality", bounds, "lower_bound_m", lambda delta: 0.0),
         ("minimax_oracle", oracle, "minimax_bruteforce_m", lambda delta, n: 10.0),
         ("two_level_oracle", oracle, "two_level_min_time", lambda delta: 10.0),
         ("identities", oracle, "identity_suite", lambda n, seed: {"max_violation": 1.0}),
@@ -168,8 +178,7 @@ class TestVerify:
         ("arc_gaps", bounds, "arc_gap_CD", lambda psi, delta, branch: np.full(np.shape(psi), -1.0)),
         # a bound off by a relative 1e-10 is about 1e5 times the few-ulp gates
         pytest.param("equality", bounds, "lower_bound_m",
-                     lambda delta, n_theta, shipped=bounds.lower_bound_m:
-                     shipped(delta, n_theta) * (1.0 + 1e-10),
+                     lambda delta, shipped=bounds.lower_bound_m: shipped(delta) * (1.0 + 1e-10),
                      id="equality-qsl.bounds-lower_bound_m-high"),
         pytest.param("equality,two_level_oracle", bounds, "upper_bound_M",
                      lambda delta, shipped=bounds.upper_bound_M: shipped(delta) * (1.0 + 1e-10),
@@ -178,21 +187,10 @@ class TestVerify:
     def test_spoiled_callee_fails_its_check_only(self, capsys, monkeypatch,
                                                  check, module, callee, spoiled):
         monkeypatch.setattr(module, callee, spoiled)
-        code, out = run(capsys, "verify", "--quick")
-        report = dict(line.split("=", 1) for line in out.strip().split("\n"))
-        assert code == 1
-        assert report["failed_checks"] == check
-
-
-    @pytest.mark.parametrize("callee, failed", [("lower_bound_m", "equality"),
-                                                ("upper_bound_M", "equality,two_level_oracle")])
-    def test_bound_off_by_1e10_fails_in_full_mode(self, capsys, monkeypatch, callee, failed):
-        shipped = getattr(bounds, callee)
-        monkeypatch.setattr(bounds, callee, lambda *args: shipped(*args) * (1.0 + 1e-10))
         code, out = run(capsys, "verify")
         report = dict(line.split("=", 1) for line in out.strip().split("\n"))
         assert code == 1
-        assert report["failed_checks"] == failed
+        assert report["failed_checks"] == check
 
     def test_equality_and_two_level_make_one_call_per_bound(self, monkeypatch):
         calls = Counter()
@@ -203,13 +201,11 @@ class TestVerify:
                 return shipped(*args)
 
             monkeypatch.setattr(module, name, stand_in)
-        for quick in (True, False):
-            calls.clear()
-            assert checks.equality(quick, 7)[1]
-            assert calls == {"lower_bound_m": 1, "upper_bound_M": 1}
-            calls.clear()
-            assert checks.two_level_oracle(quick, 7)[1]
-            assert calls == {"two_level_min_time": 1, "upper_bound_M": 1}
+        assert checks.equality(7)[1]
+        assert calls == {"lower_bound_m": 1, "upper_bound_M": 1}
+        calls.clear()
+        assert checks.two_level_oracle(7)[1]
+        assert calls == {"two_level_min_time": 1, "upper_bound_M": 1}
 
     def test_minimax_oracle_makes_one_call_per_bound(self, monkeypatch):
         calls = Counter()
@@ -219,16 +215,14 @@ class TestVerify:
                 return shipped(*args)
 
             monkeypatch.setattr(module, name, stand_in)
-        for quick in (True, False):
-            calls.clear()
-            assert checks.minimax_oracle(quick, 7)[1]
-            assert calls == {"minimax_bruteforce_m": 1, "upper_bound_M": 1}
+        assert checks.minimax_oracle(7)[1]
+        assert calls == {"minimax_bruteforce_m": 1, "upper_bound_M": 1}
 
     def test_spoiled_stationary_max_fails_equality_and_identities(self, capsys, monkeypatch):
         # lower_bound_m and the identity suite share the one stationary form
         shipped = bounds.stationary_max
         monkeypatch.setattr(bounds, "stationary_max", lambda rho, sigma: 0.5 * shipped(rho, sigma))
-        code, out = run(capsys, "verify", "--quick")
+        code, out = run(capsys, "verify")
         report = dict(line.split("=", 1) for line in out.strip().split("\n"))
         assert code == 1
         assert report["failed_checks"] == "equality,identities"
@@ -275,7 +269,7 @@ class TestSimulate:
     ("simulate", "--trials", "5", "--horizon-mult", "inf"),
     ("simulate", "--trials", "5", "--horizon-mult", "nan"),
     ("simulate", "--trials", "5", "--seed", "-1"),
-    ("verify", "--quick", "--seed", "-1"),
+    ("verify", "--seed", "-1"),
     ("plotdata", "--grid", "5", "--out", "{tmp}/missing/curve.csv"),
     ("plotdata", "--grid", "5", "--out", "{tmp}"),
     ("simulate", "--trials", "3", "--dmax", "100000000"),
@@ -295,7 +289,7 @@ def test_out_of_range_flag_is_one_line_usage_error(capsys, tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ("alpha", "--delta", "5e-324"),
     ("alpha", "--delta", "-0.0"),
-    ("verify", "--quick", "--seed", str(10**30)),
+    ("verify", "--seed", str(10**30)),
     ("simulate", "--trials", "2", "--seed", str(10**30)),
     ("simulate", "--trials", "2", "--horizon-mult", "5e-324"),
     ("alpha", "--grid", "2", "--format", "json"),
@@ -312,7 +306,7 @@ def test_extreme_valid_input_runs_without_traceback(capsys, argv):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("argv", [("alpha", "--delta", "0.5"), ("verify", "--quick")])
+@pytest.mark.parametrize("argv", [("alpha", "--delta", "0.5"), ("verify",)])
 def test_full_stdout_is_one_line_usage_error(argv):
     # a real process, so that the interpreter's flush at exit is part of the test
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -329,14 +323,17 @@ def test_full_stdout_is_one_line_usage_error(argv):
     ("alpha", "--delta", "0.5", "--seed", "1"),
     ("tangent", "--seed", "1"),
     ("plotdata", "--seed", "1"),
-    ("verify", "--quick", "--grid", "3"),
-    ("verify", "--quick", "--format", "json"),
+    ("verify", "--grid", "3"),
+    ("verify", "--format", "json"),
     ("simulate", "--trials", "5", "--grid", "3"),
     ("simulate", "--trials", "5", "--format", "json"),
+    ("verify", "--quick"),
 ])
 def test_unread_flag_is_usage_error(capsys, argv):
     assert cli.main(list(argv)) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
 
 
 class TestFormatting:

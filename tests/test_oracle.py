@@ -61,7 +61,7 @@ class TestMinimax:
         half = math.pi / 256
         s = np.concatenate((np.linspace(-half, -half / 64, 64), np.linspace(half / 64, half, 64)))
         yb = rootfind.y_bounds()
-        for delta in checks.ORACLE_DELTAS[False]:
+        for delta in checks.ORACLE_DELTAS:
             theta = np.linspace(math.pi, 2.0 * math.pi, 400_001)
             star = theta[np.argmin(bounds.max_F_over_q(theta, delta))]
             rise = (bounds.max_F_over_q(star + s, delta) - bounds.max_F_over_q(star, delta))
@@ -75,13 +75,11 @@ class TestMinimax:
             bend = -(f[k - 1] - 2.0 * f[k] + f[k + 1]) / (y[1] - y[0]) ** 2
             assert bend <= checks._Y_CURVATURE
 
-    @pytest.mark.parametrize("quick", [True, False])
-    def test_every_oracle_delta_within_the_gate(self, quick):
-        # all five deltas on both grids, not only the ones the mode checks
-        deltas = np.array(checks.ORACLE_DELTAS[False])
-        err = oracle.minimax_bruteforce_m(deltas, 256 if quick else 2048) - \
-            bounds.upper_bound_M(deltas)
-        lines, _ = checks.minimax_oracle(quick, 7)
+    def test_every_oracle_delta_within_the_gate(self):
+        deltas = np.array(checks.ORACLE_DELTAS)
+        err = oracle.minimax_bruteforce_m(deltas, checks.ORACLE_GRID) - bounds.upper_bound_M(deltas)
+        lines, _ = checks.minimax_oracle(7)
+        assert np.max(np.abs(err)) == lines["minimax_oracle_max_err"]
         assert np.max(np.abs(err)) <= lines["minimax_oracle_tol"]
 
     def test_grid_validation(self):

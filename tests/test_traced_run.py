@@ -20,7 +20,7 @@ import layers
 from qsl import cli
 tracer = layers.Tracer()
 tracer.install()
-commands = (["verify", "--quick"], ["tangent", "--grid", "8"], ["simulate", "--trials", "3"])
+commands = (["verify"], ["tangent", "--grid", "8"], ["simulate", "--trials", "3"])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in commands]
 print(json.dumps({"codes": codes, "stats": tracer.stats}))
@@ -40,5 +40,5 @@ def test_traced_commands_run_and_reach_the_hooks():
                  "kernels.theta_max_table.calls", "kernels.fidelity_grid.calls",
                  "qsim.verify_limits.calls", "reports.render.calls"):
         assert stats.get(name, 0) > 0, name
-    # verify --quick prunes its two 256 x 256 minimax tables to a few full rows
-    assert stats["kernels.theta_max_table.cells"] <= 2 * 256 * 256 / 4
+    # verify prunes its five 2048 x 2048 minimax tables to a few full rows: 684 032 cells, 3.3%
+    assert stats["kernels.theta_max_table.cells"] <= 5 * 2048 * 2048 / 16
