@@ -320,8 +320,10 @@ class TestBoundFunctions:
             assert m <= full + 1e-9
             assert full - m <= 1e-4  # grid-limited agreement
 
-    def test_lower_bound_array_equals_point_calls(self):
-        # both endpoints of [0, 1] among them
+    @pytest.mark.parametrize("n_theta", [256, 720])
+    def test_lower_bound_array_equals_point_calls(self, monkeypatch, n_theta):
+        # the shipped theta grid and a coarser one, with both endpoints of [0, 1]
+        monkeypatch.setattr(bounds, "_N_THETA", n_theta)
         deltas = np.array([0.0, 1e-9, 0.05, 0.37, 0.5, 0.93, 1.0 - 1e-9, 1.0])
         values = bounds.lower_bound_m(deltas)
         assert values.tolist() == [bounds.lower_bound_m(float(d)) for d in deltas]

@@ -192,6 +192,17 @@ class TestVerify:
         assert code == 1
         assert report["failed_checks"] == check
 
+    # the spoiled-callee table has each bound off on the high side; this is the low side
+    @pytest.mark.parametrize("callee, failed", [("lower_bound_m", "equality"),
+                                                ("upper_bound_M", "equality,two_level_oracle")])
+    def test_bound_off_by_1e10_fails_in_full_mode(self, capsys, monkeypatch, callee, failed):
+        shipped = getattr(bounds, callee)
+        monkeypatch.setattr(bounds, callee, lambda delta: shipped(delta) * (1.0 - 1e-10))
+        code, out = run(capsys, "verify")
+        report = dict(line.split("=", 1) for line in out.strip().split("\n"))
+        assert code == 1
+        assert report["failed_checks"] == failed
+
     def test_equality_and_two_level_make_one_call_per_bound(self, monkeypatch):
         calls = Counter()
         for module, name in ((bounds, "lower_bound_m"), (bounds, "upper_bound_M"),

@@ -84,11 +84,14 @@ class TestGoldenMin:
                 assert (xs[row], fs[row]) == want, (n, row)
 
 
-def test_lower_bound_m_takes_the_scalar_steps():
-    # one array call of m equals the scalar grid-and-golden search of each delta, bit for bit
+@pytest.mark.parametrize("n_theta", [256, 720])
+def test_lower_bound_m_takes_the_scalar_steps(monkeypatch, n_theta):
+    # one array call of m equals the scalar grid-and-golden search of each delta, bit for bit,
+    # on the shipped theta grid and on a coarser one
+    monkeypatch.setattr(bounds, "_N_THETA", n_theta)
     deltas = np.array([0.0, 1e-12, 0.01, 0.25, 0.5, 0.77, 0.99, 1.0 - 1e-12, 1.0])
     values = bounds.lower_bound_m(deltas)
     for delta, value in zip(deltas.tolist(), values.tolist()):
         _, minimum = scalar_grid_golden_min(lambda theta: bounds.max_F_over_q(theta, delta),
-                                            math.pi, 2.0 * math.pi, bounds._N_THETA)
+                                            math.pi, 2.0 * math.pi, n_theta)
         assert value == (2.0 / math.pi) * float(minimum), delta

@@ -75,9 +75,15 @@ class TestMinimax:
             bend = -(f[k - 1] - 2.0 * f[k] + f[k + 1]) / (y[1] - y[0]) ** 2
             assert bend <= checks._Y_CURVATURE
 
-    def test_every_oracle_delta_within_the_gate(self):
+    @pytest.mark.parametrize("per_delta", [True, False])
+    def test_every_oracle_delta_within_the_gate(self, per_delta):
+        # all five deltas, in one array call or in one scalar call each
         deltas = np.array(checks.ORACLE_DELTAS)
-        err = oracle.minimax_bruteforce_m(deltas, checks.ORACLE_GRID) - bounds.upper_bound_M(deltas)
+        if per_delta:
+            m = np.array([oracle.minimax_bruteforce_m(float(d), checks.ORACLE_GRID) for d in deltas])
+        else:
+            m = oracle.minimax_bruteforce_m(deltas, checks.ORACLE_GRID)
+        err = m - bounds.upper_bound_M(deltas)
         lines, _ = checks.minimax_oracle(7)
         assert np.max(np.abs(err)) == lines["minimax_oracle_max_err"]
         assert np.max(np.abs(err)) <= lines["minimax_oracle_tol"]
