@@ -3,10 +3,14 @@
 ``theta_max_table`` serves the grid-minimax oracle. Each of its cells is
 rounded on its own, so a table of any subset of rows or columns holds the same
 values, which lets the oracle prune rows exactly. The first-passage scans of
-:mod:`qsl.qsim` use the rest: the fidelity on uniform grids (one complex
-matrix product per block of rows), the fidelity and its first two time
-derivatives at arbitrary times, the rounding bound of both, and the two
-vectorised Newton refiners, whose ``newton`` also solves for :mod:`qsl.bounds`' M.
+:mod:`qsl.qsim` use the rest: the amplitude z = sum_k p_k exp(-i E_k t) on
+uniform grids (one complex matrix product per block of rows), the fidelity
+f = |z|**2 and its first two time derivatives at arbitrary times, their
+rounding bound, and the two vectorised Newton refiners, whose ``newton`` also
+solves for :mod:`qsl.bounds`' M. A scan clears a cell [a, a + h] where f stays
+above its targets by the curvature bound min(f(a), f(a + h)) - max|f''|*h**2/8
+or by the chord bound (dist(0, [z(a), z(a + h)]) - max|z''|*h**2/8)**2, either
+less the rounding bound, which bounds the error of z as well as of f.
 ``refine_crossing`` takes one state or one zero-padded state row per bracket,
 so that a block of trials is refined in one call; it sums each bracket's levels
 in order, so that the padding changes no bit of a bracket's f and f'.
@@ -23,7 +27,7 @@ import numpy as np
 # reuses, so they stay in cache
 _THETA_CELLS = 4 * 2048
 
-# complex entries of fidelity_rows' left factor per block of rows, bounding its memory
+# complex entries of amplitude_rows' left factor per block of rows, bounding its memory
 _ROW_BLOCK = 1 << 16
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -50,8 +54,8 @@ def theta_max_table(rho, sigma, fa, fb):
     return best
 
 
-def fidelity_rows(p, energies, starts, dt, n):
-    """|sum_k p_k exp(-i E_k t)|^2 at t = starts[r] + dt*j, as an array (len(starts), n).
+def amplitude_rows(p, energies, starts, dt, n):
+    """z = sum_k p_k exp(-i E_k t) at t = starts[r] + dt*j, as an array (len(starts), n).
 
     Computed as the complex matrix product
     z = (p * exp(-i E starts)) @ exp(-i E dt j)^T, which takes
@@ -59,34 +63,35 @@ def fidelity_rows(p, energies, starts, dt, n):
     """
     starts = np.asarray(starts, dtype=np.float64)
     right = np.exp(-1j * np.outer(energies, dt * np.arange(n)))
-    out = np.empty((starts.size, n))
+    out = np.empty((starts.size, n), dtype=np.complex128)
     block = max(1, _ROW_BLOCK // energies.size)
     for s in range(0, starts.size, block):
-        z = (p * np.exp(-1j * np.outer(starts[s:s + block], energies))) @ right
-        out[s:s + block] = z.real * z.real + z.imag * z.imag
+        np.matmul(p * np.exp(-1j * np.outer(starts[s:s + block], energies)), right,
+                  out=out[s:s + block])
     return out
 
 
 def fidelity_grid(p, energies, t0: float, dt: float, n: int):
-    """|sum_k p_k exp(-i E_k t)|^2 on the grid t = t0 + dt*[0..n-1].
+    """The amplitude z (fidelity |z|**2) on the grid t = t0 + dt*[0..n-1].
 
-    The grid is folded into rows of ceil(sqrt(n)) points for :func:`fidelity_rows`.
+    The grid is folded into rows of ceil(sqrt(n)) points for :func:`amplitude_rows`.
     """
     width = math.isqrt(n - 1) + 1
     rows = -(-n // width)
     starts = t0 + (width * dt) * np.arange(rows)
-    return fidelity_rows(p, energies, starts, dt, width).ravel()[:n]
+    return amplitude_rows(p, energies, starts, dt, width).ravel()[:n]
 
 
 def rounding_bound(t, d, scale):
-    """Bound on the rounding error of the fidelities above at times up to ``t``.
+    """Bound on the rounding error of the amplitudes and fidelities above at times up to ``t``.
 
     ``d`` is the number of levels and ``scale`` bounds |E_k|. Each phase
     E_k*t carries a few units in the last place of scale*t (the rounded time,
     the product, the argument reduction of exp), and a phase error x moves its
     unit-modulus term by at most x. The products with p and the d-term sum add
     a few units more, and |z| <= 1 at most doubles the error of z in |z|^2.
-    The constants hold a factor of four over that count.
+    The constants hold a factor of four over that count; the error of z takes
+    at most half of the bound.
     """
     return _EPS * (16.0 * scale * t + 4.0 * d + 8.0)
 

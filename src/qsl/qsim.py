@@ -101,12 +101,14 @@ class _Curve(NamedTuple):
 
     ``curv`` = 2*m1**2 + 2*m2 bounds |f''|, where m1 = sum p|E - c| bounds
     |z'| and m2 = sum p(E - c)**2 bounds |z''| (for any c; the median
-    minimises m1). ``scale`` = max |E - c| sets the rounding bound.
+    minimises m1), and ``sag`` = m2/8 bounds |z - chord|/h**2 on a cell of
+    width h. ``scale`` = max |E - c| sets the rounding bound.
     """
 
     p: np.ndarray
     e: np.ndarray
     curv: float
+    sag: float
     scale: float
 
     @classmethod
@@ -116,22 +118,33 @@ class _Curve(NamedTuple):
         e = energies - c
         m1 = float(p @ np.abs(e))
         m2 = float(p @ (e * e))
-        return cls(p, e, 2.0 * m1 * m1 + 2.0 * m2, float(np.abs(e).max()))
+        return cls(p, e, 2.0 * m1 * m1 + 2.0 * m2, m2 / 8.0, float(np.abs(e).max()))
 
     def rounding(self, t):
         return kernels.rounding_bound(t, self.e.size, self.scale)
 
 
-def _first_events(curve: _Curve, a: np.ndarray, fa: np.ndarray, fb: np.ndarray,
-                  h: float, deltas: np.ndarray):
+def _chord_distance(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """Distance from 0 to each segment [za, zb] of the complex plane."""
+    d = zb - za
+    dd = d.real * d.real + d.imag * d.imag
+    s = np.divide(-(za.conj() * d).real, dd, out=np.zeros_like(dd), where=dd > 0.0)
+    return np.abs(za + np.clip(s, 0.0, 1.0) * d)
+
+
+def _first_events(curve: _Curve, a: np.ndarray, z: np.ndarray, h: float, deltas: np.ndarray):
     """Earliest passage of each target within the cells [a, a + h].
 
-    ``a`` is increasing, and f is certified above every target before
-    ``a[0]``. A cell is cleared for the targets not yet reached before it when
-    the curvature bound keeps f above them on all of it:
-    min(fa, fb) - curv*h**2/8 - rounding > delta + _TOUCH_ACCEPT. The cells
-    it cannot clear are cut into _SPLIT parts, all of them at once. A cell
-    where f comes down to a target is a crossing bracket once
+    ``a`` is increasing, z holds the amplitudes at a and at a[-1] + h, and f
+    is certified above every target before ``a[0]``. A cell is cleared for
+    the targets not yet reached before it when f stays above them on all of
+    it by the curvature bound min(fa, fb) - curv*h**2/8 - r or, where that
+    fails, by the chord bound (dist(0, [za, zb]) - sag*h**2 - r)**2, since
+    |z - chord| <= m2*h**2/8, above delta + _TOUCH_ACCEPT. r is the rounding
+    bound at the last cell's end (it increases with t); it bounds the error of
+    za and zb with half to spare for the distance's own rounding.
+    The cells neither bound clears are cut into _SPLIT parts, all of them at
+    once. A cell where f comes down to a target is a crossing bracket once
     f' <= (f'(a) + f'(b))/2 + curv*h/2 < 0 certifies that f decreases on it.
     At the last depth, 16**-5 of the grid step, a crossing cell is a bracket
     as it is, and a cell still uncleared is searched for a local minimum,
@@ -145,10 +158,12 @@ def _first_events(curve: _Curve, a: np.ndarray, fa: np.ndarray, fb: np.ndarray,
     lo = np.full(deltas.size, np.inf)
     hi = np.full(deltas.size, np.inf)
     touch = np.full(deltas.size, np.nan)
+    f = z.real * z.real + z.imag * z.imag
+    za, zb, fa, fb = z[:-1], z[1:], f[:-1], f[1:]
     for depth in range(_MAX_DEPTH + 1):
         last = depth == _MAX_DEPTH
-        seq = np.minimum.accumulate(np.column_stack((fa, fb)).ravel())
-        cell = np.searchsorted(-seq, -deltas, side="left") // 2
+        fmin = np.minimum(fa, fb)
+        cell = np.searchsorted(-np.minimum.accumulate(fmin), -deltas, side="left")
         start = np.full(deltas.size, np.inf)
         hit = cell < a.size
         start[hit] = a[cell[hit]]
@@ -157,10 +172,13 @@ def _first_events(curve: _Curve, a: np.ndarray, fa: np.ndarray, fb: np.ndarray,
         until = np.minimum(lo, start)
         order = np.argsort(until)
         above = np.maximum.accumulate(np.append(deltas[order], -np.inf)[::-1])[::-1]
-        ceiling = above[np.searchsorted(until[order], a, side="right")]
+        ceiling = above[np.searchsorted(until[order], a, side="right")] + _TOUCH_ACCEPT
         b = a + h
-        lower = np.minimum(fa, fb) - curve.curv * h * h / 8.0 - curve.rounding(b)
-        keep = lower <= ceiling + _TOUCH_ACCEPT
+        rounding = curve.rounding(b[-1])
+        keep = fmin - curve.curv * h * h / 8.0 - rounding <= ceiling
+        held = np.nonzero(keep)[0]
+        gap = _chord_distance(za[held], zb[held]) - curve.sag * h * h - rounding
+        keep[held] = np.maximum(gap, 0.0) ** 2 <= ceiling[held]
         crossing = np.zeros(a.size + 1, dtype=bool)
         crossing[cell[new]] = True
         crossing = np.nonzero(crossing[:-1])[0]
@@ -177,14 +195,16 @@ def _first_events(curve: _Curve, a: np.ndarray, fa: np.ndarray, fb: np.ndarray,
         if last:
             _touches(curve, a[keep], b[keep], a[keep, None] < until, deltas, lo, hi, touch)
             break
-        a, fa, fb = a[keep], fa[keep], fb[keep]
+        a, za, zb, fa, fb = a[keep], za[keep], zb[keep], fa[keep], fb[keep]
         if not a.size:
             break
         h /= _SPLIT
-        v = kernels.fidelity_rows(p, e, a, h, _SPLIT)
-        v[:, 0] = fa  # the values already known, so that every cell agrees with its parent
-        fb = np.column_stack((v[:, 1:], fb)).ravel()
-        fa = v.ravel()
+        v = kernels.amplitude_rows(p, e, a, h, _SPLIT)
+        v[:, 0] = za  # the values already known, so that every cell agrees with its parent
+        g = v.real * v.real + v.imag * v.imag
+        zb = np.column_stack((v[:, 1:], zb)).ravel()
+        fb = np.column_stack((g[:, 1:], fb)).ravel()
+        za, fa = v.ravel(), g.ravel()
         a = (a[:, None] + h * np.arange(_SPLIT)).ravel()
     return lo, hi, touch
 
@@ -240,18 +260,18 @@ def _scan(energies: np.ndarray, p: np.ndarray, deltas: np.ndarray,
     steps = horizon / dt  # inf for an infinite horizon
     n_points = _POINT_BUDGET if steps >= _POINT_BUDGET else math.ceil(steps) + 1
     found_lo, found_hi, found_at = [], [], []
-    k0, f_prev = 0, 1.0
+    k0, z_prev = 0, None
     while todo.size and k0 < n_points - 1:
         n = min(_CHUNK, n_points - 1 - k0)
-        f = kernels.fidelity_grid(curve.p, curve.e, k0 * dt, dt, n + 1)
+        z = kernels.fidelity_grid(curve.p, curve.e, k0 * dt, dt, n + 1)
         if k0 == 0:
-            met = deltas[todo] >= f[0]
+            met = deltas[todo] >= z[0].real * z[0].real + z[0].imag * z[0].imag
             t_star[todo[met]] = 0.0
             todo = todo[~met]
         else:
-            f[0] = f_prev  # the previous chunk's last value, as certified there
-        t = (k0 + np.arange(n + 1)) * dt
-        lo, hi, touch = _first_events(curve, t[:-1], f[:-1], f[1:], dt, deltas[todo])
+            z[0] = z_prev  # the previous chunk's last value, as certified there
+        t = (k0 + np.arange(n)) * dt
+        lo, hi, touch = _first_events(curve, t, z, dt, deltas[todo])
         touched = ~np.isnan(touch)
         t_star[todo[touched]] = touch[touched]
         bracketed = (lo < math.inf) & ~touched
@@ -259,7 +279,7 @@ def _scan(energies: np.ndarray, p: np.ndarray, deltas: np.ndarray,
         found_hi.append(hi[bracketed])
         found_at.append(todo[bracketed])
         todo = todo[lo == math.inf]
-        f_prev = f[-1]
+        z_prev = z[-1]
         k0 += n
     return t_star, (curve, np.concatenate(found_at), np.concatenate(found_lo),
                     np.concatenate(found_hi))
@@ -270,9 +290,9 @@ def first_passage(state: QuantumState, delta: float, horizon: float) -> Optional
 
     Scans forward at a fixed number of samples per period of the fastest
     oscillation and certifies every grid cell before the reported time: by
-    the curvature bound |f''| <= 2*m1**2 + 2*m2 and the kernels' rounding
-    bound, f stays above ``delta`` on it, or the cell is cut finer until that
-    holds. So no dip below ``delta`` before the reported time is missed; a
+    the curvature bound on f or the chord bound on z (:func:`_first_events`)
+    and the kernels' rounding bound, f stays above ``delta`` on it, or the
+    cell is cut finer until that holds. So no dip below ``delta`` before the reported time is missed; a
     local minimum within 1e-12 of ``delta`` counts as reaching it. Absence of
     a crossing within the horizon (or within the scan's point budget) is a
     legitimate outcome, not an error.
@@ -370,28 +390,36 @@ def _tally(report: dict, t_star: np.ndarray, ml: np.ndarray, mt: np.ndarray) -> 
         report[key] += count
 
 
+def _refine(t_star: np.ndarray, levels: np.ndarray, scans) -> None:
+    """Refine in place, in one call, the crossings ``scans`` (curve, at, lo, hi) of several states.
+
+    ``t_star`` and ``levels`` hold one row of times and of targets per state.
+    Each bracket becomes a row of its state's (p, e), zero-padded to the widest.
+    """
+    pending = [(i, *b) for i, b in enumerate(scans) if b[1].size]
+    if not pending:
+        return
+    trial, curves, ats, los, his = zip(*pending)
+    slot = np.concatenate([i * t_star.shape[1] + at for i, at in zip(trial, ats)])
+    # level-major, so that the kernel takes the rows' transpose as it is
+    p, e = np.zeros((2, max(curve.p.size for curve in curves), slot.size))
+    r = 0
+    for curve, at in zip(curves, ats):
+        p[:curve.p.size, r:r + at.size] = curve.p[:, None]
+        e[:curve.e.size, r:r + at.size] = curve.e[:, None]
+        r += at.size
+    t_star.ravel()[slot] = kernels.refine_crossing(
+        p.T, e.T, np.concatenate(los), np.concatenate(his), np.take(levels, slot))
+
+
 def _settle(report: dict, block: list) -> None:
     """Refine the crossings of a block of scanned trials in one call, then tally the block.
 
     ``block`` holds (t_star, horizon, ml, mt, (curve, at, lo, hi)) per trial.
-    Each bracket becomes a row of its state's (p, e), zero-padded to the
-    widest state of the block.
     """
     t_star, horizon, ml, mt, brackets = zip(*block)
     t_star = np.array(t_star)
-    pending = [(i, *b) for i, b in enumerate(brackets) if b[1].size]
-    if pending:
-        trial, curves, ats, los, his = zip(*pending)
-        slot = np.concatenate([i * DELTAS.size + at for i, at in zip(trial, ats)])
-        # level-major, so that the kernel takes the rows' transpose as it is
-        p, e = np.zeros((2, max(curve.p.size for curve in curves), slot.size))
-        r = 0
-        for curve, at in zip(curves, ats):
-            p[:curve.p.size, r:r + at.size] = curve.p[:, None]
-            e[:curve.e.size, r:r + at.size] = curve.e[:, None]
-            r += at.size
-        t_star.ravel()[slot] = kernels.refine_crossing(
-            p.T, e.T, np.concatenate(los), np.concatenate(his), DELTAS[slot % DELTAS.size])
+    _refine(t_star, np.broadcast_to(DELTAS, t_star.shape), brackets)
     t_star[t_star > np.array(horizon)[:, None]] = np.nan
     _tally(report, t_star.ravel(), np.concatenate(ml), np.concatenate(mt))
 
@@ -406,8 +434,8 @@ def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0)
     refined in blocks, by one kernels.refine_crossing call each time the
     pending brackets' zero-padded (p, e) rows reach _REFINE_CELLS entries,
     and each block is tallied at once. The saturating two-level states are
-    included as designed cases, checked the same way. Violations are counted,
-    not raised.
+    included as designed cases, checked the same way, with their crossings
+    refined in one call. Violations are counted, not raised.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
@@ -438,24 +466,20 @@ def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0)
         _settle(report, block)
 
     _, z_opts = bounds._upper_bound_argmin(DELTAS)
-    designed = []
-    for i, (delta, z_opt) in enumerate(zip(DELTAS.tolist(), z_opts.tolist())):
-        u = 0.5 * (1.0 + z_opt)
-        if not 0.0 < u < 1.0:
-            continue
-        state = two_level_state(math.sqrt(u))
-        energies, p = state.support()
-        t_star = first_passage(state, delta, default_horizon(energies, max(horizon_mult, 1.0)))
-        report["designed_cases"] += 1
-        if t_star is None:
-            report["designed_violations"] += 1
-            continue
-        ml, mt = (float(limit[i]) for limit in _limits(energies, p, ml_coeff, mt_coeff))
-        designed.append((t_star, ml, mt))
-        rel = abs(t_star / ml - 1.0)
-        report["designed_max_rel_slack"] = max(report["designed_max_rel_slack"], rel)
-        if rel > 1e-6:
-            report["designed_violations"] += 1
-    if designed:
-        _tally(report, *np.array(designed).T)
+    u = 0.5 * (1.0 + z_opts)
+    cases = np.nonzero((0.0 < u) & (u < 1.0))[0]
+    states = [two_level_state(math.sqrt(u[i])).support() for i in cases.tolist()]
+    horizon = np.array([default_horizon(e, max(horizon_mult, 1.0)) for e, _ in states])
+    scans = [_scan(*state, DELTAS[i:i + 1], h) for i, state, h in zip(cases, states, horizon)]
+    t_star = np.array([t for t, _ in scans])
+    _refine(t_star, DELTAS[cases, None], [brackets for _, brackets in scans])
+    t_star = t_star[:, 0]
+    ml, mt = np.array([[limit[i] for limit in _limits(*state, ml_coeff, mt_coeff)]
+                       for i, state in zip(cases, states)]).T
+    reached = t_star <= horizon
+    rel = np.abs(t_star[reached] / ml[reached] - 1.0)
+    report["designed_cases"] += cases.size
+    report["designed_violations"] += cases.size - rel.size + int(np.count_nonzero(rel > 1e-6))
+    report["designed_max_rel_slack"] = float(rel.max(initial=0.0))
+    _tally(report, t_star[reached], ml[reached], mt[reached])
     return report

@@ -39,7 +39,7 @@ def test_rotation_resync_long_grid():
     block = kernels._ROW_BLOCK // energies.size
     assert width * block < n
     t0, dt = 3 * 4096 * 0.02, 0.02
-    f = kernels.fidelity_grid(p, energies, t0, dt, n)
+    f = np.abs(kernels.fidelity_grid(p, energies, t0, dt, n)) ** 2
     for i in (0, 1, width - 1, width, width * block - 1, width * block, n - 2, n - 1):
         direct = kernels.fidelity_scalar(p, energies, t0 + dt * i)
         assert f[i] == pytest.approx(direct, abs=1e-13)
@@ -53,12 +53,16 @@ def test_rounding_bound_holds_at_long_times():
         energies = energies - 1.0  # |E| <= 1, as after the scan's shift to the median
         for t0 in (0.0, 1e3, 1e6):
             dt = 0.37
-            f = kernels.fidelity_grid(p, energies, t0, dt, 100)
+            z = kernels.fidelity_grid(p, energies, t0, dt, 100)
+            f = z.real * z.real + z.imag * z.imag  # as the passage scan forms it
             for i in (0, 37, 99):
                 t = mp.mpf(t0) + mp.mpf(dt) * i
-                z = mp.fsum(mp.mpf(pk) * mp.expj(-mp.mpf(ek) * t) for pk, ek in zip(p, energies))
-                exact = abs(z) ** 2
+                z_exact = mp.fsum(mp.mpf(pk) * mp.expj(-mp.mpf(ek) * t)
+                                  for pk, ek in zip(p, energies))
+                exact = abs(z_exact) ** 2
                 bound = kernels.rounding_bound(t0 + dt * i, d, 1.0)
+                # the chord test of the scan relies on the amplitude's error as well
+                assert abs(complex(z[i]) - z_exact) <= bound
                 assert abs(f[i] - exact) <= bound
                 assert abs(kernels.fidelity_scalar(p, energies, float(t)) - exact) <= bound
 
@@ -81,7 +85,7 @@ def test_refine_crossing_lands_on_level():
     # dip, where Newton steps from inside the bracket leave it
     energies, p = random_state_arrays(17)
     step = 0.01
-    f = kernels.fidelity_grid(p, energies, 0.0, step, 5000)
+    f = np.abs(kernels.fidelity_grid(p, energies, 0.0, step, 5000)) ** 2
     levels = np.array([0.02, 0.05, 0.08, 0.11, 0.35, 0.65, 0.95])
     idx = np.array([int(np.argmax(f <= level)) for level in levels])
     assert np.all(idx > 0)
@@ -101,7 +105,7 @@ def padded_crossings(states, width):
     rows, own = [], []
     step = 0.01
     for energies, p in states:
-        f = kernels.fidelity_grid(p, energies, 0.0, step, 5000)
+        f = np.abs(kernels.fidelity_grid(p, energies, 0.0, step, 5000)) ** 2
         levels = np.array([level for level in (0.2, 0.5, 0.8) if f.min() <= level])
         hi = np.array([int(np.argmax(f <= level)) for level in levels]) * step
         own.append((p, energies, hi - step, hi, levels))
@@ -147,7 +151,7 @@ def test_refine_minimum_lands_on_stationary_point():
     # it holds inflection points where a Newton step on f' can leave it
     energies, p = random_state_arrays(17)
     step = 0.01
-    f = kernels.fidelity_grid(p, energies, 0.0, step, 5000)
+    f = np.abs(kernels.fidelity_grid(p, energies, 0.0, step, 5000)) ** 2
     interior = f[1:-1]
     minima = np.nonzero((interior < f[:-2]) & (interior <= f[2:]))[0][:6] + 1
     maxima = np.append(0, np.nonzero((interior > f[:-2]) & (interior >= f[2:]))[0] + 1)
@@ -170,7 +174,8 @@ class TestFirstPassage:
         for d in range(2, 40):
             state = qsim.QuantumState(np.arange(d, dtype=float), np.full(d, d ** -0.5))
             energies, p = state.support()
-            f0 = kernels.fidelity_grid(p, energies, 0.0, 1.0, 16)[0]
+            z0 = kernels.fidelity_grid(p, energies, 0.0, 1.0, 16)[0]
+            f0 = z0.real * z0.real + z0.imag * z0.imag  # bit for bit as the scan forms it
             if f0 < 1.0:
                 break
         assert f0 < 1.0

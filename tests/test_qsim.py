@@ -197,11 +197,10 @@ class TestFirstPassage:
         delta = 0.1035
         ref = reference_passage(DIP, delta, fast_period(DIP) / 16384, 3.0)
         width = 3.9
-        energies, p = DIP.support()
-        ends = dense_fidelity(DIP, np.array([0.0, width]))
-        assert ends[1] <= delta
-        lo, hi, touch = qsim._first_events(qsim._Curve.of(energies, p), np.array([0.0]),
-                                           ends[:1], ends[1:], width, np.array([delta]))
+        curve = qsim._Curve.of(*DIP.support())
+        ends = np.exp(-1j * np.outer([0.0, width], curve.e)) @ curve.p  # the amplitudes z
+        assert abs(ends[1]) ** 2 <= delta
+        lo, hi, touch = qsim._first_events(curve, np.array([0.0]), ends, width, np.array([delta]))
         assert np.isnan(touch[0])
         assert lo[0] < ref <= hi[0] and hi[0] - lo[0] <= width / qsim._SPLIT
 
@@ -229,6 +228,66 @@ class TestFirstPassage:
                 if t_star is not None:
                     later = qsim.first_passage(state, delta, long)
                     assert later == pytest.approx(t_star, rel=1e-12, abs=1e-12), (seed, delta)
+
+
+class TestChordBound:
+    def test_chord_bound_holds_on_random_cells(self):
+        # on a cell [a, a + h], |z| >= dist(0, [z(a), z(a + h)]) - sag*h**2 - r,
+        # with z(a) and z(a + h) from the kernel; checked against a dense direct
+        # evaluation, which carries a rounding error r of its own, on cells from
+        # 1/100 to 3 grid steps wide. The least margin is 3.5e-8, and 0.9*sag
+        # fails on 5 cells. On 69 cells the curvature bound cannot clear even
+        # delta = 0, which the chord bound clears
+        rng = np.random.default_rng(31)
+        margins, curvature_kept = [], 0
+        for seed in range(300):
+            state = qsim.draw_state(np.random.default_rng(seed), 2 + seed % 7)
+            curve = qsim._Curve.of(*state.support())
+            step = 2 * math.pi / (qsim._SAMPLES_PER_FAST_PERIOD * np.ptp(curve.e))
+            starts = rng.uniform(0.0, 100.0, 10)
+            for a, h in zip(starts, step * 10.0 ** rng.uniform(-2.0, 0.5, 10)):
+                z = kernels.amplitude_rows(curve.p, curve.e, [a], h, 2)[0]
+                r = curve.rounding(a + h)
+                gap = qsim._chord_distance(z[:1], z[1:])[0] - curve.sag * h * h - r
+                t = a + h * np.linspace(0.0, 1.0, 513)
+                margins.append(np.abs(np.exp(-1j * np.outer(t, curve.e)) @ curve.p).min() + r - gap)
+                fmin = (np.abs(z) ** 2).min()
+                curvature_kept += gap > 0.0 and fmin - curve.curv * h * h / 8.0 - r <= 0.0
+        assert min(margins) >= 0.0
+        assert curvature_kept >= 50
+
+    def test_chord_distance_of_degenerate_and_far_segments(self):
+        z = np.array([0.6 + 0.8j, 1.0 + 0j, 1.0 - 1.0j])
+        w = np.array([0.6 + 0.8j, 2.0 + 0j, -1.0 + 1.0j])  # a point, 0 off the end, 0 on it
+        np.testing.assert_allclose(qsim._chord_distance(z, w), [1.0, 1.0, 0.0], atol=1e-16)
+
+    @pytest.mark.parametrize("args", [(300, 8, 7), (100, 40, 3, 0.3), (3, 256, 7)])
+    def test_chord_test_changes_no_report_and_cuts_few_cells(self, monkeypatch, args):
+        # sag = inf turns the chord test off, so that the curvature test alone
+        # clears cells; the subdivision rows are the amplitude_rows calls made
+        # outside fidelity_grid
+        rows, inside = [], []
+        grid, amplitude_rows, of = kernels.fidelity_grid, kernels.amplitude_rows, qsim._Curve.of
+
+        def counted_grid(*args):
+            inside.append(True)
+            try:
+                return grid(*args)
+            finally:
+                inside.pop()
+
+        def counted_rows(p, e, starts, dt, n):
+            rows.append(0 if inside else len(starts))
+            return amplitude_rows(p, e, starts, dt, n)
+
+        monkeypatch.setattr(kernels, "fidelity_grid", counted_grid)
+        monkeypatch.setattr(kernels, "amplitude_rows", counted_rows)
+        default, default_rows = qsim.verify_limits(*args), sum(rows)
+        rows.clear()
+        monkeypatch.setattr(qsim._Curve, "of", classmethod(
+            lambda cls, energies, p: of(energies, p)._replace(sag=math.inf)))
+        assert qsim.verify_limits(*args) == default
+        assert 0 < 5 * default_rows < sum(rows)
 
 
 def limits(state, deltas):
@@ -343,7 +402,7 @@ class TestVerifyLimits:
         monkeypatch.setattr(kernels, "refine_crossing",
                             lambda p, *rest: blocks.append(np.ndim(p)) or refine(p, *rest))
         default = qsim.verify_limits(*args)
-        assert blocks.count(2) == 1
+        assert blocks.count(2) == 2  # the trials in one block, the designed cases in another
         blocks.clear()
         monkeypatch.setattr(qsim, "_REFINE_CELLS", 1)
         assert qsim.verify_limits(*args) == default
@@ -372,18 +431,34 @@ class TestVerifyLimits:
 
     def test_one_alpha_solve_per_run(self, monkeypatch):
         # the designed cases take the random trials' coefficients, so alpha is
-        # solved once per run; each designed passage is still measured by first_passage
-        alphas, passages = [], []
-        alpha, first_passage = bounds.alpha, qsim.first_passage
+        # solved once per run; their crossings are refined in one call of their own
+        alphas, levels = [], []
+        alpha, refine = bounds.alpha, kernels.refine_crossing
         monkeypatch.setattr(bounds, "alpha", lambda delta: alphas.append(delta) or alpha(delta))
-        monkeypatch.setattr(qsim, "first_passage",
-                            lambda state, delta, horizon: passages.append(delta)
-                            or first_passage(state, delta, horizon))
+        monkeypatch.setattr(kernels, "refine_crossing",
+                            lambda p, e, lo, hi, level: levels.append(level)
+                            or refine(p, e, lo, hi, level))
         rep = qsim.verify_limits(5, 4, seed=7)
         assert len(alphas) == 1
-        assert passages == qsim.DELTAS.tolist()
-        assert rep["designed_cases"] == len(passages)
+        assert len(levels) == 2
+        assert rep["designed_cases"] == qsim.DELTAS.size
         assert rep["checks"] >= rep["designed_cases"]
+        # every designed case but the touch at delta = 0 is a crossing, refined in the last call
+        np.testing.assert_array_equal(levels[-1], qsim.DELTAS[1:])
+
+    def test_designed_cases_match_first_passage(self):
+        # one refinement call for all designed brackets gives each case the
+        # time that first_passage measures for it alone, bit for bit
+        _, z_opts = bounds._upper_bound_argmin(qsim.DELTAS)
+        slack = 0.0
+        for i, (delta, z_opt) in enumerate(zip(qsim.DELTAS.tolist(), z_opts.tolist())):
+            state = qsim.two_level_state(math.sqrt(0.5 * (1.0 + z_opt)))
+            t_star = qsim.first_passage(state, delta, scan_horizon(state))
+            slack = max(slack, abs(t_star / limits(state, qsim.DELTAS)[0][i] - 1.0))
+        for horizon_mult in (1.0, 0.3):
+            rep = qsim.verify_limits(1, 2, seed=7, horizon_mult=horizon_mult)
+            assert rep["designed_violations"] == 0
+            assert rep["designed_max_rel_slack"] == slack
 
     def test_deterministic(self):
         a = qsim.verify_limits(50, 4, seed=3)
