@@ -11,9 +11,13 @@ solves for :mod:`qsl.bounds`' M. A scan clears a cell [a, a + h] where f stays
 above its targets by the curvature bound min(f(a), f(a + h)) - max|f''|*h**2/8
 or by the chord bound (dist(0, [z(a), z(a + h)]) - max|z''|*h**2/8)**2, either
 less the rounding bound, which bounds the error of z as well as of f.
-``refine_crossing`` takes one state or one zero-padded state row per bracket,
-so that a block of trials is refined in one call; it sums each bracket's levels
-in order, so that the padding changes no bit of a bracket's f and f'.
+
+A scan grids one state at a time; everything after that works on a block of
+states at once. So ``amplitude_rows``, the fidelity and its derivatives and
+both refiners take one state (1-d ``p`` and ``energies``) or one zero-padded
+state row per start, time or bracket (2-d). On rows they sum each state's
+levels in order on level-major tables, so that a padding level (p = 0) adds
+exact zeros: a row's values do not depend on the block it came in.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ _THETA_CELLS = 4 * 2048
 
 # complex entries of amplitude_rows' left factor per block of rows, bounding its memory
 _ROW_BLOCK = 1 << 16
+# complex entries per level-major table of the row kernels, which work through
+# their rows or times in blocks of this size, so that a scan block's many
+# rows take little memory at once
+_LEVEL_BLOCK = 1 << 12
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -57,13 +65,31 @@ def theta_max_table(rho, sigma, fa, fb):
 def amplitude_rows(p, energies, starts, dt, n):
     """z = sum_k p_k exp(-i E_k t) at t = starts[r] + dt*j, as an array (len(starts), n).
 
-    Computed as the complex matrix product
-    z = (p * exp(-i E starts)) @ exp(-i E dt j)^T, which takes
-    (len(starts) + n)*d exponentials instead of len(starts)*n*d.
+    For one state (1-d ``p`` and ``energies``, one scalar ``dt``) this is the
+    complex matrix product z = (p * exp(-i E starts)) @ exp(-i E dt j)^T,
+    which takes (len(starts) + n)*d exponentials instead of len(starts)*n*d.
+    For one zero-padded state row and one step ``dt`` per start (2-d), each
+    row's levels are summed in order, in blocks of rows that bound the memory;
+    a row with the state and step of the row before it shares its right factor.
     """
     starts = np.asarray(starts, dtype=np.float64)
-    right = np.exp(-1j * np.outer(energies, dt * np.arange(n)))
     out = np.empty((starts.size, n), dtype=np.complex128)
+    if np.ndim(p) == 2:
+        p_t, e_t = _level_major(p, energies)
+        dt = np.asarray(dt, dtype=np.float64)
+        head = np.append(True, (dt[1:] != dt[:-1]) | np.any(e_t[:, 1:] != e_t[:, :-1], axis=0))
+        heads = np.nonzero(head)[0]
+        right = np.exp(-1j * (e_t[:, heads, None] * np.multiply.outer(dt[heads], np.arange(n))))
+        owner = np.cumsum(head) - 1
+        block = max(1, _LEVEL_BLOCK // (p_t.shape[0] * n))
+        for s in range(0, starts.size, block):
+            rows = slice(s, s + block)
+            left = p_t[:, rows] * np.exp(-1j * (e_t[:, rows] * starts[rows]))
+            terms = right[:, owner[rows]]
+            np.multiply(left[:, :, None], terms, out=terms)
+            np.sum(terms, axis=0, out=out[rows])
+        return out
+    right = np.exp(-1j * np.outer(energies, dt * np.arange(n)))
     block = max(1, _ROW_BLOCK // energies.size)
     for s in range(0, starts.size, block):
         np.matmul(p * np.exp(-1j * np.outer(starts[s:s + block], energies)), right,
@@ -96,30 +122,56 @@ def rounding_bound(t, d, scale):
     return _EPS * (16.0 * scale * t + 4.0 * d + 8.0)
 
 
-def _terms(energies, t):
-    return np.exp(-1j * np.multiply.outer(t, energies))
+def _level_major(p, energies):
+    """Level-major (levels, 1) tables of one state, or (levels, rows) tables of state rows."""
+    return (np.ascontiguousarray(np.atleast_2d(p).T),
+            np.ascontiguousarray(np.atleast_2d(energies).T))
+
+
+def _level_sums(p_t, e_t, t, order):
+    """sum_k p_k E_k**j exp(-i E_k t) for j = 0..order at the times ``t``, from level-major tables.
+
+    The sums run over axis 0 of C-ordered tables, one level after the other,
+    so that a padding level (p = 0) adds exact zeros and changes no bit.
+    """
+    w = -1j * (e_t * t)
+    np.exp(w, out=w)
+    sums, weight = [], p_t
+    for j in range(order + 1):
+        if j:
+            weight = weight * e_t
+        sums.append((w * weight).sum(axis=0))
+    return sums
+
+
+def _at(p, energies, t, order):
+    """The sums of :func:`_level_sums` at a time or an array of times, of one state or of rows."""
+    t = np.asarray(t, dtype=np.float64)
+    times = t.ravel()
+    rows = np.ndim(p) > 1
+    block = max(1, _LEVEL_BLOCK // np.shape(p)[-1])
+    parts = [_level_sums(*_level_major(p[s:s + block] if rows else p,
+                                       energies[s:s + block] if rows else energies),
+                         times[s:s + block], order)
+             for s in range(0, max(times.size, 1), block)]
+    return [np.concatenate(sums).reshape(t.shape) for sums in zip(*parts)]
 
 
 def fidelity_scalar(p, energies, t):
     """|sum_k p_k exp(-i E_k t)|^2 at a time ``t`` or at each time of an array."""
-    z = _terms(energies, t) @ p
+    (z,) = _at(p, energies, t, 0)
     return z.real * z.real + z.imag * z.imag
 
 
 def dfidelity_scalar(p, energies, t):
     """Time derivative of :func:`fidelity_scalar`, at a time or an array of times."""
-    w = _terms(energies, t)
-    z = w @ p
-    zd = w @ (p * energies)  # z' = -i zd
+    z, zd = _at(p, energies, t, 1)  # z' = -i zd
     return 2.0 * (z.real * zd.imag - z.imag * zd.real)
 
 
 def d2fidelity(p, energies, t):
     """Second time derivative of :func:`fidelity_scalar`."""
-    w = _terms(energies, t)
-    z = w @ p
-    zd = w @ (p * energies)
-    zdd = w @ (p * energies * energies)  # z'' = -zdd
+    z, zd, zdd = _at(p, energies, t, 2)  # z'' = -zdd
     return 2.0 * (zd.real * zd.real + zd.imag * zd.imag
                   - z.real * zdd.real - z.imag * zdd.imag)
 
@@ -174,22 +226,11 @@ def refine_crossing(p, energies, lo, hi, level):
     levels are its nonzero p.
     """
     level = np.broadcast_to(np.asarray(level, dtype=np.float64), np.shape(lo)).ravel()
-    # level-major tables (no copy for the transpose of a level-major array):
-    # the sum over levels adds one level after the other, so a padding level
-    # (p = 0) adds exact zeros and changes no bit
-    p_t = np.ascontiguousarray(np.atleast_2d(p).T)
-    e_t = np.ascontiguousarray(np.atleast_2d(energies).T)
-    tables = p_t, e_t, p_t * e_t
-
-    def sums(t, rows):
-        # take, unlike [:, rows], keeps the tables level-major; one shared column broadcasts
-        p_r, e_r, pe_r = (a.take(rows, axis=1) for a in tables) if p.ndim > 1 else tables
-        w = -1j * (e_r * t)
-        np.exp(w, out=w)
-        return (w * p_r).sum(axis=0), (w * pe_r).sum(axis=0)
+    tables = _level_major(p, energies)
 
     def g(t, rows):
-        z, zd = sums(t, rows)
+        # take, unlike [:, rows], keeps the tables level-major; one shared column broadcasts
+        z, zd = _level_sums(*(a.take(rows, axis=1) if p.ndim > 1 else a for a in tables), t, 1)
         return (z.real * z.real + z.imag * z.imag - level[rows],
                 2.0 * (z.real * zd.imag - z.imag * zd.real))
 
@@ -199,10 +240,16 @@ def refine_crossing(p, energies, lo, hi, level):
 
 
 def refine_minimum(p, energies, lo, hi):
-    """Solve f'(t) = 0 in each bracket, where f'(lo) < 0 < f'(hi): a local minimum."""
+    """Solve f'(t) = 0 in each bracket, where f'(lo) < 0 < f'(hi): a local minimum.
+
+    ``p`` and ``energies`` are one state's or one zero-padded row per bracket,
+    as for :func:`refine_crossing`.
+    """
 
     def g(t, rows):
-        return -_dfidelity_scalar(p, energies, t), -d2fidelity(p, energies, t)
+        p_r, e_r = (p[rows], energies[rows]) if p.ndim > 1 else (p, energies)
+        return -_dfidelity_scalar(p_r, e_r, t), -d2fidelity(p_r, e_r, t)
 
-    scale = float(np.abs(energies).max())
-    return newton(g, lo, hi, 2.0 * scale * rounding_bound(np.asarray(hi), energies.size, scale))
+    scale = np.abs(energies).max(axis=-1)
+    tol = 2.0 * scale * rounding_bound(np.asarray(hi), np.count_nonzero(p, axis=-1), scale)
+    return newton(g, lo, hi, tol)

@@ -38,10 +38,11 @@ _SPLIT = 16
 _MAX_DEPTH = 5
 # a local minimum this close to the target reaches it (a tangential touch)
 _TOUCH_ACCEPT = 1e-12
-# verify_limits refines its pending crossings once their brackets' zero-padded
-# (p, e) rows reach this many entries: the row block of the fidelity kernels,
-# so the refinement's memory stays bounded at any --dmax
-_REFINE_CELLS = kernels._ROW_BLOCK
+# verify_limits scans its trials in blocks of as many as keep the block's
+# crossing brackets, DELTAS.size per trial at most, within this many entries of
+# zero-padded (p, e) rows (204 trials at --dmax 8), so that a block's memory
+# stays bounded at any --dmax
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -73,55 +74,85 @@ class QuantumState:
         return self.energies[mask], p / p.sum()
 
 
-def dispersion(energies: np.ndarray, p: np.ndarray) -> float:
-    """Energy standard deviation of a state with support (energies, p)."""
-    mean = float(p @ energies)
-    var = float(p @ (energies - mean) ** 2)
-    return math.sqrt(max(var, 0.0))
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a @ b along the last axis, row by row: one dot product per row, as for each row alone."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def mean_excess_energy(energies: np.ndarray, p: np.ndarray) -> float:
-    """Mean energy above the lowest occupied level of a state with support (energies, p)."""
-    return float(p @ energies) - float(energies.min())
+def dispersion(energies: np.ndarray, p: np.ndarray):
+    """Energy standard deviation of a state with support (energies, p), per row of 2-d arrays."""
+    mean = _dot(p, energies)
+    var = _dot(p, (energies - np.expand_dims(mean, -1)) ** 2)
+    return np.sqrt(np.maximum(var, 0.0))
 
 
-def default_horizon(energies: np.ndarray, mult: float = 1.0) -> Optional[float]:
-    """Scan horizon 4*pi / (smallest gap of the occupied ``energies``), or None if static."""
-    if energies.size < 2:
-        return None
-    gaps = np.diff(np.sort(energies))
-    gaps = gaps[gaps > SUPPORT_EPS]
-    if gaps.size == 0:
-        return None
-    return mult * 4.0 * math.pi / float(gaps.min())
+def mean_excess_energy(energies: np.ndarray, p: np.ndarray):
+    """Mean energy above the lowest occupied level of the support (energies, p), per row."""
+    return _dot(p, energies) - energies.min(axis=-1)
 
 
-class _Curve(NamedTuple):
-    """A state's fidelity curve, with its energies shifted to their weighted median c.
+def default_horizon(energies: np.ndarray, mult: float = 1.0):
+    """Scan horizon 4*pi / (smallest gap of the occupied ``energies``) per row, nan if static."""
+    gaps = np.diff(np.sort(energies, axis=-1), axis=-1)
+    gap = np.where(gaps > SUPPORT_EPS, gaps, np.inf).min(axis=-1, initial=np.inf)
+    return np.where(gap < np.inf, mult * 4.0 * math.pi / gap, np.nan)[()]
 
-    ``curv`` = 2*m1**2 + 2*m2 bounds |f''|, where m1 = sum p|E - c| bounds
-    |z'| and m2 = sum p(E - c)**2 bounds |z''| (for any c; the median
-    minimises m1), and ``sag`` = m2/8 bounds |z - chord|/h**2 on a cell of
-    width h. ``scale`` = max |E - c| sets the rounding bound.
+
+class _Rows(NamedTuple):
+    """A block of states, one row each, their supports zero-padded to the widest.
+
+    ``p`` holds each support's weights and ``e`` its energies shifted to their
+    weighted median c; ``d`` is the support size. ``curv`` = 2*m1**2 + 2*m2
+    bounds |f''|, where m1 = sum p|E - c| bounds |z'| and m2 = sum p(E - c)**2
+    bounds |z''| (for any c; the median minimises m1), and ``sag`` = m2/8
+    bounds |z - chord|/h**2 on a cell of width h. ``scale`` = max |E - c| sets
+    the rounding bound. ``span`` = E_max - E_min and ``p_max`` is the largest
+    weight. ``excess`` = <H - E0> and ``de`` = dE are the limits' denominators,
+    and ``horizon`` the scan horizon (:func:`default_horizon`).
     """
 
     p: np.ndarray
     e: np.ndarray
-    curv: float
-    sag: float
-    scale: float
+    d: np.ndarray
+    curv: np.ndarray
+    sag: np.ndarray
+    scale: np.ndarray
+    span: np.ndarray
+    p_max: np.ndarray
+    excess: np.ndarray
+    de: np.ndarray
+    horizon: np.ndarray
 
-    @classmethod
-    def of(cls, energies: np.ndarray, p: np.ndarray) -> "_Curve":
-        order = np.argsort(energies)
-        c = energies[order][np.searchsorted(np.cumsum(p[order]), 0.5)]
-        e = energies - c
-        m1 = float(p @ np.abs(e))
-        m2 = float(p @ (e * e))
-        return cls(p, e, 2.0 * m1 * m1 + 2.0 * m2, m2 / 8.0, float(np.abs(e).max()))
+    def rounding(self, t, rows):
+        """The kernels' rounding bound at times ``t`` for the states ``rows``."""
+        return kernels.rounding_bound(t, self.d[rows], self.scale[rows])
 
-    def rounding(self, t):
-        return kernels.rounding_bound(t, self.e.size, self.scale)
+
+def _rows(supports: list, horizon_mult: float = 1.0) -> _Rows:
+    """The block of the states with the given supports, (energies, p) pairs, one row each.
+
+    The rows of one support size are set up together on arrays of that exact
+    width, so that every sum runs over the same levels in the same order as
+    for the state alone.
+    """
+    sizes = np.array([p.size for _, p in supports])
+    p, e = np.zeros((2, sizes.size, sizes.max()))
+    per_row = np.empty((8, sizes.size))
+    for d in sorted(set(sizes.tolist())):
+        rows = np.nonzero(sizes == d)[0]
+        energies = np.array([supports[i][0] for i in rows.tolist()])
+        weights = np.array([supports[i][1] for i in rows.tolist()])
+        order = np.argsort(energies, axis=1)
+        cum = np.cumsum(np.take_along_axis(weights, order, axis=1), axis=1)
+        median = np.count_nonzero(cum < 0.5, axis=1, keepdims=True)
+        shifted = energies - np.take_along_axis(energies, np.take_along_axis(order, median, 1), 1)
+        m1, m2 = _dot(weights, np.abs(shifted)), _dot(weights, shifted * shifted)
+        p[rows, :d], e[rows, :d] = weights, shifted
+        per_row[:, rows] = (2.0 * m1 * m1 + 2.0 * m2, m2 / 8.0, np.abs(shifted).max(axis=1),
+                            energies.max(axis=1) - energies.min(axis=1), weights.max(axis=1),
+                            mean_excess_energy(energies, weights), dispersion(energies, weights),
+                            default_horizon(energies, horizon_mult))
+    return _Rows(p, e, sizes, *per_row)
 
 
 def _chord_distance(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
@@ -132,157 +163,237 @@ def _chord_distance(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
     return np.abs(za + np.clip(s, 0.0, 1.0) * d)
 
 
-def _first_events(curve: _Curve, a: np.ndarray, z: np.ndarray, h: float, deltas: np.ndarray):
-    """Earliest passage of each target within the cells [a, a + h].
+def _first_cells(mask: np.ndarray, row: np.ndarray, n_rows: int) -> np.ndarray:
+    """Per (row, column) of ``mask``: the first cell of that row where the column is True.
 
-    ``a`` is increasing, z holds the amplitudes at a and at a[-1] + h, and f
-    is certified above every target before ``a[0]``. A cell is cleared for
-    the targets not yet reached before it when f stays above them on all of
-    it by the curvature bound min(fa, fb) - curv*h**2/8 - r or, where that
-    fails, by the chord bound (dist(0, [za, zb]) - sag*h**2 - r)**2, since
-    |z - chord| <= m2*h**2/8, above delta + _TOUCH_ACCEPT. r is the rounding
-    bound at the last cell's end (it increases with t); it bounds the error of
-    za and zb with half to spare for the distance's own rounding.
-    The cells neither bound clears are cut into _SPLIT parts, all of them at
+    ``mask`` holds one line per cell and ``row`` the row of each cell; a row
+    without one gets mask.shape[0].
+    """
+    n = mask.shape[0]
+    first = np.full((n_rows, mask.shape[1]), n)
+    np.minimum.at(first, row, np.where(mask, np.arange(n)[:, None], n))
+    return first
+
+
+def _first_events(rows: _Rows, grids, k0: int, h: np.ndarray, deltas: np.ndarray,
+                  todo: np.ndarray):
+    """Earliest passage of each sought target within one chunk of each scanned row's grid.
+
+    ``grids`` yields (i, z) for each row i scanned in this chunk: its cells
+    are [a, a + h] with a = (k0 + j)*h, j < z.size - 1, and z holds the
+    amplitudes at each a and at the last cell's end. ``h`` holds each row's
+    grid step and ``todo`` marks the targets, of the increasing ``deltas``,
+    that each row still seeks. f is certified above every sought target
+    before the chunk. A cell is cleared for the targets not yet reached
+    before it when f stays above them on all of it by the curvature bound
+    min(fa, fb) - curv*h**2/8 - r or, where that fails, by the chord bound
+    (dist(0, [za, zb]) - sag*h**2 - r)**2, since |z - chord| <= m2*h**2/8,
+    above delta + _TOUCH_ACCEPT. r is the rounding bound at the row's last
+    cell's end (it increases with t); it bounds the error of za and zb with
+    half to spare for the distance's own rounding. The cells neither bound clears are cut into _SPLIT parts, all of them at
     once. A cell where f comes down to a target is a crossing bracket once
     f' <= (f'(a) + f'(b))/2 + curv*h/2 < 0 certifies that f decreases on it.
     At the last depth, 16**-5 of the grid step, a crossing cell is a bracket
     as it is, and a cell still uncleared is searched for a local minimum,
     which reaches the targets within _TOUCH_ACCEPT of it.
 
-    Returns (lo, hi, touch) per target: a crossing bracket [lo, hi], or a
-    touch at ``touch`` (where it is not nan) in the cell starting at ``lo``;
-    lo is inf for a target not reached in these cells.
+    Depth 0's curvature test runs row by row over the whole chunk. The cells
+    it keeps and the crossing cells then go on as one flat block of cells,
+    each carrying its row, through the chord test, the crossing certificates
+    and every later depth, once for the block, with kernels that take the
+    rows' zero-padded (p, e).
+
+    Returns (lo, hi, touch) over (rows, targets): a crossing bracket [lo, hi],
+    or a touch at ``touch`` (where it is not nan) in the cell starting at lo;
+    lo is inf for a sought target not reached in this chunk, -inf for one not sought.
     """
-    p, e = curve.p, curve.e
-    lo = np.full(deltas.size, np.inf)
-    hi = np.full(deltas.size, np.inf)
-    touch = np.full(deltas.size, np.nan)
-    f = z.real * z.real + z.imag * z.imag
-    za, zb, fa, fb = z[:-1], z[1:], f[:-1], f[1:]
+    r = np.zeros(todo.shape[0])  # each row's rounding bound at its current depth
+    # depth 0, row by row: each row's whole chunk, cut down to the cells the
+    # curvature test keeps and its crossing cells
+    live, cand, z_a, z_b, ceiling, held, first = ([] for _ in range(7))
+    h_row, curv, d, scale = h.tolist(), rows.curv.tolist(), rows.d.tolist(), rows.scale.tolist()
+    for i, z in grids:
+        f = z.real * z.real + z.imag * z.imag
+        fmin = np.minimum(f[:-1], f[1:])
+        n = fmin.size
+        sought = np.nonzero(todo[i])[0]
+        # the first cell down to each target, no later for a higher one
+        cell = np.searchsorted(-np.minimum.accumulate(fmin), -deltas[sought], side="left")
+        # the ceiling of a cell: the highest target whose first cell lies after it
+        top = np.repeat(np.append(deltas[sought][::-1], -np.inf) + _TOUCH_ACCEPT,
+                        np.diff(np.concatenate(([0], cell[::-1], [n]))))
+        r[i] = kernels.rounding_bound((k0 + n - 1) * h_row[i] + h_row[i], d[i], scale[i])
+        keep = fmin - curv[i] * h_row[i] * h_row[i] / 8.0 - r[i] <= top
+        mark = keep.copy()
+        hit = cell < n
+        mark[cell[hit]] = True
+        kept = np.nonzero(mark)[0]
+        live.append(i)
+        cand.append(kept)
+        z_a.append(z[kept])
+        z_b.append(z[kept + 1])
+        ceiling.append(top[kept])
+        held.append(keep[kept])
+        first.append((sought[hit], np.searchsorted(kept, cell[hit])))
+    lo = np.where(todo, np.inf, -np.inf)
+    hi = np.full(todo.shape, np.inf)
+    touch = np.full(todo.shape, np.nan)
+    sizes = [c.size for c in cand]
+    if not sum(sizes):
+        return lo, hi, touch
+    # the rest, once for the block: flat arrays of cells, each with its row
+    row = np.repeat(live, sizes)
+    a = (k0 + np.concatenate(cand)) * h[row]
+    za, zb, ceiling, held = (np.concatenate(x) for x in (z_a, z_b, ceiling, held))
+    fa, fb = (z.real * z.real + z.imag * z.imag for z in (za, zb))
+    cells = np.full(todo.shape, a.size)
+    for i, offset, (j, c) in zip(live, np.cumsum([0] + sizes).tolist(), first):
+        cells[i, j] = offset + c
+    h = h.copy()
     for depth in range(_MAX_DEPTH + 1):
         last = depth == _MAX_DEPTH
-        fmin = np.minimum(fa, fb)
-        cell = np.searchsorted(-np.minimum.accumulate(fmin), -deltas, side="left")
-        start = np.full(deltas.size, np.inf)
-        hit = cell < a.size
-        start[hit] = a[cell[hit]]
+        b = a + h[row]
+        if depth:
+            fmin = np.minimum(fa, fb)
+            cells = _first_cells(fmin[:, None] <= deltas, row, todo.shape[0])
+            end = np.nonzero(np.append(row[1:] != row[:-1], True))[0]
+            r[row[end]] = rows.rounding(b[end], row[end])
+        start = np.append(a, np.inf)[cells]
         new = start < lo
         # a cell must be cleared for the targets whose earliest event lies after its start
         until = np.minimum(lo, start)
-        order = np.argsort(until)
-        above = np.maximum.accumulate(np.append(deltas[order], -np.inf)[::-1])[::-1]
-        ceiling = above[np.searchsorted(until[order], a, side="right")] + _TOUCH_ACCEPT
-        b = a + h
-        rounding = curve.rounding(b[-1])
-        keep = fmin - curve.curv * h * h / 8.0 - rounding <= ceiling
-        held = np.nonzero(keep)[0]
-        gap = _chord_distance(za[held], zb[held]) - curve.sag * h * h - rounding
-        keep[held] = np.maximum(gap, 0.0) ** 2 <= ceiling[held]
+        if depth:
+            ceiling = np.where(until[row] > a[:, None], deltas, -np.inf).max(axis=1) + _TOUCH_ACCEPT
+            held = fmin - (rows.curv * h * h / 8.0)[row] - r[row] <= ceiling
+        keep = held.copy()
+        sel = np.nonzero(held)[0]
+        gap = _chord_distance(za[sel], zb[sel]) - (rows.sag * h * h)[row[sel]] - r[row[sel]]
+        keep[sel] = np.maximum(gap, 0.0) ** 2 <= ceiling[sel]
+        # marked rather than np.unique, whose first call costs 0.75 MB of resident memory
         crossing = np.zeros(a.size + 1, dtype=bool)
-        crossing[cell[new]] = True
+        crossing[cells[new]] = True
         crossing = np.nonzero(crossing[:-1])[0]
         if crossing.size:
-            slope = kernels.dfidelity_scalar(p, e, np.concatenate((a[crossing], b[crossing])))
-            bound = (slope.reshape(2, -1).mean(axis=0) + curve.curv * h / 2.0
-                     + 2.0 * curve.scale * curve.rounding(b[crossing]))
+            at = row[crossing]
+            both = np.concatenate((at, at))
+            slope = kernels.dfidelity_scalar(rows.p[both], rows.e[both],
+                                             np.concatenate((a[crossing], b[crossing])))
+            bound = ((slope[:crossing.size] + slope[crossing.size:]) / 2.0
+                     + rows.curv[at] * h[at] / 2.0
+                     + 2.0 * rows.scale[at] * rows.rounding(b[crossing], at))
             certified = np.zeros(a.size + 1, dtype=bool)
             certified[crossing] = (bound < 0.0) | last
             keep[crossing] |= ~certified[crossing]
-            done = new & certified[cell]
-            lo[done] = a[cell[done]]
-            hi[done] = b[cell[done]]
+            done = new & certified[cells]
+            lo[done] = a[cells[done]]
+            hi[done] = b[cells[done]]
         if last:
-            _touches(curve, a[keep], b[keep], a[keep, None] < until, deltas, lo, hi, touch)
+            _touches(rows, row[keep], a[keep], b[keep], a[keep, None] < until[row[keep]],
+                     deltas, lo, hi, touch)
             break
-        a, za, zb, fa, fb = a[keep], za[keep], zb[keep], fa[keep], fb[keep]
-        if not a.size:
+        sel = np.nonzero(keep)[0]
+        if not sel.size:
             break
+        a, za, zb, fa, fb, row = a[sel], za[sel], zb[sel], fa[sel], fb[sel], row[sel]
         h /= _SPLIT
-        v = kernels.amplitude_rows(p, e, a, h, _SPLIT)
+        v = kernels.amplitude_rows(rows.p[row], rows.e[row], a, h[row], _SPLIT)
         v[:, 0] = za  # the values already known, so that every cell agrees with its parent
         g = v.real * v.real + v.imag * v.imag
         zb = np.column_stack((v[:, 1:], zb)).ravel()
         fb = np.column_stack((g[:, 1:], fb)).ravel()
         za, fa = v.ravel(), g.ravel()
-        a = (a[:, None] + h * np.arange(_SPLIT)).ravel()
+        a = (a[:, None] + h[row, None] * np.arange(_SPLIT)).ravel()
+        row = np.repeat(row, _SPLIT)
     return lo, hi, touch
 
 
-def _touches(curve: _Curve, a, b, relevant, deltas, lo, hi, touch) -> None:
-    """Record, in place, the earliest local minimum in the cells [a, b] that reaches each target."""
+def _touches(rows: _Rows, row, a, b, relevant, deltas, lo, hi, touch) -> None:
+    """Record, in place, the earliest local minimum in the cells [a, b] of each row that reaches
+    each target."""
     if not a.size:
         return
-    slope = kernels.dfidelity_scalar(curve.p, curve.e, np.concatenate((a, b))).reshape(2, -1)
-    dip = (slope[0] < 0.0) & (slope[1] > 0.0)
+    both = np.concatenate((row, row))
+    slope = kernels.dfidelity_scalar(rows.p[both], rows.e[both], np.concatenate((a, b)))
+    dip = (slope[:a.size] < 0.0) & (slope[a.size:] > 0.0)
     if not dip.any():
         return
-    a, b, relevant = a[dip], b[dip], relevant[dip]
-    t_min = kernels.refine_minimum(curve.p, curve.e, a, b)
-    f_min = kernels.fidelity_scalar(curve.p, curve.e, t_min)
+    row, a, b, relevant = row[dip], a[dip], b[dip], relevant[dip]
+    t_min = kernels.refine_minimum(rows.p[row], rows.e[row], a, b)
+    f_min = kernels.fidelity_scalar(rows.p[row], rows.e[row], t_min)
     reach = relevant & (f_min[:, None] <= deltas + _TOUCH_ACCEPT)
-    for j in np.nonzero(reach.any(axis=0))[0]:
-        i = int(reach[:, j].argmax())
-        lo[j] = a[i]
-        if f_min[i] <= deltas[j] - _TOUCH_ACCEPT:
-            hi[j] = t_min[i]  # the dip goes through the target: bracket its left crossing
-        else:
-            touch[j] = t_min[i]
+    first = _first_cells(reach, row, lo.shape[0])
+    i, j = np.nonzero(first < a.size)
+    c = first[i, j]
+    lo[i, j] = a[c]
+    through = f_min[c] <= deltas[j] - _TOUCH_ACCEPT
+    # a dip through the target brackets its left crossing
+    hi[i[through], j[through]] = t_min[c[through]]
+    touch[i[~through], j[~through]] = t_min[c[~through]]
 
 
-# the crossing brackets of a state without any: (curve, at, lo, hi) as _scan returns them
-_NO_BRACKETS = (None, np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
+def _scan(rows: _Rows, deltas: np.ndarray, sought: np.ndarray, horizon: np.ndarray) -> np.ndarray:
+    """First passage of each row's state to its ``sought`` targets among the increasing ``deltas``.
 
-
-def _scan(energies: np.ndarray, p: np.ndarray, deltas: np.ndarray,
-          horizon: float) -> tuple[np.ndarray, tuple]:
-    """First passage to each target of the increasing ``deltas``, up to refinement.
-
-    The scan steps forward in chunks of a uniform grid with
-    _SAMPLES_PER_FAST_PERIOD points per fastest period and certifies every
-    cell before a reported time (:func:`_first_events`). It stops when every
-    target is reached. Returns the passage times found so far (0 for a
-    target met at the start, the time of a touch; nan for one not reached:
-    provably unreachable, since f >= (2*p_max - 1)**2 when p_max > 1/2, or not
-    reached within the point budget) and the crossings still to refine as
-    (curve, at, lo, hi): f first comes down to deltas[at] in [lo, hi]. A time
-    past ``horizon`` counts as not reached once the crossings are refined.
+    The block steps forward chunk by chunk, all rows together: each row's
+    chunk of a uniform grid with _SAMPLES_PER_FAST_PERIOD points per fastest
+    period of its own state, one kernels.fidelity_grid call each, and then one
+    :func:`_first_events` for the block, which certifies every cell before a
+    reported time. A row stops when all its targets are reached. Then the
+    crossings of the whole block are refined by one kernels.refine_crossing
+    call on the rows' zero-padded (p, e). Returns the times over (rows,
+    targets): 0 for a target met at the start, the time of a touch or of a
+    crossing, and nan for a target not sought or not reached. A target is not
+    reached when it is provably unreachable (f >= (2*p_max - 1)**2 when p_max
+    > 1/2), when its time lies past the row's ``horizon``, or when it lies
+    beyond the scan's point budget.
     """
-    t_star = np.where(deltas >= 1.0, 0.0, np.nan)
-    p_max = float(p.max())
-    floor = (2.0 * p_max - 1.0) ** 2 if p_max > 0.5 else 0.0
-    span = float(energies.max() - energies.min())
-    todo = np.nonzero((deltas < 1.0) & (deltas + _TOUCH_ACCEPT >= floor))[0]
-    if span <= 0.0 or not todo.size:
-        return t_star, _NO_BRACKETS
-    curve = _Curve.of(energies, p)
+    t_star = np.where(sought & (deltas >= 1.0), 0.0, np.nan)
+    floor = np.where(rows.p_max > 0.5, (2.0 * rows.p_max - 1.0) ** 2, 0.0)
+    moving = (rows.span > 0.0) & (horizon > 0.0)
+    todo = sought & (deltas < 1.0) & (deltas + _TOUCH_ACCEPT >= floor[:, None]) & moving[:, None]
+    span = np.where(moving, rows.span, 1.0)
     dt = 2.0 * math.pi / (_SAMPLES_PER_FAST_PERIOD * span)
-    steps = horizon / dt  # inf for an infinite horizon
-    n_points = _POINT_BUDGET if steps >= _POINT_BUDGET else math.ceil(steps) + 1
-    found_lo, found_hi, found_at = [], [], []
-    k0, z_prev = 0, None
-    while todo.size and k0 < n_points - 1:
-        n = min(_CHUNK, n_points - 1 - k0)
-        z = kernels.fidelity_grid(curve.p, curve.e, k0 * dt, dt, n + 1)
-        if k0 == 0:
-            met = deltas[todo] >= z[0].real * z[0].real + z[0].imag * z[0].imag
-            t_star[todo[met]] = 0.0
-            todo = todo[~met]
-        else:
-            z[0] = z_prev  # the previous chunk's last value, as certified there
-        t = (k0 + np.arange(n)) * dt
-        lo, hi, touch = _first_events(curve, t, z, dt, deltas[todo])
+    steps = np.where(moving, horizon, 0.0) / dt  # inf for an infinite horizon
+    n_points = np.where(steps >= _POINT_BUDGET, _POINT_BUDGET,
+                        np.ceil(np.minimum(steps, _POINT_BUDGET)) + 1).astype(int)
+    z_prev = np.zeros(t_star.shape[0], dtype=complex)
+
+    def grids(live, k0):
+        # one chunk of each live row's grid, made as _first_events takes it, so
+        # that one grid is held at a time
+        for i in live.tolist():
+            n = min(_CHUNK, int(n_points[i]) - 1 - k0)
+            d = rows.d[i]
+            z = kernels.fidelity_grid(rows.p[i, :d], rows.e[i, :d], k0 * dt[i], dt[i], n + 1)
+            if k0 == 0:
+                met = todo[i] & (deltas >= z[0].real * z[0].real + z[0].imag * z[0].imag)
+                t_star[i, met] = 0.0
+                todo[i] &= ~met
+            else:
+                z[0] = z_prev[i]  # the previous chunk's last value, as certified there
+            z_prev[i] = z[-1]
+            if todo[i].any():
+                yield i, z
+
+    found = []
+    k0 = 0
+    while True:
+        live = np.nonzero(todo.any(axis=1) & (k0 < n_points - 1))[0]
+        if not live.size:
+            break
+        lo, hi, touch = _first_events(rows, grids(live, k0), k0, dt, deltas, todo)
         touched = ~np.isnan(touch)
-        t_star[todo[touched]] = touch[touched]
-        bracketed = (lo < math.inf) & ~touched
-        found_lo.append(lo[bracketed])
-        found_hi.append(hi[bracketed])
-        found_at.append(todo[bracketed])
-        todo = todo[lo == math.inf]
-        z_prev = z[-1]
-        k0 += n
-    return t_star, (curve, np.concatenate(found_at), np.concatenate(found_lo),
-                    np.concatenate(found_hi))
+        t_star[touched] = touch[touched]
+        bracketed = todo & (lo < np.inf) & ~touched
+        if bracketed.any():
+            found.append((*np.nonzero(bracketed), lo[bracketed], hi[bracketed]))
+        todo &= lo == np.inf
+        k0 += _CHUNK
+    if found:
+        i, j, lo, hi = (np.concatenate(x) for x in zip(*found))
+        t_star[i, j] = kernels.refine_crossing(rows.p[i], rows.e[i], lo, hi, deltas[j])
+    t_star[t_star > horizon[:, None]] = np.nan
+    return t_star
 
 
 def first_passage(state: QuantumState, delta: float, horizon: float) -> Optional[float]:
@@ -292,35 +403,36 @@ def first_passage(state: QuantumState, delta: float, horizon: float) -> Optional
     oscillation and certifies every grid cell before the reported time: by
     the curvature bound on f or the chord bound on z (:func:`_first_events`)
     and the kernels' rounding bound, f stays above ``delta`` on it, or the
-    cell is cut finer until that holds. So no dip below ``delta`` before the reported time is missed; a
-    local minimum within 1e-12 of ``delta`` counts as reaching it. Absence of
-    a crossing within the horizon (or within the scan's point budget) is a
-    legitimate outcome, not an error.
+    cell is cut finer until that holds. So no dip below ``delta`` before the
+    reported time is missed; a local minimum within 1e-12 of ``delta`` counts
+    as reaching it. Absence of a crossing within the horizon (or within the
+    scan's point budget) is a legitimate outcome, not an error. The state is
+    scanned as a block of one (:func:`_scan`).
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     if not horizon > 0.0:
         raise DomainError(f"horizon must be positive, got {horizon}")
-    deltas = np.array([float(delta)])
-    t_star, (curve, at, lo, hi) = _scan(*state.support(), deltas, horizon)
-    if at.size:
-        t_star[at] = kernels.refine_crossing(curve.p, curve.e, lo, hi, deltas[at])
-    t = float(t_star[0])
-    return None if math.isnan(t) or t > horizon else t
+    (t,), = _scan(_rows([state.support()]), np.array([float(delta)]), np.ones((1, 1), dtype=bool),
+                  np.array([float(horizon)]))
+    return None if math.isnan(t) else float(t)
 
 
-def _limits(energies: np.ndarray, p: np.ndarray, ml_coeff: np.ndarray,
+def _limits(rows: _Rows, ml_coeff: np.ndarray,
             mt_coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both speed limits per target of the state with support (energies, p).
+    """Both speed limits per row and target.
 
     The excitation-energy limit is ml_coeff / <H - E0> with ml_coeff =
     (pi/2) * alpha(delta); the dispersion limit is mt_coeff / dE with
     mt_coeff = arccos(sqrt(delta)), the numerators. A limit whose denominator
     vanishes is inf.
     """
-    excess, de = mean_excess_energy(energies, p), dispersion(energies, p)
-    return (ml_coeff / excess if excess > 0.0 else np.full_like(ml_coeff, math.inf),
-            mt_coeff / de if de > 0.0 else np.full_like(mt_coeff, math.inf))
+    def over(coeff, denominator):
+        denominator = denominator[:, None]
+        return np.divide(coeff, denominator, where=denominator > 0.0,
+                         out=np.full((denominator.size, coeff.size), math.inf))
+
+    return over(ml_coeff, rows.excess), over(mt_coeff, rows.de)
 
 
 def two_level_state(xi: float) -> QuantumState:
@@ -390,52 +502,19 @@ def _tally(report: dict, t_star: np.ndarray, ml: np.ndarray, mt: np.ndarray) -> 
         report[key] += count
 
 
-def _refine(t_star: np.ndarray, levels: np.ndarray, scans) -> None:
-    """Refine in place, in one call, the crossings ``scans`` (curve, at, lo, hi) of several states.
-
-    ``t_star`` and ``levels`` hold one row of times and of targets per state.
-    Each bracket becomes a row of its state's (p, e), zero-padded to the widest.
-    """
-    pending = [(i, *b) for i, b in enumerate(scans) if b[1].size]
-    if not pending:
-        return
-    trial, curves, ats, los, his = zip(*pending)
-    slot = np.concatenate([i * t_star.shape[1] + at for i, at in zip(trial, ats)])
-    # level-major, so that the kernel takes the rows' transpose as it is
-    p, e = np.zeros((2, max(curve.p.size for curve in curves), slot.size))
-    r = 0
-    for curve, at in zip(curves, ats):
-        p[:curve.p.size, r:r + at.size] = curve.p[:, None]
-        e[:curve.e.size, r:r + at.size] = curve.e[:, None]
-        r += at.size
-    t_star.ravel()[slot] = kernels.refine_crossing(
-        p.T, e.T, np.concatenate(los), np.concatenate(his), np.take(levels, slot))
-
-
-def _settle(report: dict, block: list) -> None:
-    """Refine the crossings of a block of scanned trials in one call, then tally the block.
-
-    ``block`` holds (t_star, horizon, ml, mt, (curve, at, lo, hi)) per trial.
-    """
-    t_star, horizon, ml, mt, brackets = zip(*block)
-    t_star = np.array(t_star)
-    _refine(t_star, np.broadcast_to(DELTAS, t_star.shape), brackets)
-    t_star[t_star > np.array(horizon)[:, None]] = np.nan
-    _tally(report, t_star.ravel(), np.concatenate(ml), np.concatenate(mt))
-
-
 def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0) -> dict:
     """Monte-Carlo check that measured passage times respect both limits.
 
     Each trial draws a state (dimension uniform in {2..d_max}, energies in
     [0, 1], per-trial seed ``seed + trial``), measures the first passage for
     every target fidelity of DELTAS, and asserts t_star >= bound - 1e-9 for
-    both limits. The trials are scanned one by one; their crossings are
-    refined in blocks, by one kernels.refine_crossing call each time the
-    pending brackets' zero-padded (p, e) rows reach _REFINE_CELLS entries,
-    and each block is tallied at once. The saturating two-level states are
-    included as designed cases, checked the same way, with their crossings
-    refined in one call. Violations are counted, not raised.
+    both limits. The trials are scanned in blocks (:func:`_scan`), as many
+    per block as keep its brackets' zero-padded (p, e) rows within
+    _BLOCK_CELLS entries: each block is set up with array operations, steps
+    through its chunks together, is refined by one kernels.refine_crossing
+    call and is tallied at once. The saturating two-level states are included
+    as designed cases, one block of their own whose rows each seek one target,
+    checked the same way. Violations are counted, not raised.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
@@ -447,36 +526,28 @@ def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0)
 
     ml_coeff = 0.5 * math.pi * bounds.alpha(DELTAS)
     mt_coeff = np.array([bounds.mt_alpha(d) for d in DELTAS.tolist()])
-    block, rows, width = [], 0, 0
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + trial)
-        energies, p = draw_state(rng, int(rng.integers(2, d_max + 1))).support()
-        horizon = default_horizon(energies, horizon_mult)
-        if horizon is None:
-            t_star, brackets, horizon = np.full(DELTAS.size, np.nan), _NO_BRACKETS, math.inf
-        else:
-            t_star, brackets = _scan(energies, p, DELTAS, horizon)
-        block.append((t_star, horizon, *_limits(energies, p, ml_coeff, mt_coeff), brackets))
-        if brackets[1].size:
-            rows, width = rows + brackets[1].size, max(width, p.size)
-        if rows * width >= _REFINE_CELLS:
-            _settle(report, block)
-            block, rows, width = [], 0, 0
-    if block:
-        _settle(report, block)
+    block = max(1, _BLOCK_CELLS // (DELTAS.size * d_max))
+    for first in range(0, trials, block):
+        supports = []
+        for trial in range(first, min(first + block, trials)):
+            rng = np.random.default_rng(seed + trial)
+            supports.append(draw_state(rng, int(rng.integers(2, d_max + 1))).support())
+        rows = _rows(supports, horizon_mult)
+        t_star = _scan(rows, DELTAS, np.ones((rows.d.size, DELTAS.size), dtype=bool), rows.horizon)
+        ml, mt = _limits(rows, ml_coeff, mt_coeff)
+        _tally(report, t_star.ravel(), ml.ravel(), mt.ravel())
 
     _, z_opts = bounds._upper_bound_argmin(DELTAS)
     u = 0.5 * (1.0 + z_opts)
     cases = np.nonzero((0.0 < u) & (u < 1.0))[0]
-    states = [two_level_state(math.sqrt(u[i])).support() for i in cases.tolist()]
-    horizon = np.array([default_horizon(e, max(horizon_mult, 1.0)) for e, _ in states])
-    scans = [_scan(*state, DELTAS[i:i + 1], h) for i, state, h in zip(cases, states, horizon)]
-    t_star = np.array([t for t, _ in scans])
-    _refine(t_star, DELTAS[cases, None], [brackets for _, brackets in scans])
-    t_star = t_star[:, 0]
-    ml, mt = np.array([[limit[i] for limit in _limits(*state, ml_coeff, mt_coeff)]
-                       for i, state in zip(cases, states)]).T
-    reached = t_star <= horizon
+    rows = _rows([two_level_state(math.sqrt(u[i])).support() for i in cases.tolist()],
+                 max(horizon_mult, 1.0))
+    sought = np.zeros((cases.size, DELTAS.size), dtype=bool)
+    case = (np.arange(cases.size), cases)
+    sought[case] = True
+    t_star = _scan(rows, DELTAS, sought, rows.horizon)[case]
+    ml, mt = (limit[case] for limit in _limits(rows, ml_coeff, mt_coeff))
+    reached = ~np.isnan(t_star)
     rel = np.abs(t_star[reached] / ml[reached] - 1.0)
     report["designed_cases"] += cases.size
     report["designed_violations"] += cases.size - rel.size + int(np.count_nonzero(rel > 1e-6))

@@ -92,7 +92,7 @@ def test_criterion_7_speed_limit_monte_carlo():
     assert rep["min_ml_slack"] >= -1e-9
     assert rep["min_mt_slack"] >= -1e-9
     assert rep["designed_max_rel_slack"] <= 1e-6
-    assert elapsed < 60.0
+    assert elapsed < 30.0
     report(f"criterion 7: PASS — {rep['checks']} checks, {rep['skips']} skips, "
            f"0 violations, designed slack {rep['designed_max_rel_slack']:.2e}, "
            f"runtime={elapsed:.1f}s")

@@ -197,10 +197,11 @@ class TestFirstPassage:
         delta = 0.1035
         ref = reference_passage(DIP, delta, fast_period(DIP) / 16384, 3.0)
         width = 3.9
-        curve = qsim._Curve.of(*DIP.support())
-        ends = np.exp(-1j * np.outer([0.0, width], curve.e)) @ curve.p  # the amplitudes z
+        rows = qsim._rows([DIP.support()])
+        ends = np.exp(-1j * np.outer([0.0, width], rows.e[0])) @ rows.p[0]  # the amplitudes z
         assert abs(ends[1]) ** 2 <= delta
-        lo, hi, touch = qsim._first_events(curve, np.array([0.0]), ends, width, np.array([delta]))
+        (lo,), (hi,), (touch,) = qsim._first_events(rows, [(0, ends)], 0, np.array([width]),
+                                                    np.array([delta]), np.ones((1, 1), dtype=bool))
         assert np.isnan(touch[0])
         assert lo[0] < ref <= hi[0] and hi[0] - lo[0] <= width / qsim._SPLIT
 
@@ -242,17 +243,18 @@ class TestChordBound:
         margins, curvature_kept = [], 0
         for seed in range(300):
             state = qsim.draw_state(np.random.default_rng(seed), 2 + seed % 7)
-            curve = qsim._Curve.of(*state.support())
-            step = 2 * math.pi / (qsim._SAMPLES_PER_FAST_PERIOD * np.ptp(curve.e))
+            rows = qsim._rows([state.support()])
+            p, e = rows.p[0], rows.e[0]
+            step = 2 * math.pi / (qsim._SAMPLES_PER_FAST_PERIOD * np.ptp(e))
             starts = rng.uniform(0.0, 100.0, 10)
             for a, h in zip(starts, step * 10.0 ** rng.uniform(-2.0, 0.5, 10)):
-                z = kernels.amplitude_rows(curve.p, curve.e, [a], h, 2)[0]
-                r = curve.rounding(a + h)
-                gap = qsim._chord_distance(z[:1], z[1:])[0] - curve.sag * h * h - r
+                z = kernels.amplitude_rows(p, e, [a], h, 2)[0]
+                r = rows.rounding(a + h, 0)
+                gap = qsim._chord_distance(z[:1], z[1:])[0] - rows.sag[0] * h * h - r
                 t = a + h * np.linspace(0.0, 1.0, 513)
-                margins.append(np.abs(np.exp(-1j * np.outer(t, curve.e)) @ curve.p).min() + r - gap)
+                margins.append(np.abs(np.exp(-1j * np.outer(t, e)) @ p).min() + r - gap)
                 fmin = (np.abs(z) ** 2).min()
-                curvature_kept += gap > 0.0 and fmin - curve.curv * h * h / 8.0 - r <= 0.0
+                curvature_kept += gap > 0.0 and fmin - rows.curv[0] * h * h / 8.0 - r <= 0.0
         assert min(margins) >= 0.0
         assert curvature_kept >= 50
 
@@ -267,7 +269,7 @@ class TestChordBound:
         # clears cells; the subdivision rows are the amplitude_rows calls made
         # outside fidelity_grid
         rows, inside = [], []
-        grid, amplitude_rows, of = kernels.fidelity_grid, kernels.amplitude_rows, qsim._Curve.of
+        grid, amplitude_rows, set_up = kernels.fidelity_grid, kernels.amplitude_rows, qsim._rows
 
         def counted_grid(*args):
             inside.append(True)
@@ -284,8 +286,7 @@ class TestChordBound:
         monkeypatch.setattr(kernels, "amplitude_rows", counted_rows)
         default, default_rows = qsim.verify_limits(*args), sum(rows)
         rows.clear()
-        monkeypatch.setattr(qsim._Curve, "of", classmethod(
-            lambda cls, energies, p: of(energies, p)._replace(sag=math.inf)))
+        monkeypatch.setattr(qsim, "_rows", lambda *args: set_up(*args)._replace(sag=math.inf))
         assert qsim.verify_limits(*args) == default
         assert 0 < 5 * default_rows < sum(rows)
 
@@ -295,7 +296,8 @@ def limits(state, deltas):
     deltas = np.asarray(deltas, dtype=float)
     ml_coeff = 0.5 * math.pi * bounds.alpha(deltas)
     mt_coeff = np.array([bounds.mt_alpha(d) for d in deltas.tolist()])
-    return qsim._limits(*state.support(), ml_coeff, mt_coeff)
+    ml, mt = qsim._limits(qsim._rows([state.support()]), ml_coeff, mt_coeff)
+    return ml[0], mt[0]
 
 
 class TestBounds:
@@ -393,21 +395,57 @@ class TestVerifyLimits:
         assert reference["violations"] > 0 and reference["skips"] > 0
         assert all(reference[key] > 0 for key in qsim._HIST_KEYS)
 
-    @pytest.mark.parametrize("args", [(300, 8, 7), (100, 40, 3, 0.3)])
+    @pytest.mark.parametrize("args", [(300, 8, 7), (100, 40, 3, 0.3), (3, 256, 7)])
     def test_block_boundary_does_not_change_the_report(self, monkeypatch, args):
-        # with a cell budget of 1 every trial with a crossing is refined alone,
-        # in a zero-padded block only as wide as its own state
+        # with a cell budget of 1 every scan block holds one trial, set up,
+        # scanned and refined on rows only as wide as its own state
         blocks = []
-        refine = kernels.refine_crossing
-        monkeypatch.setattr(kernels, "refine_crossing",
-                            lambda p, *rest: blocks.append(np.ndim(p)) or refine(p, *rest))
+        scan = qsim._scan
+        monkeypatch.setattr(qsim, "_scan",
+                            lambda rows, *rest: blocks.append(rows.d.size) or scan(rows, *rest))
         default = qsim.verify_limits(*args)
-        assert blocks.count(2) == 2  # the trials in one block, the designed cases in another
+        size = qsim._BLOCK_CELLS // (qsim.DELTAS.size * args[1])
+        assert size > 1
+        assert blocks[:-1] == [min(size, args[0] - s) for s in range(0, args[0], size)]
+        assert blocks[-1] == qsim.DELTAS.size  # the designed cases, a block of their own
         blocks.clear()
-        monkeypatch.setattr(qsim, "_REFINE_CELLS", 1)
+        monkeypatch.setattr(qsim, "_BLOCK_CELLS", 1)
         assert qsim.verify_limits(*args) == default
-        assert blocks.count(2) > 0.9 * args[0]
+        assert blocks == [1] * args[0] + [qsim.DELTAS.size]
 
+    def test_subdivisions_are_evaluated_per_block_not_per_trial(self, monkeypatch):
+        # every amplitude evaluation after depth 0 (an amplitude_rows call made
+        # outside fidelity_grid) serves a whole block at one chunk and depth, so
+        # their count is bounded by blocks * chunks * depths, whatever the trials
+        calls, inside, blocks = [], [], []
+        grid, amplitude_rows, scan = kernels.fidelity_grid, kernels.amplitude_rows, qsim._scan
+
+        def counted_grid(*args):
+            inside.append(True)
+            try:
+                return grid(*args)
+            finally:
+                inside.pop()
+
+        def counted_rows(*args):
+            calls.extend([] if inside else [len(args[2])])
+            return amplitude_rows(*args)
+
+        monkeypatch.setattr(kernels, "fidelity_grid", counted_grid)
+        monkeypatch.setattr(kernels, "amplitude_rows", counted_rows)
+        monkeypatch.setattr(qsim, "_scan",
+                            lambda rows, *rest: blocks.append(rows.d.size) or scan(rows, *rest))
+        per_block = qsim._POINT_BUDGET // qsim._CHUNK * qsim._MAX_DEPTH
+        qsim.verify_limits(750, 8, 7)
+        assert len(blocks) > 2 and 0 < len(calls) <= len(blocks) * per_block < sum(calls)
+        # one block of all the trials: as many calls for 750 trials as the bound for 2 blocks
+        monkeypatch.setattr(qsim, "_BLOCK_CELLS", 750 * qsim.DELTAS.size * 8)
+        counts = []
+        for trials in (75, 750):
+            calls.clear()
+            qsim.verify_limits(trials, 8, 7)
+            counts.append(len(calls))
+        assert 0 < counts[0] <= counts[1] <= 2 * per_block
 
     def test_small_run_clean(self):
         rep = qsim.verify_limits(200, 8, seed=7)
