@@ -12,10 +12,10 @@ above its targets by the curvature bound min(f(a), f(a + h)) - max|f''|*h**2/8
 or by the chord bound (dist(0, [z(a), z(a + h)]) - max|z''|*h**2/8)**2, either
 less the rounding bound, which bounds the error of z as well as of f.
 
-A scan grids one state at a time; everything after that works on a block of
-states at once. So ``amplitude_rows``, the fidelity and its derivatives and
-both refiners take one state (1-d ``p`` and ``energies``) or one zero-padded
-state row per start, time or bracket (2-d). On rows they sum each state's
+A scan grids one state at a time with ``fidelity_grid``; everything after
+that works on a block of states at once. So ``amplitude_rows``, the fidelity
+and its derivatives and both refiners take one zero-padded state row per
+start, time or bracket (2-d ``p`` and ``energies``). They sum each state's
 levels in order on level-major tables, so that a padding level (p = 0) adds
 exact zeros: a row's values do not depend on the block it came in.
 """
@@ -31,7 +31,7 @@ import numpy as np
 # reuses, so they stay in cache
 _THETA_CELLS = 4 * 2048
 
-# complex entries of amplitude_rows' left factor per block of rows, bounding its memory
+# complex entries of fidelity_grid's left factor per block of rows, bounding its memory
 _ROW_BLOCK = 1 << 16
 # complex entries per level-major table of the row kernels, which work through
 # their rows or times in blocks of this size, so that a scan block's many
@@ -63,49 +63,47 @@ def theta_max_table(rho, sigma, fa, fb):
 
 
 def amplitude_rows(p, energies, starts, dt, n):
-    """z = sum_k p_k exp(-i E_k t) at t = starts[r] + dt*j, as an array (len(starts), n).
+    """z = sum_k p_k exp(-i E_k t) at t = starts[r] + dt[r]*j, as an array (len(starts), n).
 
-    For one state (1-d ``p`` and ``energies``, one scalar ``dt``) this is the
-    complex matrix product z = (p * exp(-i E starts)) @ exp(-i E dt j)^T,
-    which takes (len(starts) + n)*d exponentials instead of len(starts)*n*d.
-    For one zero-padded state row and one step ``dt`` per start (2-d), each
-    row's levels are summed in order, in blocks of rows that bound the memory;
-    a row with the state and step of the row before it shares its right factor.
+    ``p`` and ``energies`` hold one zero-padded state row and ``dt`` one step
+    per start. Each row's levels are summed in order, in blocks of rows that
+    bound the memory; a row with the state and step of the row before it
+    shares its right factor.
     """
     starts = np.asarray(starts, dtype=np.float64)
     out = np.empty((starts.size, n), dtype=np.complex128)
-    if np.ndim(p) == 2:
-        p_t, e_t = _level_major(p, energies)
-        dt = np.asarray(dt, dtype=np.float64)
-        head = np.append(True, (dt[1:] != dt[:-1]) | np.any(e_t[:, 1:] != e_t[:, :-1], axis=0))
-        heads = np.nonzero(head)[0]
-        right = np.exp(-1j * (e_t[:, heads, None] * np.multiply.outer(dt[heads], np.arange(n))))
-        owner = np.cumsum(head) - 1
-        block = max(1, _LEVEL_BLOCK // (p_t.shape[0] * n))
-        for s in range(0, starts.size, block):
-            rows = slice(s, s + block)
-            left = p_t[:, rows] * np.exp(-1j * (e_t[:, rows] * starts[rows]))
-            terms = right[:, owner[rows]]
-            np.multiply(left[:, :, None], terms, out=terms)
-            np.sum(terms, axis=0, out=out[rows])
-        return out
-    right = np.exp(-1j * np.outer(energies, dt * np.arange(n)))
-    block = max(1, _ROW_BLOCK // energies.size)
+    p_t, e_t = _level_major(p, energies)
+    dt = np.asarray(dt, dtype=np.float64)
+    head = np.append(True, (dt[1:] != dt[:-1]) | np.any(e_t[:, 1:] != e_t[:, :-1], axis=0))
+    heads = np.nonzero(head)[0]
+    right = np.exp(-1j * (e_t[:, heads, None] * np.multiply.outer(dt[heads], np.arange(n))))
+    owner = np.cumsum(head) - 1
+    block = max(1, _LEVEL_BLOCK // (p_t.shape[0] * n))
     for s in range(0, starts.size, block):
-        np.matmul(p * np.exp(-1j * np.outer(starts[s:s + block], energies)), right,
-                  out=out[s:s + block])
+        rows = slice(s, s + block)
+        left = p_t[:, rows] * np.exp(-1j * (e_t[:, rows] * starts[rows]))
+        terms = right[:, owner[rows]]
+        np.multiply(left[:, :, None], terms, out=terms)
+        np.sum(terms, axis=0, out=out[rows])
     return out
 
 
 def fidelity_grid(p, energies, t0: float, dt: float, n: int):
-    """The amplitude z (fidelity |z|**2) on the grid t = t0 + dt*[0..n-1].
+    """The amplitude z (fidelity |z|**2) of one state on the grid t = t0 + dt*[0..n-1].
 
-    The grid is folded into rows of ceil(sqrt(n)) points for :func:`amplitude_rows`.
+    The grid is folded into rows of w = ceil(sqrt(n)) points, which gives the
+    complex matrix product z = (p * exp(-i E starts)) @ exp(-i E dt j)^T,
+    j < w: (rows + w)*d exponentials instead of n*d.
     """
     width = math.isqrt(n - 1) + 1
-    rows = -(-n // width)
-    starts = t0 + (width * dt) * np.arange(rows)
-    return amplitude_rows(p, energies, starts, dt, width).ravel()[:n]
+    starts = t0 + (width * dt) * np.arange(-(-n // width))
+    right = np.exp(-1j * np.outer(energies, dt * np.arange(width)))
+    out = np.empty((starts.size, width), dtype=np.complex128)
+    block = max(1, _ROW_BLOCK // energies.size)
+    for s in range(0, starts.size, block):
+        np.matmul(p * np.exp(-1j * np.outer(starts[s:s + block], energies)), right,
+                  out=out[s:s + block])
+    return out.ravel()[:n]
 
 
 def rounding_bound(t, d, scale):
@@ -123,9 +121,8 @@ def rounding_bound(t, d, scale):
 
 
 def _level_major(p, energies):
-    """Level-major (levels, 1) tables of one state, or (levels, rows) tables of state rows."""
-    return (np.ascontiguousarray(np.atleast_2d(p).T),
-            np.ascontiguousarray(np.atleast_2d(energies).T))
+    """Level-major (levels, rows) tables of state rows."""
+    return np.ascontiguousarray(p.T), np.ascontiguousarray(energies.T)
 
 
 def _level_sums(p_t, e_t, t, order):
@@ -145,26 +142,23 @@ def _level_sums(p_t, e_t, t, order):
 
 
 def _at(p, energies, t, order):
-    """The sums of :func:`_level_sums` at a time or an array of times, of one state or of rows."""
+    """The sums of :func:`_level_sums` at the times ``t``, one per state row."""
     t = np.asarray(t, dtype=np.float64)
-    times = t.ravel()
-    rows = np.ndim(p) > 1
-    block = max(1, _LEVEL_BLOCK // np.shape(p)[-1])
-    parts = [_level_sums(*_level_major(p[s:s + block] if rows else p,
-                                       energies[s:s + block] if rows else energies),
-                         times[s:s + block], order)
-             for s in range(0, max(times.size, 1), block)]
-    return [np.concatenate(sums).reshape(t.shape) for sums in zip(*parts)]
+    block = max(1, _LEVEL_BLOCK // p.shape[1])
+    parts = [_level_sums(*_level_major(p[s:s + block], energies[s:s + block]),
+                         t[s:s + block], order)
+             for s in range(0, max(t.size, 1), block)]
+    return [np.concatenate(sums) for sums in zip(*parts)]
 
 
 def fidelity_scalar(p, energies, t):
-    """|sum_k p_k exp(-i E_k t)|^2 at a time ``t`` or at each time of an array."""
+    """|sum_k p_k exp(-i E_k t)|^2 at each time of ``t``, one per state row."""
     (z,) = _at(p, energies, t, 0)
     return z.real * z.real + z.imag * z.imag
 
 
 def dfidelity_scalar(p, energies, t):
-    """Time derivative of :func:`fidelity_scalar`, at a time or an array of times."""
+    """Time derivative of :func:`fidelity_scalar`, at each time of ``t``."""
     z, zd = _at(p, energies, t, 1)  # z' = -i zd
     return 2.0 * (z.real * zd.imag - z.imag * zd.real)
 
@@ -219,8 +213,8 @@ def refine_crossing(p, energies, lo, hi, level):
     """Solve f(t) = level in each bracket, where f(lo) > level >= f(hi).
 
     ``lo``, ``hi`` and ``level`` are arrays over the brackets (``level`` may
-    be one number for all). ``p`` and ``energies`` are one state's, shared by
-    every bracket (1-d), or one zero-padded row per bracket (2-d). Newton's
+    be one number for all); ``p`` and ``energies`` hold one zero-padded state
+    row per bracket. Newton's
     method on the analytic derivative, with f and f' from one exp table per
     pass. Each bracket stops at the rounding bound of its own state, whose
     levels are its nonzero p.
@@ -229,8 +223,8 @@ def refine_crossing(p, energies, lo, hi, level):
     tables = _level_major(p, energies)
 
     def g(t, rows):
-        # take, unlike [:, rows], keeps the tables level-major; one shared column broadcasts
-        z, zd = _level_sums(*(a.take(rows, axis=1) if p.ndim > 1 else a for a in tables), t, 1)
+        # take, unlike [:, rows], keeps the tables level-major
+        z, zd = _level_sums(*(a.take(rows, axis=1) for a in tables), t, 1)
         return (z.real * z.real + z.imag * z.imag - level[rows],
                 2.0 * (z.real * zd.imag - z.imag * zd.real))
 
@@ -242,12 +236,11 @@ def refine_crossing(p, energies, lo, hi, level):
 def refine_minimum(p, energies, lo, hi):
     """Solve f'(t) = 0 in each bracket, where f'(lo) < 0 < f'(hi): a local minimum.
 
-    ``p`` and ``energies`` are one state's or one zero-padded row per bracket,
-    as for :func:`refine_crossing`.
+    ``p`` and ``energies`` hold one zero-padded state row per bracket.
     """
 
     def g(t, rows):
-        p_r, e_r = (p[rows], energies[rows]) if p.ndim > 1 else (p, energies)
+        p_r, e_r = p[rows], energies[rows]
         return -_dfidelity_scalar(p_r, e_r, t), -d2fidelity(p_r, e_r, t)
 
     scale = np.abs(energies).max(axis=-1)

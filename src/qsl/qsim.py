@@ -190,18 +190,19 @@ def _first_events(rows: _Rows, grids, k0: int, h: np.ndarray, deltas: np.ndarray
     (dist(0, [za, zb]) - sag*h**2 - r)**2, since |z - chord| <= m2*h**2/8,
     above delta + _TOUCH_ACCEPT. r is the rounding bound at the row's last
     cell's end (it increases with t); it bounds the error of za and zb with
-    half to spare for the distance's own rounding. The cells neither bound clears are cut into _SPLIT parts, all of them at
-    once. A cell where f comes down to a target is a crossing bracket once
-    f' <= (f'(a) + f'(b))/2 + curv*h/2 < 0 certifies that f decreases on it.
-    At the last depth, 16**-5 of the grid step, a crossing cell is a bracket
-    as it is, and a cell still uncleared is searched for a local minimum,
-    which reaches the targets within _TOUCH_ACCEPT of it.
+    half to spare for the distance's own rounding. The cells neither bound
+    clears are cut into _SPLIT parts, all of them at once. A cell where f
+    comes down to a target is a crossing bracket once f' <= (f'(a) + f'(b))/2
+    + curv*h/2 < 0 certifies that f decreases on it. At the last depth, 16**-5
+    of the grid step, a crossing cell is a bracket as it is, and a cell still
+    uncleared is searched for a local minimum, which reaches the targets
+    within _TOUCH_ACCEPT of it.
 
-    Depth 0's curvature test runs row by row over the whole chunk. The cells
-    it keeps and the crossing cells then go on as one flat block of cells,
-    each carrying its row, through the chord test, the crossing certificates
-    and every later depth, once for the block, with kernels that take the
-    rows' zero-padded (p, e).
+    Depth 0's curvature test runs row by row over the whole chunk; the cells
+    it keeps and the crossing cells go on as one flat block of cells, each
+    carrying its row. On that block every depth, depth 0 included, finds the
+    crossing cells, the ceilings and the cells to keep by one rule, with
+    kernels that take the rows' zero-padded (p, e).
 
     Returns (lo, hi, touch) over (rows, targets): a crossing bracket [lo, hi],
     or a touch at ``touch`` (where it is not nan) in the cell starting at lo;
@@ -210,63 +211,49 @@ def _first_events(rows: _Rows, grids, k0: int, h: np.ndarray, deltas: np.ndarray
     r = np.zeros(todo.shape[0])  # each row's rounding bound at its current depth
     # depth 0, row by row: each row's whole chunk, cut down to the cells the
     # curvature test keeps and its crossing cells
-    live, cand, z_a, z_b, ceiling, held, first = ([] for _ in range(7))
-    h_row, curv, d, scale = h.tolist(), rows.curv.tolist(), rows.d.tolist(), rows.scale.tolist()
+    parts = []
+    h_row, curv = h.tolist(), rows.curv.tolist()
     for i, z in grids:
         f = z.real * z.real + z.imag * z.imag
         fmin = np.minimum(f[:-1], f[1:])
         n = fmin.size
-        sought = np.nonzero(todo[i])[0]
+        sought = deltas[todo[i]]
         # the first cell down to each target, no later for a higher one
-        cell = np.searchsorted(-np.minimum.accumulate(fmin), -deltas[sought], side="left")
+        cell = np.searchsorted(-np.minimum.accumulate(fmin), -sought, side="left")
         # the ceiling of a cell: the highest target whose first cell lies after it
-        top = np.repeat(np.append(deltas[sought][::-1], -np.inf) + _TOUCH_ACCEPT,
+        top = np.repeat(np.append(sought[::-1], -np.inf) + _TOUCH_ACCEPT,
                         np.diff(np.concatenate(([0], cell[::-1], [n]))))
-        r[i] = kernels.rounding_bound((k0 + n - 1) * h_row[i] + h_row[i], d[i], scale[i])
+        r[i] = rows.rounding((k0 + n - 1) * h_row[i] + h_row[i], i)
         keep = fmin - curv[i] * h_row[i] * h_row[i] / 8.0 - r[i] <= top
-        mark = keep.copy()
-        hit = cell < n
-        mark[cell[hit]] = True
-        kept = np.nonzero(mark)[0]
-        live.append(i)
-        cand.append(kept)
-        z_a.append(z[kept])
-        z_b.append(z[kept + 1])
-        ceiling.append(top[kept])
-        held.append(keep[kept])
-        first.append((sought[hit], np.searchsorted(kept, cell[hit])))
+        keep[cell[cell < n]] = True
+        kept = np.nonzero(keep)[0]
+        parts.append((i, kept, z[kept], z[kept + 1]))
     lo = np.where(todo, np.inf, -np.inf)
     hi = np.full(todo.shape, np.inf)
     touch = np.full(todo.shape, np.nan)
-    sizes = [c.size for c in cand]
-    if not sum(sizes):
+    if not parts:
         return lo, hi, touch
-    # the rest, once for the block: flat arrays of cells, each with its row
-    row = np.repeat(live, sizes)
+    # every depth, once for the block: flat arrays of cells, each with its row
+    live, cand, z_a, z_b = zip(*parts)
+    row = np.repeat(live, [c.size for c in cand])
     a = (k0 + np.concatenate(cand)) * h[row]
-    za, zb, ceiling, held = (np.concatenate(x) for x in (z_a, z_b, ceiling, held))
+    za, zb = np.concatenate(z_a), np.concatenate(z_b)
     fa, fb = (z.real * z.real + z.imag * z.imag for z in (za, zb))
-    cells = np.full(todo.shape, a.size)
-    for i, offset, (j, c) in zip(live, np.cumsum([0] + sizes).tolist(), first):
-        cells[i, j] = offset + c
-    h = h.copy()
     for depth in range(_MAX_DEPTH + 1):
         last = depth == _MAX_DEPTH
         b = a + h[row]
+        fmin = np.minimum(fa, fb)
+        cells = _first_cells(fmin[:, None] <= deltas, row, todo.shape[0])
         if depth:
-            fmin = np.minimum(fa, fb)
-            cells = _first_cells(fmin[:, None] <= deltas, row, todo.shape[0])
             end = np.nonzero(np.append(row[1:] != row[:-1], True))[0]
             r[row[end]] = rows.rounding(b[end], row[end])
         start = np.append(a, np.inf)[cells]
         new = start < lo
         # a cell must be cleared for the targets whose earliest event lies after its start
         until = np.minimum(lo, start)
-        if depth:
-            ceiling = np.where(until[row] > a[:, None], deltas, -np.inf).max(axis=1) + _TOUCH_ACCEPT
-            held = fmin - (rows.curv * h * h / 8.0)[row] - r[row] <= ceiling
-        keep = held.copy()
-        sel = np.nonzero(held)[0]
+        ceiling = np.where(until[row] > a[:, None], deltas, -np.inf).max(axis=1) + _TOUCH_ACCEPT
+        keep = fmin - (rows.curv * h * h / 8.0)[row] - r[row] <= ceiling
+        sel = np.nonzero(keep)[0]
         gap = _chord_distance(za[sel], zb[sel]) - (rows.sag * h * h)[row[sel]] - r[row[sel]]
         keep[sel] = np.maximum(gap, 0.0) ** 2 <= ceiling[sel]
         # marked rather than np.unique, whose first call costs 0.75 MB of resident memory
@@ -295,7 +282,7 @@ def _first_events(rows: _Rows, grids, k0: int, h: np.ndarray, deltas: np.ndarray
         if not sel.size:
             break
         a, za, zb, fa, fb, row = a[sel], za[sel], zb[sel], fa[sel], fb[sel], row[sel]
-        h /= _SPLIT
+        h = h / _SPLIT
         v = kernels.amplitude_rows(rows.p[row], rows.e[row], a, h[row], _SPLIT)
         v[:, 0] = za  # the values already known, so that every cell agrees with its parent
         g = v.real * v.real + v.imag * v.imag

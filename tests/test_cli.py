@@ -317,17 +317,37 @@ def test_extreme_valid_input_runs_without_traceback(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def qsl_process(argv, **kwargs):
+    """``qsl argv`` run as a real process on this checkout's source."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "qsl.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120, **kwargs)
+
+
 @pytest.mark.parametrize("argv", [("alpha", "--delta", "0.5"), ("verify",)])
 def test_full_stdout_is_one_line_usage_error(argv):
     # a real process, so that the interpreter's flush at exit is part of the test
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     with open("/dev/full", "w") as full:
-        done = subprocess.run([sys.executable, "-m", "qsl.cli", *argv], stdout=full,
-                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        done = qsl_process(argv, stdout=full, stderr=subprocess.PIPE, text=True)
     assert done.returncode == 2
     assert done.stderr == "error: stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (("simulate", "--trials", "300", "--seed", "7"), "simulate_trials300_seed7.txt"),
+    (("simulate", "--trials", "100", "--dmax", "32", "--seed", "5"),
+     "simulate_trials100_dmax32_seed5.txt"),
+    (("simulate", "--trials", "200", "--dmax", "3", "--horizon-mult", "4", "--seed", "9"),
+     "simulate_trials200_dmax3_mult4_seed9.txt"),
+    (("verify", "--seed", "7"), "verify_seed7.txt"),
+])
+def test_report_bytes_match_the_golden_output(argv, golden):
+    # the default reports stay byte-identical: every digit of every count,
+    # slack and gap, as a real process writes them
+    done = qsl_process(argv, capture_output=True)
+    assert done.returncode == 0
+    assert done.stdout == (Path(__file__).parent / "golden" / golden).read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

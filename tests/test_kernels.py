@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qsl import kernels, qsim
+from state_rows import state_rows
 
 
 def random_state_arrays(seed, d=6):
@@ -41,7 +42,7 @@ def test_rotation_resync_long_grid():
     t0, dt = 3 * 4096 * 0.02, 0.02
     f = np.abs(kernels.fidelity_grid(p, energies, t0, dt, n)) ** 2
     for i in (0, 1, width - 1, width, width * block - 1, width * block, n - 2, n - 1):
-        direct = kernels.fidelity_scalar(p, energies, t0 + dt * i)
+        direct = kernels.fidelity_scalar(*state_rows(p, energies, 1), [t0 + dt * i])[0]
         assert f[i] == pytest.approx(direct, abs=1e-13)
 
 
@@ -64,19 +65,20 @@ def test_rounding_bound_holds_at_long_times():
                 # the chord test of the scan relies on the amplitude's error as well
                 assert abs(complex(z[i]) - z_exact) <= bound
                 assert abs(f[i] - exact) <= bound
-                assert abs(kernels.fidelity_scalar(p, energies, float(t)) - exact) <= bound
+                f_row = kernels.fidelity_scalar(*state_rows(p, energies, 1), [float(t)])[0]
+                assert abs(f_row - exact) <= bound
 
 
 def test_derivative_matches_finite_difference():
     energies, p = random_state_arrays(23)
+    rows = state_rows(p, energies, 3)
     h = 1e-6
-    for t in (0.5, 2.2, 9.1):
-        fd = (kernels.fidelity_scalar(p, energies, t + h)
-              - kernels.fidelity_scalar(p, energies, t - h)) / (2 * h)
-        assert kernels.dfidelity_scalar(p, energies, t) == pytest.approx(fd, abs=1e-7)
-        fdd = (kernels.dfidelity_scalar(p, energies, t + h)
-               - kernels.dfidelity_scalar(p, energies, t - h)) / (2 * h)
-        assert kernels.d2fidelity(p, energies, t) == pytest.approx(fdd, abs=1e-7)
+    t = np.array([0.5, 2.2, 9.1])
+    fd = (kernels.fidelity_scalar(*rows, t + h) - kernels.fidelity_scalar(*rows, t - h)) / (2 * h)
+    assert kernels.dfidelity_scalar(*rows, t) == pytest.approx(fd, abs=1e-7)
+    fdd = (kernels.dfidelity_scalar(*rows, t + h)
+           - kernels.dfidelity_scalar(*rows, t - h)) / (2 * h)
+    assert kernels.d2fidelity(*rows, t) == pytest.approx(fdd, abs=1e-7)
 
 
 def test_refine_crossing_lands_on_level():
@@ -90,9 +92,10 @@ def test_refine_crossing_lands_on_level():
     idx = np.array([int(np.argmax(f <= level)) for level in levels])
     assert np.all(idx > 0)
     hi = idx * step
-    t = kernels.refine_crossing(p, energies, np.zeros(levels.size), hi, levels)
+    rows = state_rows(p, energies, levels.size)
+    t = kernels.refine_crossing(*rows, np.zeros(levels.size), hi, levels)
     assert np.all((hi - step < t) & (t <= hi))
-    np.testing.assert_allclose(kernels.fidelity_scalar(p, energies, t), levels, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(kernels.fidelity_scalar(*rows, t), levels, rtol=0, atol=1e-13)
 
 
 def padded_crossings(states, width):
@@ -100,7 +103,7 @@ def padded_crossings(states, width):
 
     Each bracket is the grid cell where f first comes down to one of the
     levels 0.2, 0.5 and 0.8 that it reaches. Returns the rows
-    (p, e, lo, hi, level) and each state's own (p, e, lo, hi, level).
+    (p, e, lo, hi, level) and each state's own, as wide as the state.
     """
     rows, own = [], []
     step = 0.01
@@ -108,16 +111,17 @@ def padded_crossings(states, width):
         f = np.abs(kernels.fidelity_grid(p, energies, 0.0, step, 5000)) ** 2
         levels = np.array([level for level in (0.2, 0.5, 0.8) if f.min() <= level])
         hi = np.array([int(np.argmax(f <= level)) for level in levels]) * step
-        own.append((p, energies, hi - step, hi, levels))
+        own.append((*state_rows(p, energies, levels.size), hi - step, hi, levels))
         pad = (0, width - p.size)
-        rows.append((np.tile(np.pad(p, pad), (levels.size, 1)),
-                     np.tile(np.pad(energies, pad), (levels.size, 1)), hi - step, hi, levels))
+        rows.append((*state_rows(np.pad(p, pad), np.pad(energies, pad), levels.size),
+                     hi - step, hi, levels))
     return [np.concatenate(part) for part in zip(*rows)], own
 
 
 def test_refine_crossing_on_padded_rows_matches_one_call_per_state():
-    # one call on the zero-padded rows of states of 2, 5 and 8 levels, as
-    # verify_limits refines a block, against one call per state, as first_passage
+    # one call on the rows of states of 2, 5 and 8 levels zero-padded to 8, as
+    # verify_limits refines a block, against one call per state on rows as
+    # wide as the state, as first_passage refines its block of one
     states = [random_state_arrays(seed, d) for seed, d in ((41, 2), (43, 5), (47, 8))]
     rows, own = padded_crossings(states, 8)
     assert [args[4].size for args in own] == [2, 3, 3]  # two levels do not reach 0.2
@@ -157,12 +161,13 @@ def test_refine_minimum_lands_on_stationary_point():
     maxima = np.append(0, np.nonzero((interior > f[:-2]) & (interior >= f[2:]))[0] + 1)
     lo = np.array([maxima[maxima < i].max() + 1 for i in minima]) * step
     hi = np.array([maxima[maxima > i].min() - 1 for i in minima]) * step
-    assert np.all(kernels.dfidelity_scalar(p, energies, lo) < 0.0)
-    assert np.all(kernels.dfidelity_scalar(p, energies, hi) > 0.0)
-    t = kernels.refine_minimum(p, energies, lo, hi)
+    rows = state_rows(p, energies, minima.size)
+    assert np.all(kernels.dfidelity_scalar(*rows, lo) < 0.0)
+    assert np.all(kernels.dfidelity_scalar(*rows, hi) > 0.0)
+    t = kernels.refine_minimum(*rows, lo, hi)
     assert np.all((minima - 1) * step < t) and np.all(t < (minima + 1) * step)
-    np.testing.assert_allclose(kernels.dfidelity_scalar(p, energies, t), 0.0, atol=1e-13)
-    assert np.all(kernels.fidelity_scalar(p, energies, t) <= f[minima])
+    np.testing.assert_allclose(kernels.dfidelity_scalar(*rows, t), 0.0, atol=1e-13)
+    assert np.all(kernels.fidelity_scalar(*rows, t) <= f[minima])
 
 
 class TestFirstPassage:
@@ -185,7 +190,8 @@ class TestFirstPassage:
         t_star = qsim.first_passage(self.state, 0.5, 10.0)
         assert t_star == pytest.approx(np.pi / 2, abs=1e-12)
         energies, p = self.state.support()
-        assert kernels.fidelity_scalar(p, energies, t_star) == pytest.approx(0.5, abs=1e-12)
+        f = kernels.fidelity_scalar(*state_rows(p, energies, 1), [t_star])[0]
+        assert f == pytest.approx(0.5, abs=1e-12)
 
     def test_no_crossing_within_horizon(self):
         # the crossing at pi/2 lies past the horizon

@@ -5,6 +5,7 @@ import pytest
 
 from qsl import bounds, kernels, qsim
 from qsl.errors import DomainError
+from state_rows import state_rows
 
 EQUAL_WEIGHT = qsim.QuantumState(
     np.array([0.0, 1.0]), np.array([math.sqrt(0.5), math.sqrt(0.5)], dtype=complex)
@@ -15,9 +16,9 @@ DIP = qsim.QuantumState(np.array([0.0, 1.0, 2.2]), np.sqrt([0.5, 0.3, 0.2]).asty
 
 
 def kernel_fidelity(state, t):
-    """The fidelity at ``t`` through the shipped scalar kernel."""
+    """The fidelity at ``t`` through the shipped row kernel."""
     energies, p = state.support()
-    return float(kernels.fidelity_scalar(p, energies, float(t)))
+    return float(kernels.fidelity_scalar(*state_rows(p, energies, 1), [float(t)])[0])
 
 
 def dense_fidelity(state, t):
@@ -248,7 +249,7 @@ class TestChordBound:
             step = 2 * math.pi / (qsim._SAMPLES_PER_FAST_PERIOD * np.ptp(e))
             starts = rng.uniform(0.0, 100.0, 10)
             for a, h in zip(starts, step * 10.0 ** rng.uniform(-2.0, 0.5, 10)):
-                z = kernels.amplitude_rows(p, e, [a], h, 2)[0]
+                z = kernels.amplitude_rows(*state_rows(p, e, 1), [a], [h], 2)[0]
                 r = rows.rounding(a + h, 0)
                 gap = qsim._chord_distance(z[:1], z[1:])[0] - rows.sag[0] * h * h - r
                 t = a + h * np.linspace(0.0, 1.0, 513)
@@ -266,23 +267,14 @@ class TestChordBound:
     @pytest.mark.parametrize("args", [(300, 8, 7), (100, 40, 3, 0.3), (3, 256, 7)])
     def test_chord_test_changes_no_report_and_cuts_few_cells(self, monkeypatch, args):
         # sag = inf turns the chord test off, so that the curvature test alone
-        # clears cells; the subdivision rows are the amplitude_rows calls made
-        # outside fidelity_grid
-        rows, inside = [], []
-        grid, amplitude_rows, set_up = kernels.fidelity_grid, kernels.amplitude_rows, qsim._rows
-
-        def counted_grid(*args):
-            inside.append(True)
-            try:
-                return grid(*args)
-            finally:
-                inside.pop()
+        # clears cells; every amplitude_rows row is a subdivision
+        rows = []
+        amplitude_rows, set_up = kernels.amplitude_rows, qsim._rows
 
         def counted_rows(p, e, starts, dt, n):
-            rows.append(0 if inside else len(starts))
+            rows.append(len(starts))
             return amplitude_rows(p, e, starts, dt, n)
 
-        monkeypatch.setattr(kernels, "fidelity_grid", counted_grid)
         monkeypatch.setattr(kernels, "amplitude_rows", counted_rows)
         default, default_rows = qsim.verify_limits(*args), sum(rows)
         rows.clear()
@@ -414,24 +406,16 @@ class TestVerifyLimits:
         assert blocks == [1] * args[0] + [qsim.DELTAS.size]
 
     def test_subdivisions_are_evaluated_per_block_not_per_trial(self, monkeypatch):
-        # every amplitude evaluation after depth 0 (an amplitude_rows call made
-        # outside fidelity_grid) serves a whole block at one chunk and depth, so
-        # their count is bounded by blocks * chunks * depths, whatever the trials
-        calls, inside, blocks = [], [], []
-        grid, amplitude_rows, scan = kernels.fidelity_grid, kernels.amplitude_rows, qsim._scan
-
-        def counted_grid(*args):
-            inside.append(True)
-            try:
-                return grid(*args)
-            finally:
-                inside.pop()
+        # every amplitude evaluation after depth 0 (an amplitude_rows call)
+        # serves a whole block at one chunk and depth, so their count is
+        # bounded by blocks * chunks * depths, whatever the trials
+        calls, blocks = [], []
+        amplitude_rows, scan = kernels.amplitude_rows, qsim._scan
 
         def counted_rows(*args):
-            calls.extend([] if inside else [len(args[2])])
+            calls.append(len(args[2]))
             return amplitude_rows(*args)
 
-        monkeypatch.setattr(kernels, "fidelity_grid", counted_grid)
         monkeypatch.setattr(kernels, "amplitude_rows", counted_rows)
         monkeypatch.setattr(qsim, "_scan",
                             lambda rows, *rest: blocks.append(rows.d.size) or scan(rows, *rest))

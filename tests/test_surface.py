@@ -6,7 +6,8 @@ of a public class, must be named (as a variable or an attribute, read) in
 ``pyproject.toml``, or at a hook site of ``perfbench/layers.py``. Re-exports
 and ``__all__`` strings do not count: they are surface, not use. A name only
 tests reach is API kept for the tests' sake; delete it with its tests, or
-make it the callee of the code that re-derives it.
+make it the callee of the code that re-derives it. Likewise every name a
+module imports is read in that module, or is a hook site.
 """
 
 import ast
@@ -87,6 +88,25 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_allowlist_is_current():
     # an allowlisted name that gained a caller, or that is gone, leaves the list
     assert sorted(ALLOWED) == sorted(set(unreached_names()) & set(ALLOWED))
+
+
+def unread_imports():
+    """``qsl.module:name`` of each name a module of the package imports and never reads."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads = set(_reads(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in reads:
+                        yield f"qsl.{path.stem}:{name}"
+
+
+def test_every_import_is_read_or_a_benchmark_hook_site():
+    unread = sorted(set(unread_imports()) - set(_hook_sites()))
+    assert not unread, f"imports that nothing in their module reads: {unread}"
 
 
 def test_every_benchmark_hook_site_resolves():
