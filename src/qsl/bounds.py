@@ -80,10 +80,11 @@ def max_F_over_q(theta: float | np.ndarray, delta: float | np.ndarray) -> float 
     # sin(phi) = rho/r >= 0 and cos(phi) = sigma/r pick phi in [0, pi]
     phi = np.arctan2(rho, sigma)
     yb = rootfind.y_bounds()
-    with np.errstate(divide="ignore", invalid="ignore"):  # stationary_max off its window
-        value = np.where(phi <= math.pi - 0.5 * yb.y_plus, -sigma / math.cos(yb.y_plus),
-                         np.where(phi > math.pi - 0.5 * yb.y_minus, rho / math.sin(yb.y_minus),
-                                  stationary_max(rho, sigma)))
+    ab = phi <= math.pi - 0.5 * yb.y_plus
+    value = np.where(ab, -sigma / math.cos(yb.y_plus), rho / math.sin(yb.y_minus))
+    # the stationary form only on its window, where sin(phi) > 0.78
+    window = ~ab & (phi <= math.pi - 0.5 * yb.y_minus)
+    value[window] = stationary_max(rho[window], sigma[window])
     return value[()]
 
 
@@ -167,10 +168,18 @@ def alpha(delta: float | np.ndarray) -> float | np.ndarray:
     return upper_bound_M(delta)
 
 
-def mt_alpha(delta: float) -> float:
-    """Numerator arccos(sqrt(delta)) of the dispersion-based limit."""
-    require((0.0 <= delta) & (delta <= 1.0), delta, "delta must lie in [0, 1]")
-    return math.acos(math.sqrt(delta))
+def mt_alpha(delta: float | np.ndarray) -> float | np.ndarray:
+    """Numerator arccos(sqrt(delta)) of the dispersion-based limit, for one delta or an array.
+
+    Each value is math.acos's: numpy's vectorised arccos can differ from it in
+    the last bit.
+    """
+    d = np.asarray(delta, dtype=np.float64)
+    require((0.0 <= d) & (d <= 1.0), d, "delta must lie in [0, 1]")
+    if d.ndim == 0:
+        return math.acos(math.sqrt(d))
+    return np.fromiter(map(math.acos, np.sqrt(d).ravel().tolist()), np.float64,
+                       d.size).reshape(d.shape)
 
 
 def omega_to_z(omega: float | np.ndarray, delta: float) -> float | np.ndarray:

@@ -42,31 +42,30 @@ _RANGES = {
 }
 
 
-def _table(ns: argparse.Namespace, header: list[str], rows: list[list[float]]) -> str:
-    return render_json(header, rows) if ns.fmt == "json" else render_csv(header, rows)
+def _table(ns: argparse.Namespace, header: list[str], columns: list[np.ndarray]) -> str:
+    if ns.fmt == "json":
+        return render_json(header, zip(*[column.tolist() for column in columns]))
+    return render_csv(header, columns)
 
 
 def cmd_alpha(ns: argparse.Namespace) -> tuple[str, int]:
     if ns.delta is not None:
         return f"{bounds.alpha(ns.delta):.12f}\n", EXIT_OK
     deltas = np.linspace(0.0, 1.0, ns.grid)
-    rows = [[d, a, bounds.mt_alpha(d)]
-            for d, a in zip(deltas.tolist(), bounds.alpha(deltas).tolist())]
-    return _table(ns, ["delta", "alpha", "mt_alpha"], rows), EXIT_OK
+    columns = [deltas, bounds.alpha(deltas), bounds.mt_alpha(deltas)]
+    return _table(ns, ["delta", "alpha", "mt_alpha"], columns), EXIT_OK
 
 
 def cmd_plotdata(ns: argparse.Namespace) -> tuple[str, int]:
     deltas = np.linspace(0.0, 1.0, ns.grid)
-    rows = np.column_stack([deltas, bounds.alpha(deltas)]).tolist()
-    return _table(ns, ["delta", "alpha"], rows), EXIT_OK
+    return _table(ns, ["delta", "alpha"], [deltas, bounds.alpha(deltas)]), EXIT_OK
 
 
 def cmd_tangent(ns: argparse.Namespace) -> tuple[str, int]:
     yb = rootfind.y_bounds()
     ys = np.linspace(yb.y_minus, yb.y_plus - 1e-6, ns.grid)
     ys = np.union1d(ys, [math.pi])  # the midpoint row q = a = 2/pi is a fixture
-    rows = np.column_stack([ys, tangent.q_of_y(ys), tangent.a_of_y(ys)]).tolist()
-    return _table(ns, ["y", "q", "a"], rows), EXIT_OK
+    return _table(ns, ["y", "q", "a"], [ys, tangent.q_of_y(ys), tangent.a_of_y(ys)]), EXIT_OK
 
 
 def cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:

@@ -512,7 +512,7 @@ def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0)
         return report
 
     ml_coeff = 0.5 * math.pi * bounds.alpha(DELTAS)
-    mt_coeff = np.array([bounds.mt_alpha(d) for d in DELTAS.tolist()])
+    mt_coeff = bounds.mt_alpha(DELTAS)
     block = max(1, _BLOCK_CELLS // (DELTAS.size * d_max))
     for first in range(0, trials, block):
         supports = []

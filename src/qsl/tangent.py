@@ -27,6 +27,9 @@ _G_TOL = 26.0 * float(np.finfo(np.float64).eps)
 _X = np.linspace(0.0, 50.0, 4096)
 _COS_X, _SIN_X = np.cos(_X), np.sin(_X)
 _Q_BLOCK = 32
+# the largest q for which that grid stops at X(q): past X the gap exceeds
+# 1 + a (x - X), and a grid value's rounding error stays below 8 eps (2 + q) + 4 eps a (x - X)
+_CUT_Q_MAX = 1e12
 
 
 def _checked_y(y) -> np.ndarray:
@@ -86,22 +89,34 @@ def check_tangent_inequality(q: float | np.ndarray) -> float | np.ndarray:
     """Grid minimum of cos x + q sin x - 1 + a(q) x on 4096 points of x in [0, 50].
 
     A return value >= -1e-9 certifies the inequality on the grid; the grid is
-    a smoke test, the tangency construction is the actual guarantee. Blocks
-    of 32 slopes are evaluated at once in two reused buffers, bounding the memory.
+    a smoke test, the tangency construction is the actual guarantee.
+
+    Only the points up to X(q) = (2 + sqrt(1 + q^2))/a are evaluated, the same
+    count for every q of the call. The minimum is still the full grid's, bit
+    for bit: past X the gap is at least a x - 1 - sqrt(1 + q^2) > 1, while at
+    x = 0 it is exactly 0. X is taken from the same a the grid uses, so the cut
+    holds for any a > 0; for a <= 0, a non-finite a or q above _CUT_Q_MAX,
+    where rounding could reach 1, the whole grid is evaluated. Blocks of 32
+    slopes are evaluated at once in two reused buffers, bounding the memory.
     """
     a = np.ravel(a_of_q(q))
     flat = np.ravel(q)
+    n = _X.size
+    if np.all((a > 0.0) & np.isfinite(a) & (flat <= _CUT_Q_MAX)):
+        reach = np.max((2.0 + np.hypot(1.0, flat)) / a, initial=0.0)
+        n = int(np.searchsorted(_X, reach, side="right"))
+    x, cos_x, sin_x = _X[:n], _COS_X[:n], _SIN_X[:n]
     low = np.empty(flat.size)
-    value = np.empty((_Q_BLOCK, _X.size))
-    term = np.empty((_Q_BLOCK, _X.size))
+    value = np.empty((_Q_BLOCK, n))
+    term = np.empty((_Q_BLOCK, n))
     for s in range(0, flat.size, _Q_BLOCK):
         e = min(s + _Q_BLOCK, flat.size)
         v, t = value[:e - s], term[:e - s]
         # cos x + q sin x - 1 + a x, summed left to right
-        np.multiply(flat[s:e, None], _SIN_X, out=v)
-        np.add(_COS_X, v, out=v)
+        np.multiply(flat[s:e, None], sin_x, out=v)
+        np.add(cos_x, v, out=v)
         np.subtract(v, 1.0, out=v)
-        np.multiply(a[s:e, None], _X, out=t)
+        np.multiply(a[s:e, None], x, out=t)
         np.add(v, t, out=v)
         v.min(axis=1, out=low[s:e])
     return low.reshape(np.shape(q))[()]

@@ -303,6 +303,65 @@ class TestMaxFOverQ:
         assert min(cases) >= 20
 
 
+def three_branch_reference(theta, delta):
+    """max_F_over_q as one np.where over all three forms, each evaluated at every point."""
+    root = np.sqrt(delta)
+    rho = 1.0 - root * np.cos(theta)
+    sigma = root * np.sin(theta)
+    phi = np.arctan2(rho, sigma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(phi <= PHI_AB, -sigma / math.cos(YB.y_plus),
+                        np.where(phi > PHI_CD, rho / math.sin(YB.y_minus),
+                                 bounds.stationary_max(rho, sigma)))
+
+
+class TestWindowOnlyStationaryForm:
+    # max_F_over_q evaluates the stationary form only inside its window
+
+    def test_dense_grid_equals_the_three_branch_reference(self):
+        theta = np.linspace(0.0, 2 * math.pi, 1441)
+        delta = np.linspace(0.0, 1.0, 201)[:, None]
+        phi = circle(theta, delta)[2]
+        assert (phi <= PHI_AB).sum() > 1000 and (phi > PHI_CD).sum() > 1000
+        assert ((PHI_AB < phi) & (phi <= PHI_CD)).sum() > 1000
+        with np.errstate(all="raise"):
+            values = bounds.max_F_over_q(theta, delta)
+        assert values.shape == (201, 1441)
+        assert np.array_equal(values, three_branch_reference(theta, delta))
+
+    @pytest.mark.parametrize("edge", [PHI_AB, PHI_CD])
+    def test_points_at_the_window_edges_equal_the_reference(self, edge):
+        # circle points whose angle lies within a few ulps of each edge, on both sides
+        phis = edge + np.arange(-8, 9) * np.spacing(edge)
+        theta, delta = map(np.array, zip(*[point_at(float(p)) for p in phis]))
+        phi = circle(theta, delta)[2]
+        assert np.any(phi <= edge) and np.any(phi > edge)
+        with np.errstate(all="raise"):
+            values = bounds.max_F_over_q(theta, delta)
+            points = [bounds.max_F_over_q(float(t), float(d)) for t, d in zip(theta, delta)]
+        reference = three_branch_reference(theta, delta)
+        assert np.array_equal(values, reference)
+        assert points == reference.tolist()
+
+    @pytest.mark.parametrize("theta, delta", [(0.0, 0.0), (0.0, 1.0), (0.0, 0.5),
+                                              (1.0, 0.0), (4.0, 1.0), (math.pi, 1.0)])
+    def test_scalar_ends_equal_the_reference(self, theta, delta):
+        with np.errstate(all="raise"):
+            value = bounds.max_F_over_q(theta, delta)
+        assert isinstance(value, float)
+        assert value == float(three_branch_reference(theta, delta))
+
+    def test_theta_zero_and_delta_ends_as_arrays(self):
+        theta = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 2 * math.pi])
+        for delta in (0.0, 1.0, np.array([0.0, 1.0])[:, None]):
+            with np.errstate(all="raise"):
+                values = bounds.max_F_over_q(theta, delta)
+            assert np.array_equal(values, three_branch_reference(theta, delta))
+        with np.errstate(all="raise"):
+            column = bounds.max_F_over_q(0.0, np.linspace(0.0, 1.0, 11))
+        assert np.array_equal(column, three_branch_reference(0.0, np.linspace(0.0, 1.0, 11)))
+
+
 class TestBoundFunctions:
     def test_lower_bound_endpoints(self):
         assert bounds.lower_bound_m(0.0) == pytest.approx(1.0, abs=1e-12)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsl import bounds, checks, cli, oracle, tangent
+from qsl import bounds, checks, cli, oracle, reports, tangent
 
 
 def run(capsys, *argv):
@@ -341,6 +341,8 @@ def test_full_stdout_is_one_line_usage_error(argv):
     (("simulate", "--trials", "200", "--dmax", "3", "--horizon-mult", "4", "--seed", "9"),
      "simulate_trials200_dmax3_mult4_seed9.txt"),
     (("verify", "--seed", "7"), "verify_seed7.txt"),
+    # the largest identities_max_violation of seeds 0..49
+    (("verify", "--seed", "48"), "verify_seed48.txt"),
 ])
 def test_report_bytes_match_the_golden_output(argv, golden):
     # the default reports stay byte-identical: every digit of every count,
@@ -381,3 +383,32 @@ class TestFormatting:
         objs = json.loads(out)
         assert isinstance(objs, list) and len(objs) == 3
         assert all(set(o) == {"delta", "alpha", "mt_alpha"} for o in objs)
+
+    def test_percent_format_spells_floats_as_format_number(self):
+        # render_csv formats blocks of rows with %.12g; format_number uses f"{x:.12g}"
+        bits = np.random.default_rng(5).integers(0, 2**64, 300_000, dtype=np.uint64, endpoint=False)
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 0.1, 1e16, 1e-5,
+                   123456789012.5, 999999999999.5, 1e12, 0.30000000000000004]
+        values = bits.view(np.float64).tolist() + special
+        assert (",%.12g" * len(values)) % tuple(values) == \
+            "".join("," + reports.format_number(v) for v in values)
+
+    @pytest.mark.parametrize("rows", [1, 2, 4096, 4097, 9000])
+    def test_csv_equals_one_format_number_call_per_cell(self, rows):
+        rng = np.random.default_rng(rows)
+        columns = [np.linspace(0.0, 1.0, rows), rng.normal(size=rows) * 10.0 ** rng.integers(
+            -300, 300, rows), np.append(rng.random(rows - 1), math.nan)]
+        lines = ["a,b,c"] + [",".join(reports.format_number(v) for v in row)
+                             for row in np.column_stack(columns).tolist()]
+        assert reports.render_csv(["a", "b", "c"], columns) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("grid", [2, 101, 1001])
+    def test_mt_alpha_column_is_math_acos_per_cell(self, capsys, grid):
+        deltas = np.linspace(0.0, 1.0, grid)
+        column = bounds.mt_alpha(deltas)
+        cells = [math.acos(math.sqrt(d)) for d in deltas.tolist()]
+        assert np.array_equal(column.view(np.int64), np.array(cells).view(np.int64))
+        _, out = run(capsys, "alpha", "--grid", str(grid))
+        assert [line.split(",")[2] for line in out.splitlines()[1:]] == \
+            [f"{v:.12g}" for v in cells]

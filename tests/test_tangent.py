@@ -220,3 +220,51 @@ class TestArrays:
         assert ys[:4] == [YB.y_minus] * 4
         assert tangent.a_of_q(1e-17) == tangent.a_of_q(0.0)
         assert tangent.check_tangent_inequality(1e-17) >= -1e-9
+
+
+def full_grid_minimum(q, a):
+    """The grid minimum over all 4096 points of [0, 50], in row chunks, for slopes q and a."""
+    x = np.linspace(0.0, 50.0, 4096)
+    q, a = np.atleast_1d(q)[:, None], np.atleast_1d(a)[:, None]
+    return np.concatenate([(np.cos(x) + q[k:k + 250] * np.sin(x) - 1.0 + a[k:k + 250] * x)
+                           .min(axis=1) for k in range(0, q.size, 250)])
+
+
+class TestGridCut:
+    # the grid stops at X(q) = (2 + sqrt(1 + q^2))/a: past X the gap exceeds 1, at x = 0 it is 0
+
+    @pytest.mark.parametrize("seeds", [range(0, 25), range(25, 50)])
+    def test_seeded_slopes_equal_the_full_grid(self, seeds):
+        for seed in seeds:
+            # the slopes of the verify check at this seed
+            q = np.random.default_rng(seed).uniform(0.0, 100.0, 1000)
+            assert np.array_equal(tangent.check_tangent_inequality(q),
+                                  full_grid_minimum(q, tangent.a_of_q(q))), seed
+
+    def test_edge_slopes_equal_the_full_grid(self):
+        # 1e13 lies above _CUT_Q_MAX: that call evaluates the whole grid
+        for q in (0.0, 1e-300, 1e-17, 100.0, 1e6, 1e13):
+            whole = full_grid_minimum(q, tangent.a_of_q(q))
+            assert np.array_equal(tangent.check_tangent_inequality(np.array([q])), whole), q
+            assert tangent.check_tangent_inequality(q) == whole[0], q
+
+    def test_lowered_a_equals_the_full_grid(self, monkeypatch):
+        # a lowered a(q) moves each minimum off x = 0 to a negative value before X
+        shipped = tangent.a_of_q
+        monkeypatch.setattr(tangent, "a_of_q", lambda q: shipped(q) * (1.0 - 1e-3))
+        q = np.random.default_rng(7).uniform(0.0, 100.0, 1000)
+        whole = full_grid_minimum(q, tangent.a_of_q(q))
+        assert np.all(whole < 0.0)
+        assert np.array_equal(tangent.check_tangent_inequality(q), whole)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf])
+    def test_nonpositive_or_infinite_a_takes_the_full_grid(self, monkeypatch, scale):
+        # no cut holds there: the minimum lies far out on the grid, or is -inf or nan
+        shipped = tangent.a_of_q
+        monkeypatch.setattr(tangent, "a_of_q", lambda q: shipped(q) * scale)
+        q = np.array([0.0, 0.5, 3.0, 99.0])
+        with np.errstate(invalid="ignore"):
+            whole = full_grid_minimum(q, tangent.a_of_q(q))
+            assert np.array_equal(tangent.check_tangent_inequality(q), whole, equal_nan=True)
+        if scale <= 0.0:
+            assert np.all(whole < -1.0)
