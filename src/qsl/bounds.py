@@ -19,7 +19,7 @@ z^2 -> delta, and its phi-derivative is -sqrt(delta)*g(phi) with
 g = sin(phi)*atan2(sqrt(1-delta), sqrt(delta)*sin(phi)) + sqrt(1-delta)*cos(phi)/(1 - z).
 For 0 < delta < 1, g(0) > 0 > g(pi): the minimizer is the root of g in the
 bracket [0, pi], found by one safeguarded Newton solve (``kernels.newton``)
-for a whole array of delta. The two bounds agree, which is what the
+for a block of 65536 delta at once. The two bounds agree, which is what the
 verification suites check.
 """
 
@@ -42,6 +42,8 @@ _TWO_OVER_PI = (2.0 / math.pi, -3.935735335036497e-17)
 _G_TOL = 16.0 * float(np.finfo(np.float64).eps)
 # points of the theta grid that lower_bound_m refines by golden section
 _N_THETA = 720
+# delta per block of _upper_bound_argmin, bounding its temporaries; no bit depends on it
+_DELTA_BLOCK = 1 << 16
 
 
 # kept as the tests' reference for the raw inner objective that max_F_over_q resolves
@@ -125,8 +127,18 @@ def _upper_bound_argmin(delta: float | np.ndarray) -> tuple:
     ``delta`` is one number or an array, and both results take its shape. At
     delta = 1 every z gives 0; the minimizer's limit z = -1 is returned.
     """
-    d = np.array(delta, dtype=np.float64, ndmin=1)
+    d = np.array(delta, dtype=np.float64, ndmin=1).ravel()
     require((d >= 0.0) & (d <= 1.0), d, "delta must lie in [0, 1]")
+    value, z = np.empty((2, d.size))
+    for s in range(0, d.size, _DELTA_BLOCK):
+        value[s:s + _DELTA_BLOCK], z[s:s + _DELTA_BLOCK] = _argmin_block(d[s:s + _DELTA_BLOCK])
+    if np.ndim(delta) == 0:
+        return float(value[0]), float(z[0])
+    return value.reshape(np.shape(delta)), z.reshape(np.shape(delta))
+
+
+def _argmin_block(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(bound value, argmin z) of each delta of the 1-d array ``d``, by one Newton solve."""
     root, co = np.sqrt(d), np.sqrt(1.0 - d)
     gap = (1.0 - d) / (1.0 + root)  # 1 - sqrt(delta)
     inner = (root > 0.0) & (co > 0.0)
@@ -153,9 +165,7 @@ def _upper_bound_argmin(delta: float | np.ndarray) -> tuple:
     value = plus * (angle * _TWO_OVER_PI[0] + angle * _TWO_OVER_PI[1])
     value[root == 0.0] = 1.0
     value[co == 0.0] = 0.0
-    if np.ndim(delta) == 0:
-        return float(value[0]), float(z[0])
-    return value.reshape(np.shape(delta)), z.reshape(np.shape(delta))
+    return value, z
 
 
 def upper_bound_M(delta: float | np.ndarray) -> float | np.ndarray:
@@ -178,8 +188,8 @@ def mt_alpha(delta: float | np.ndarray) -> float | np.ndarray:
     require((0.0 <= d) & (d <= 1.0), d, "delta must lie in [0, 1]")
     if d.ndim == 0:
         return math.acos(math.sqrt(d))
-    return np.fromiter(map(math.acos, np.sqrt(d).ravel().tolist()), np.float64,
-                       d.size).reshape(d.shape)
+    # flat yields one float64 (a float) at a time: no list of every value
+    return np.fromiter(map(math.acos, np.sqrt(d).flat), np.float64, d.size).reshape(d.shape)
 
 
 def omega_to_z(omega: float | np.ndarray, delta: float) -> float | np.ndarray:
@@ -196,42 +206,26 @@ def omega_to_z(omega: float | np.ndarray, delta: float) -> float | np.ndarray:
     return (delta - omega) / (1.0 - omega)
 
 
-def _arc_gap(psi, delta: float, branch: int, arc: tuple, term) -> float | np.ndarray:
-    """The gap of one arc, (s/(2 sin psi)) * (2*psi - term(2*psi)), at one psi or an array.
+def arc_gap_AB(x: float | np.ndarray) -> float | np.ndarray:
+    """The AB arc lemma's h(x) = x - sin(x)/cos(y_plus) on [y_plus, 2*pi], at one x or an array.
 
-    s = sin(psi) +/- sqrt(delta - cos^2 psi) >= 0 is the intersection factor; 2*psi
-    must lie in ``arc``. The gap is 0 where s or sin(psi) vanishes.
-    """
-    require((0.0 <= delta) & (delta <= 1.0), delta, "delta must lie in [0, 1]")
-    if branch not in (1, -1):
-        raise DomainError(f"branch must be +1 or -1, got {branch}")
-    two_psi = 2.0 * np.asarray(psi, dtype=np.float64)
-    require((arc[0] - 1e-9 <= two_psi) & (two_psi <= arc[1] + 1e-9), two_psi,
-            f"2*psi must lie in [{arc[0]}, {arc[1]}]")
-    sin, cos = np.sin(psi), np.cos(psi)
-    disc = delta - cos * cos
-    require(disc >= -_CLAMP_TOL, cos * cos, f"cos^2(psi) must not exceed delta={delta}")
-    s = sin + branch * np.sqrt(np.maximum(disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = (s / (2.0 * sin)) * (two_psi - term(two_psi))
-    return np.where((s == 0.0) | (sin == 0.0), 0.0, gap)[()]
-
-
-def arc_gap_AB(psi: float | np.ndarray, delta: float, branch: int = 1) -> float | np.ndarray:
-    """Gap between the stationary formula and the y_plus endpoint value.
-
-    Nonnegative on 2*psi in [y_plus, 2*pi], vanishing at 2*psi = y_plus.
+    On AB the stationary maximum less the endpoint value is s/(2 sin psi) * h(2*psi), psi =
+    pi - phi, where s = sin psi +/- sqrt(delta - cos^2 psi) >= 0 at every delta on either branch,
+    as sqrt(delta - cos^2 psi) <= sin psi. h(y_plus) = 0 as tan y_plus = y_plus, h'(y_plus) = 0,
+    and h'' = sin(x)/cos(y_plus) >= 0 on [pi, 2*pi]: so h >= 0.
     """
     yb = rootfind.y_bounds()
-    return _arc_gap(psi, delta, branch, (yb.y_plus, 2.0 * math.pi),
-                    lambda two_psi: np.sin(two_psi) / math.cos(yb.y_plus))
+    require((yb.y_plus <= x) & (x <= 2.0 * math.pi), x, f"x must lie in [{yb.y_plus}, 2*pi]")
+    return x - np.sin(x) / math.cos(yb.y_plus)
 
 
-def arc_gap_CD(psi: float | np.ndarray, delta: float, branch: int = 1) -> float | np.ndarray:
-    """Gap between the stationary formula and the y_minus endpoint value.
+def arc_gap_CD(x: float | np.ndarray) -> float | np.ndarray:
+    """The CD arc lemma's h(x) = x - (1 - cos x)/sin(y_minus) on [0, y_minus], at one x or an array.
 
-    Nonnegative on 2*psi in [0, y_minus], vanishing at 2*psi = y_minus.
+    On CD the gap is s/(2 sin psi) * h(2*psi), s as on AB. h(0) = 0, h(y_minus) = 0 as (1 -
+    cos y_minus)/sin y_minus = y_minus, and h' = 1 - sin(x)/sin(y_minus) is positive below
+    pi - y_minus and negative above it: so h >= 0.
     """
     yb = rootfind.y_bounds()
-    return _arc_gap(psi, delta, branch, (0.0, yb.y_minus),
-                    lambda two_psi: (1.0 - np.cos(two_psi)) / math.sin(yb.y_minus))
+    require((0.0 <= x) & (x <= yb.y_minus), x, f"x must lie in [0, {yb.y_minus}]")
+    return x - (1.0 - np.cos(x)) / math.sin(yb.y_minus)

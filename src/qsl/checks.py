@@ -17,7 +17,6 @@ import numpy as np
 
 from . import bounds, oracle, rootfind, tangent
 
-ARC_DELTAS = (0.3, 0.6, 0.9)
 ORACLE_DELTAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 ORACLE_GRID = 2048  # points per axis of the minimax oracle's tables
 
@@ -31,16 +30,9 @@ _Y_CURVATURE = 0.33
 # a few units in the last place of a value alpha <= 1, whose ulp is at most eps/2
 _FEW_ULPS = 4.0 * float(np.finfo(np.float64).eps)
 
-
-def arcs(delta: float) -> list[tuple]:
-    """The AB and CD arcs at ``delta``, each as (gap function, lo, hi, boundary).
-
-    The arc is psi in [lo, hi], empty if lo > hi; its gap vanishes at psi = boundary.
-    """
-    yb = rootfind.y_bounds()
-    reach = math.acos(math.sqrt(delta))  # the circle needs cos^2(psi) <= delta
-    return [(bounds.arc_gap_AB, max(0.5 * yb.y_plus, reach), math.pi - reach, 0.5 * yb.y_plus),
-            (bounds.arc_gap_CD, reach, 0.5 * yb.y_minus, 0.5 * yb.y_minus)]
+# y+- lie within rootfind's Newton stop 28 eps/|g'| (|g'| = 4.39, 1.61) of their roots, h_AB(y+)
+# and h_CD(y-) move by tan^2 y+ = 20.2 and |1 - y-/sin y-| = 2.2 times that, plus h's 4 ulps of 2 pi
+_ARC_TOL = 28.0 * np.finfo(float).eps * max(20.2 / 4.39, 2.2 / 1.61) + 4.0 * math.ulp(2.0 * math.pi)
 
 
 def equality(seed: int) -> tuple[dict, bool]:
@@ -91,19 +83,13 @@ def tangent_inequality(seed: int) -> tuple[dict, bool]:
 
 
 def arc_gaps(seed: int) -> tuple[dict, bool]:
-    """Both arc gaps are nonnegative on both branches and vanish at the arc boundaries."""
-    worst, boundary = math.inf, 0.0
-    for delta in ARC_DELTAS:
-        for gap, lo, hi, edge in arcs(delta):
-            if lo > hi:
-                continue
-            psi = np.append(np.linspace(lo, hi, 2000), edge)
-            for branch in (1, -1):
-                values = gap(psi, delta, branch)
-                worst = min(worst, float(values[:-1].min()))
-                boundary = max(boundary, abs(float(values[-1])))
+    """The arc lemma: h_AB >= 0 on [y_plus, 2*pi] and h_CD >= 0 on [0, y_minus], 0 at y+-."""
+    yb = rootfind.y_bounds()
+    ab = bounds.arc_gap_AB(np.linspace(yb.y_plus, 2.0 * math.pi, 2000))
+    cd = bounds.arc_gap_CD(np.linspace(0.0, yb.y_minus, 2000))
+    worst, boundary = float(min(ab.min(), cd.min())), float(max(abs(ab[0]), abs(cd[-1])))
     lines = {"arc_gap_min": worst, "arc_gap_boundary_max": boundary}
-    return lines, worst >= -1e-10 and boundary <= 1e-8
+    return lines, worst >= -_ARC_TOL and boundary <= _ARC_TOL
 
 
 CHECKS: dict[str, Callable[[int], tuple[dict, bool]]] = {

@@ -4,7 +4,7 @@ Subcommands: ``alpha`` (bound values and tables), ``verify`` (analytic and
 brute-force cross-checks), ``simulate`` (Monte-Carlo speed-limit checks),
 ``tangent`` (tangency-family table), ``plotdata`` (curve emission). Each
 subcommand accepts only the flags it reads; a handler takes the parsed
-arguments and returns the output text and the exit code.
+arguments and returns the output, as pieces of text, and the exit code.
 
 Exit codes: 0 success, 1 check failure, 2 usage error.
 """
@@ -16,7 +16,7 @@ import functools
 import math
 import os
 import sys
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -27,8 +27,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-# the largest --dmax: a passage-scan chunk holds about 130*d complex exponentials,
-# about 2 MB at 1024 levels; the largest --grid: 10^6 rows take 0.4 GB (0.7 GB as JSON)
+# the largest --dmax: a passage-scan chunk holds about 130*d complex exponentials, about 2 MB
+# at 1024 levels; the largest --grid: 10^6 rows peak at 75 MB resident as CSV or as JSON
 _DMAX, _GRID = 1024, 10**6
 
 # flag destination -> (flag, requirement, test) for the ranges argparse does not check
@@ -42,43 +42,41 @@ _RANGES = {
 }
 
 
-def _table(ns: argparse.Namespace, header: list[str], columns: list[np.ndarray]) -> str:
-    if ns.fmt == "json":
-        return render_json(header, zip(*[column.tolist() for column in columns]))
-    return render_csv(header, columns)
+def _table(ns: argparse.Namespace, header: list[str], columns: list[np.ndarray]) -> Iterable[str]:
+    return (render_json if ns.fmt == "json" else render_csv)(header, columns)
 
 
-def cmd_alpha(ns: argparse.Namespace) -> tuple[str, int]:
+def cmd_alpha(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
     if ns.delta is not None:
-        return f"{bounds.alpha(ns.delta):.12f}\n", EXIT_OK
+        return [f"{bounds.alpha(ns.delta):.12f}\n"], EXIT_OK
     deltas = np.linspace(0.0, 1.0, ns.grid)
     columns = [deltas, bounds.alpha(deltas), bounds.mt_alpha(deltas)]
     return _table(ns, ["delta", "alpha", "mt_alpha"], columns), EXIT_OK
 
 
-def cmd_plotdata(ns: argparse.Namespace) -> tuple[str, int]:
+def cmd_plotdata(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
     deltas = np.linspace(0.0, 1.0, ns.grid)
     return _table(ns, ["delta", "alpha"], [deltas, bounds.alpha(deltas)]), EXIT_OK
 
 
-def cmd_tangent(ns: argparse.Namespace) -> tuple[str, int]:
+def cmd_tangent(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
     yb = rootfind.y_bounds()
     ys = np.linspace(yb.y_minus, yb.y_plus - 1e-6, ns.grid)
     ys = np.union1d(ys, [math.pi])  # the midpoint row q = a = 2/pi is a fixture
     return _table(ns, ["y", "q", "a"], [ys, tangent.q_of_y(ys), tangent.a_of_y(ys)]), EXIT_OK
 
 
-def cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
+def cmd_verify(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
     report = checks.run(ns.seed)
     code = EXIT_OK if report["overall"] == "pass" else EXIT_CHECK_FAILED
-    return render_report(report), code
+    return [render_report(report)], code
 
 
-def cmd_simulate(ns: argparse.Namespace) -> tuple[str, int]:
+def cmd_simulate(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
     report = qsim.verify_limits(ns.trials, ns.d_max, ns.seed, horizon_mult=ns.horizon_mult)
     ok = report["violations"] == 0 and report["designed_violations"] == 0
     report["overall"] = "pass" if ok else "fail"
-    return render_report(report), EXIT_OK if ok else EXIT_CHECK_FAILED
+    return [render_report(report)], EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 @functools.cache
@@ -128,9 +126,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if hasattr(ns, dest) and not valid(getattr(ns, dest)):
             return _usage_error(f"{flag} must {requirement}, got {getattr(ns, dest)}")
     if not ns.out:
-        text, code = ns.handler(ns)
+        pieces, code = ns.handler(ns)
         try:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
             sys.stdout.flush()
         except OSError as exc:
             # the text left in the buffer goes to the null device at exit, not to a second error
@@ -143,8 +141,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     # disk shows only at the write or at the flush on close
     try:
         with open(ns.out, "w") as stream:
-            text, code = ns.handler(ns)
-            stream.write(text)
+            pieces, code = ns.handler(ns)
+            stream.writelines(pieces)
     except OSError as exc:
         return _usage_error(f"--out {ns.out}: {exc.strerror}")
     return code

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-# rows per format call of render_csv
-_CSV_ROWS = 4096
+# rows per piece of text of render_csv and render_json
+_TABLE_ROWS = 4096
 
 
 def format_number(value: float) -> str:
@@ -31,28 +32,30 @@ def render_report(report: Mapping) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_csv(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
+def render_csv(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[str]:
     """CSV with a header line, 12-significant-digit cells, LF line endings.
 
-    ``columns`` are float arrays of one length. Each block of rows is rendered
-    by one %-format string, whose ``%.12g`` spells a float as ``format_number``
-    does.
+    ``columns`` are float arrays of one length. The header line is the first
+    piece of text, and each block of rows the next, rendered by one %-format
+    string, whose ``%.12g`` spells a float as ``format_number`` does.
     """
-    table = np.column_stack(columns)
-    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    parts = [",".join(header) + "\n"]
-    for s in range(0, len(table), _CSV_ROWS):
-        block = table[s:s + _CSV_ROWS]
-        parts.append((line * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    line = ",".join(["%.12g"] * len(columns)) + "\n"
+    yield ",".join(header) + "\n"
+    for s in range(0, len(columns[0]), _TABLE_ROWS):
+        block = np.column_stack([column[s:s + _TABLE_ROWS] for column in columns])
+        yield line * len(block) % tuple(block.ravel().tolist())
 
 
-def render_json(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
-    """JSON array of flat row objects carrying exactly the CSV values."""
-    out = []
-    for row in rows:
-        obj = {}
-        for key, value in zip(header, row):
-            obj[key] = float(format_number(value)) if isinstance(value, float) else value
-        out.append(obj)
-    return json.dumps(out) + "\n"
+def render_json(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """JSON array of flat row objects carrying exactly the CSV values, a block of rows per piece.
+
+    Each block's CSV cells are parsed back, float(format_number(x)), and spelled
+    as json spells a float by one json.dumps.
+    """
+    row = "{" + ", ".join(json.dumps(key).replace("%", "%%") + ": %s" for key in header) + "}"
+    yield "["
+    for i, block in enumerate(itertools.islice(render_csv(header, columns), 1, None)):
+        values = map(float, block[:-1].replace("\n", ",").split(","))
+        cells = json.dumps(list(values))[1:-1].split(", ")
+        yield (", " if i else "") + ", ".join([row] * (len(cells) // len(header))) % tuple(cells)
+    yield "]\n"

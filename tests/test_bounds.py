@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsl import bounds, checks
+from qsl import bounds
 from qsl.errors import DomainError
 from qsl.rootfind import y_bounds
 
@@ -594,85 +594,97 @@ class TestOmegaToZ:
 
 
 def direct_arc_coords(psi, delta, branch):
-    s = math.sqrt(delta - math.cos(psi) ** 2)
-    rho = math.sin(psi) ** 2 + branch * math.sin(psi) * s
-    sigma = -math.sin(psi) * math.cos(psi) - branch * math.cos(psi) * s
-    return rho, sigma
+    """(rho, sigma, s) of the circle point on the line at angle pi - psi: s*(sin psi, -cos psi).
+
+    delta - cos^2 psi is formed as delta - 1 + sin^2 psi, which does not cancel as
+    delta -> 1 and makes s exactly 0 at the origin (delta = 1, branch -1).
+    """
+    sin, cos = np.sin(psi), np.cos(psi)
+    root = np.sqrt(np.maximum(delta - 1.0 + sin * sin, 0.0))
+    rho = sin * sin + branch * sin * root
+    sigma = -sin * cos - branch * cos * root
+    return rho, sigma, sin + branch * root
+
+
+def arc_psi(arc, delta):
+    """The psi range of one arc at delta: the circle needs cos^2(psi) <= delta."""
+    reach = math.acos(math.sqrt(delta))
+    if arc == "AB":
+        return max(0.5 * YB.y_plus, reach), math.pi - reach
+    return reach, 0.5 * YB.y_minus
+
+
+def factorisation_error(arc, gap, end, delta, branch):
+    """Largest |direct gap - s/(2 sin psi) * h(2 psi)| over the arc, after asserting s >= 0."""
+    psi = np.linspace(*arc_psi(arc, delta), 201)
+    rho, sigma, s = direct_arc_coords(psi, delta, branch)
+    assert (s >= 0.0).all()
+    r, phi = np.hypot(rho, sigma), np.arctan2(rho, sigma)
+    # at the origin (s = 0) the stationary maximum, the endpoint value and the factor are all 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = np.where(r == 0.0, 0.0, r * (math.pi - phi) / np.sin(phi)) - end(rho, sigma)
+        factored = np.where(s == 0.0, 0.0, s / (2.0 * np.sin(psi)) * gap(2.0 * psi))
+    return float(np.max(np.abs(direct - factored)))
+
+
+# the deltas of the factorisation tests: delta = 1 puts the origin on branch -1, and psi = 0
+# and psi = pi on the arcs
+FACTOR_DELTAS = (0.4, 0.5, 0.8, 0.9, 1.0)
 
 
 class TestArcGaps:
     def test_AB_vanishes_at_boundary(self):
-        for delta in (0.6, 0.9):
-            for branch in (1, -1):
-                assert abs(bounds.arc_gap_AB(YB.y_plus / 2, delta, branch)) <= 1e-12
+        assert abs(bounds.arc_gap_AB(YB.y_plus)) <= 1e-14
 
     def test_CD_vanishes_at_boundary(self):
-        for delta in (0.2, 0.6, 0.9):
-            for branch in (1, -1):
-                assert abs(bounds.arc_gap_CD(YB.y_minus / 2, delta, branch)) <= 1e-12
+        assert bounds.arc_gap_CD(0.0) == 0.0
+        assert abs(bounds.arc_gap_CD(YB.y_minus)) <= 1e-14
 
     def test_AB_interior_positive(self):
-        _, lo, hi, _ = checks.arcs(0.9)[0]
-        for psi in np.linspace(lo + 1e-3, hi, 200):
-            assert bounds.arc_gap_AB(float(psi), 0.9, 1) > 0.0
+        assert (bounds.arc_gap_AB(np.linspace(YB.y_plus + 1e-3, 2.0 * math.pi, 2000)) > 0.0).all()
 
     def test_CD_interior_positive(self):
-        _, lo, hi, _ = checks.arcs(0.9)[1]
-        for psi in np.linspace(lo, hi - 1e-3, 200):
-            assert bounds.arc_gap_CD(float(psi), 0.9, 1) > 0.0
+        assert (bounds.arc_gap_CD(np.linspace(1e-3, YB.y_minus - 1e-3, 2000)) > 0.0).all()
 
     def test_AB_matches_direct_subtraction(self):
-        delta = 0.8
-        _, lo, hi, _ = checks.arcs(delta)[0]
-        for branch in (1, -1):
-            for psi in np.linspace(lo + 1e-4, hi - 1e-4, 100):
-                rho, sigma = direct_arc_coords(float(psi), delta, branch)
-                f_max = (2.0 + (delta - 1.0) / rho) * psi
-                f_ab = -(sigma) / math.cos(YB.y_plus)
-                gap = bounds.arc_gap_AB(float(psi), delta, branch)
-                assert gap == pytest.approx(f_max - f_ab, abs=1e-10)
+        # stationary maximum - AB value = s/(2 sin psi) * h_AB(2 psi), s >= 0, on both branches
+        for delta in FACTOR_DELTAS:
+            for branch in (1, -1):
+                err = factorisation_error("AB", bounds.arc_gap_AB,
+                                          lambda rho, sigma: -sigma / math.cos(YB.y_plus),
+                                          delta, branch)
+                assert err <= 1e-12, (delta, branch)
 
     def test_CD_matches_direct_subtraction(self):
-        delta = 0.5
-        _, lo, hi, _ = checks.arcs(delta)[1]
-        for branch in (1, -1):
-            for psi in np.linspace(lo + 1e-4, hi - 1e-4, 100):
-                rho, sigma = direct_arc_coords(float(psi), delta, branch)
-                f_max = (2.0 + (delta - 1.0) / rho) * psi
-                f_cd = rho / math.sin(YB.y_minus)
-                gap = bounds.arc_gap_CD(float(psi), delta, branch)
-                assert gap == pytest.approx(f_max - f_cd, abs=1e-10)
+        for delta in FACTOR_DELTAS:
+            for branch in (1, -1):
+                err = factorisation_error("CD", bounds.arc_gap_CD,
+                                          lambda rho, sigma: rho / math.sin(YB.y_minus),
+                                          delta, branch)
+                assert err <= 1e-12, (delta, branch)
 
     def test_range_validation(self):
-        with pytest.raises(DomainError):
-            bounds.arc_gap_AB(0.5, 0.9)
-        with pytest.raises(DomainError):
-            bounds.arc_gap_CD(2.0, 0.9)
-        with pytest.raises(DomainError):
-            bounds.arc_gap_CD(0.2, 0.1)  # cos^2(psi) > delta
+        for gap, x in ((bounds.arc_gap_AB, 4.0), (bounds.arc_gap_AB, 6.3),
+                       (bounds.arc_gap_CD, -0.1), (bounds.arc_gap_CD, 2.5)):
+            with pytest.raises(DomainError):
+                gap(x)
 
     def test_one_array_call_equals_point_calls(self):
-        # delta = 1 puts psi = 0, where sin(psi) vanishes, on the CD arc
-        for delta in (0.3, 0.6, 0.9, 1.0):
-            for gap, lo, hi, edge in checks.arcs(delta):
-                if lo > hi:
-                    continue
-                psi = np.append(np.linspace(lo, hi, 101), edge)
-                for branch in (1, -1):
-                    values = gap(psi, delta, branch)
-                    assert values.tolist() == [gap(float(p), delta, branch) for p in psi]
+        for gap, lo, hi in ((bounds.arc_gap_AB, YB.y_plus, 2.0 * math.pi),
+                            (bounds.arc_gap_CD, 0.0, YB.y_minus)):
+            x = np.linspace(lo, hi, 101)
+            assert gap(x).tolist() == [gap(float(v)) for v in x]
 
     def test_scalar_in_scalar_out(self):
-        for gap, psi in ((bounds.arc_gap_AB, 2.5), (bounds.arc_gap_CD, 1.0)):
-            value = gap(psi, 0.9, -1)
+        for gap, x in ((bounds.arc_gap_AB, 5.0), (bounds.arc_gap_CD, 2.0)):
+            value = gap(x)
             assert np.ndim(value) == 0 and isinstance(value, float)
 
-    @pytest.mark.parametrize("gap, psi, delta", [
-        (bounds.arc_gap_AB, [2.5, 0.5], 0.9),  # 2*psi below y_plus
-        (bounds.arc_gap_CD, [1.0, 2.0], 0.9),  # 2*psi above y_minus
-        (bounds.arc_gap_CD, [1.1, 0.2], 0.5),  # cos^2(psi) > delta
+    @pytest.mark.parametrize("gap, x", [
+        (bounds.arc_gap_AB, [5.0, 4.0]),  # below y_plus
+        (bounds.arc_gap_CD, [1.0, 2.5]),  # above y_minus
     ])
-    def test_one_bad_element_raises(self, gap, psi, delta):
-        gap(psi[0], delta)
+    def test_one_bad_element_raises(self, gap, x):
+        gap(x[0])
         with pytest.raises(DomainError):
-            gap(np.array(psi), delta)
+            gap(np.array(x))

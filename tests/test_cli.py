@@ -160,6 +160,26 @@ class TestVerify:
         report = dict(line.split("=", 1) for line in out.strip().split("\n"))
         assert report["failed_checks"] != "none"
 
+    # y+- off by 1e-12 moves h_AB(y+) by 2e-11 or h_CD(y-) by 2.2e-12, far above the arc gate
+    @pytest.mark.parametrize("shift_minus, shift_plus",
+                             [(0.0, 1e-12), (0.0, -1e-12), (1e-12, 0.0), (-1e-12, 0.0)])
+    def test_angle_constant_off_by_1e12_fails_arc_gaps(self, capsys, monkeypatch,
+                                                       shift_minus, shift_plus):
+        import qsl.rootfind as rootfind
+        from qsl.rootfind import YBounds
+
+        good = rootfind.y_bounds()
+        monkeypatch.setattr(rootfind, "y_bounds", lambda: YBounds(good.y_minus + shift_minus,
+                                                                  good.y_plus + shift_plus))
+        code, out = run(capsys, "verify")
+        report = dict(line.split("=", 1) for line in out.strip().split("\n"))
+        assert code == 1
+        assert report["failed_checks"] == "arc_gaps"
+
+    def test_every_seed_passes(self):
+        for seed in range(50):
+            assert checks.run(seed)["overall"] == "pass", seed
+
     # a callee of the checks, spoiled so that only the checks that call it can fail
     @pytest.mark.parametrize("check, module, callee, spoiled", [
         ("equality", bounds, "lower_bound_m", lambda delta: 0.0),
@@ -175,7 +195,7 @@ class TestVerify:
         pytest.param("tangent_inequality", tangent, "a_of_q",
                      lambda q, shipped=tangent.a_of_q: shipped(q) * (1.0 - 1e-9),
                      id="tangent_inequality-qsl.tangent-a_of_q-low"),
-        ("arc_gaps", bounds, "arc_gap_CD", lambda psi, delta, branch: np.full(np.shape(psi), -1.0)),
+        ("arc_gaps", bounds, "arc_gap_CD", lambda x: np.full(np.shape(x), -1.0)),
         # a bound off by a relative 1e-10 is about 1e5 times the few-ulp gates
         pytest.param("equality", bounds, "lower_bound_m",
                      lambda delta, shipped=bounds.lower_bound_m: shipped(delta) * (1.0 + 1e-10),
@@ -352,6 +372,23 @@ def test_report_bytes_match_the_golden_output(argv, golden):
     assert done.stdout == (Path(__file__).parent / "golden" / golden).read_bytes()
 
 
+# the simulate configurations of the golden reports
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--trials", "300", "--seed", "7"),
+    ("simulate", "--trials", "100", "--dmax", "32", "--seed", "5"),
+    ("simulate", "--trials", "200", "--dmax", "3", "--horizon-mult", "4", "--seed", "9"),
+])
+@pytest.mark.parametrize("factor", [1.0 + 1e-12, 1.0 - 1e-12])
+def test_alpha_off_by_1e12_fails_every_designed_case(capsys, monkeypatch, argv, factor):
+    # the designed cases meet the limit to 1.3e-15, against gates of 2e-14 to 2.5e-13
+    shipped = bounds.alpha
+    monkeypatch.setattr(bounds, "alpha", lambda delta: shipped(delta) * factor)
+    code, out = run(capsys, *argv)
+    report = dict(line.split("=", 1) for line in out.splitlines())
+    assert code == 1
+    assert report["designed_violations"] == report["designed_cases"] == "10"
+
+
 @pytest.mark.parametrize("argv", [
     ("alpha", "--delta", "0.5", "--seed", "1"),
     ("tangent", "--seed", "1"),
@@ -401,7 +438,19 @@ class TestFormatting:
             -300, 300, rows), np.append(rng.random(rows - 1), math.nan)]
         lines = ["a,b,c"] + [",".join(reports.format_number(v) for v in row)
                              for row in np.column_stack(columns).tolist()]
-        assert reports.render_csv(["a", "b", "c"], columns) == "\n".join(lines) + "\n"
+        assert "".join(reports.render_csv(["a", "b", "c"], columns)) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("rows", [1, 2, 4096, 4097, 9000])
+    def test_json_cell_is_float_of_format_number(self, rows):
+        # each cell is the float its CSV spelling parses to, bit for bit, as json spells it
+        rng = np.random.default_rng(rows)
+        columns = [np.linspace(0.0, 1.0, rows), rng.normal(size=rows) * 10.0 ** rng.integers(
+            -300, 300, rows), np.append(rng.random(rows - 1), math.nan)]
+        columns[1][:4] = [math.inf, -math.inf, -0.0, 1e16][:rows]
+        header = ["a", "b%s", 'c"']
+        objs = [{key: float(reports.format_number(v)) for key, v in zip(header, row)}
+                for row in np.column_stack(columns).tolist()]
+        assert "".join(reports.render_json(header, columns)) == json.dumps(objs) + "\n"
 
     @pytest.mark.parametrize("grid", [2, 101, 1001])
     def test_mt_alpha_column_is_math_acos_per_cell(self, capsys, grid):

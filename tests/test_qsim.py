@@ -342,9 +342,9 @@ class TestSampling:
             qsim.draw_state(np.random.default_rng(1), 0)
 
 
-def scalar_tally(report, t_star, ml, mt):
+def scalar_tally(report, t_star, ml, mt, tol):
     """The check of each time against both limits, one at a time, as a reference for _tally."""
-    for t, ml_d, mt_d in zip(t_star.tolist(), ml.tolist(), mt.tolist()):
+    for t, ml_d, mt_d, g in zip(t_star.tolist(), ml.tolist(), mt.tolist(), tol.tolist()):
         if math.isnan(t):
             report["skips"] += 1
             continue
@@ -353,7 +353,8 @@ def scalar_tally(report, t_star, ml, mt):
         mt_slack = t - mt_d if math.isfinite(mt_d) else math.inf
         report["min_ml_slack"] = min(report["min_ml_slack"], ml_slack)
         report["min_mt_slack"] = min(report["min_mt_slack"], mt_slack)
-        if ml_slack < -1e-9 or mt_slack < -1e-9:
+        if (math.isfinite(ml_d) and t < ml_d * (1.0 - g)) or \
+                (math.isfinite(mt_d) and t < mt_d * (1.0 - g)):
             report["violations"] += 1
         binding = min(ml_d, mt_d)
         if math.isfinite(binding) and binding > 0.0:
@@ -376,12 +377,19 @@ class TestVerifyLimits:
         t_star[3:6], ml[3:6], mt[3:6] = [1.0, 2.0, 1.0 + 2e-6], 1.0, np.inf  # on and near edges
         ml[6:8], mt[6:8] = np.inf, np.inf  # no finite limit
         t_star[6] = 2.5
+        tol = 10.0 ** rng.uniform(-15.0, -5.0, n)
+        # a limit above the time by half its tolerance, and one by twice it: one violation
+        t_star[8:10], ml[8:10], mt[8:10], tol[8:10] = 1.0, [1.0 + 5e-13, 1.0 + 2e-12], np.inf, 1e-12
+        edge = qsim._empty_report(2, 8, 0, 1.0)
+        qsim._tally(edge, t_star[8:10], ml[8:10], mt[8:10], tol[8:10])
+        assert edge["violations"] == 1
         for cut in (n, 2000, 17):  # one tally, or several into the same report
             reference = qsim._empty_report(n, 8, 0, 1.0)
-            scalar_tally(reference, t_star, ml, mt)
+            scalar_tally(reference, t_star, ml, mt, tol)
             report = qsim._empty_report(n, 8, 0, 1.0)
             for s in range(0, n, cut):
-                qsim._tally(report, t_star[s:s + cut], ml[s:s + cut], mt[s:s + cut])
+                qsim._tally(report, t_star[s:s + cut], ml[s:s + cut], mt[s:s + cut],
+                            tol[s:s + cut])
             assert report == reference
             assert all(type(report[key]) is type(reference[key]) for key in report)
         assert reference["violations"] > 0 and reference["skips"] > 0
