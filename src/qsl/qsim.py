@@ -26,8 +26,12 @@ DELTAS.setflags(write=False)
 # passage scans sample the fidelity this many times per period of its fastest
 # oscillation, 2*pi / (E_max - E_min), whatever the horizon
 _SAMPLES_PER_FAST_PERIOD = 16
-# grid points per scan chunk, one fidelity_grid call each
+# grid points in a row's first scan chunk, one fidelity_grid call each; most
+# targets are met in it
 _CHUNK = 4096
+# grid points in each later chunk, mostly of rows that still seek delta = 0: 5
+# block passes instead of 16 over the point budget (16 * _CHUNK held 3.3 MB more)
+_TAIL_CHUNK = 4 * _CHUNK
 # grid points one scan may take, bounding the work of a long horizon; a target
 # not reached within them counts as not reached, never as found on a coarser grid
 _POINT_BUDGET = 65536
@@ -166,12 +170,14 @@ def _chord_distance(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
 def _first_cells(mask: np.ndarray, row: np.ndarray, n_rows: int) -> np.ndarray:
     """Per (row, column) of ``mask``: the first cell of that row where the column is True.
 
-    ``mask`` holds one line per cell and ``row`` the row of each cell; a row
-    without one gets mask.shape[0].
+    ``mask`` holds one line per cell and ``row`` the row of each cell, each
+    row's cells one contiguous run; a row without one gets mask.shape[0].
     """
     n = mask.shape[0]
     first = np.full((n_rows, mask.shape[1]), n)
-    np.minimum.at(first, row, np.where(mask, np.arange(n)[:, None], n))
+    if n:
+        head = np.nonzero(np.append(True, row[1:] != row[:-1]))[0]
+        first[row[head]] = np.minimum.reduceat(np.where(mask, np.arange(n)[:, None], n), head)
     return first
 
 
@@ -198,11 +204,15 @@ def _first_events(rows: _Rows, grids, k0: int, h: np.ndarray, deltas: np.ndarray
     uncleared is searched for a local minimum, which reaches the targets
     within _TOUCH_ACCEPT of it.
 
-    Depth 0's curvature test runs row by row over the whole chunk; the cells
-    it keeps and the crossing cells go on as one flat block of cells, each
-    carrying its row. On that block every depth, depth 0 included, finds the
-    crossing cells, the ceilings and the cells to keep by one rule, with
-    kernels that take the rows' zero-padded (p, e).
+    Depth 0's curvature test runs row by row over the whole chunk, and on a
+    tail chunk (k0 > 0) the chord test too, by the flat phase's expressions;
+    the cells kept and the crossing cells go on as one flat block of cells,
+    each carrying its row. On that block every depth, depth 0 included, finds
+    the crossing cells, the ceilings and the cells to keep by one rule, with
+    kernels that take the rows' zero-padded (p, e). The row's ceiling of a
+    cell, the highest sought target whose first crossing cell lies after it,
+    is the flat phase's at depth 0, so the row's tests drop only cells that
+    the flat phase would drop there, never a crossing cell.
 
     Returns (lo, hi, touch) over (rows, targets): a crossing bracket [lo, hi],
     or a touch at ``touch`` (where it is not nan) in the cell starting at lo;
@@ -210,21 +220,27 @@ def _first_events(rows: _Rows, grids, k0: int, h: np.ndarray, deltas: np.ndarray
     """
     r = np.zeros(todo.shape[0])  # each row's rounding bound at its current depth
     # depth 0, row by row: each row's whole chunk, cut down to the cells the
-    # curvature test keeps and its crossing cells
+    # curvature (and on a tail chunk the chord) test keeps and its crossing cells
     parts = []
-    h_row, curv = h.tolist(), rows.curv.tolist()
+    h_row, curv, sag_h2 = h.tolist(), rows.curv.tolist(), (rows.sag * h * h).tolist()
     for i, z in grids:
-        f = z.real * z.real + z.imag * z.imag
+        sq = np.square(z.view(np.float64))  # z.real**2, z.imag**2 interleaved, in one pass
+        f = sq[0::2] + sq[1::2]
         fmin = np.minimum(f[:-1], f[1:])
         n = fmin.size
         sought = deltas[todo[i]]
         # the first cell down to each target, no later for a higher one
-        cell = np.searchsorted(-np.minimum.accumulate(fmin), -sought, side="left")
+        below = fmin <= sought[:, None]
+        cell = np.where(below.any(axis=1), below.argmax(axis=1), n)
         # the ceiling of a cell: the highest target whose first cell lies after it
         top = np.repeat(np.append(sought[::-1], -np.inf) + _TOUCH_ACCEPT,
                         np.diff(np.concatenate(([0], cell[::-1], [n]))))
         r[i] = rows.rounding((k0 + n - 1) * h_row[i] + h_row[i], i)
         keep = fmin - curv[i] * h_row[i] * h_row[i] / 8.0 - r[i] <= top
+        if k0:  # a tail chunk: the flat phase's depth-0 chord test, on the row alone
+            sel = np.nonzero(keep)[0]
+            gap = _chord_distance(z[sel], z[sel + 1]) - sag_h2[i] - r[i]
+            keep[sel] = np.maximum(gap, 0.0) ** 2 <= top[sel]
         keep[cell[cell < n]] = True
         kept = np.nonzero(keep)[0]
         parts.append((i, kept, z[kept], z[kept + 1]))
@@ -323,9 +339,10 @@ def _scan(rows: _Rows, deltas: np.ndarray, sought: np.ndarray, horizon: np.ndarr
 
     The block steps forward chunk by chunk, all rows together: each row's
     chunk of a uniform grid with _SAMPLES_PER_FAST_PERIOD points per fastest
-    period of its own state, one kernels.fidelity_grid call each, and then one
-    :func:`_first_events` for the block, which certifies every cell before a
-    reported time. A row stops when all its targets are reached. Then the
+    period of its own state (_CHUNK points first, _TAIL_CHUNK after), one
+    kernels.fidelity_grid call each, and then one :func:`_first_events` for
+    the block, which certifies every cell before a reported time, whatever
+    the grid's fold. A row stops when all its targets are reached. Then the
     crossings of the whole block are refined by one kernels.refine_crossing
     call on the rows' zero-padded (p, e). Returns the times over (rows,
     targets): 0 for a target met at the start, the time of a touch or of a
@@ -345,11 +362,11 @@ def _scan(rows: _Rows, deltas: np.ndarray, sought: np.ndarray, horizon: np.ndarr
                         np.ceil(np.minimum(steps, _POINT_BUDGET)) + 1).astype(int)
     z_prev = np.zeros(t_star.shape[0], dtype=complex)
 
-    def grids(live, k0):
+    def grids(live, k0, chunk):
         # one chunk of each live row's grid, made as _first_events takes it, so
         # that one grid is held at a time
         for i in live.tolist():
-            n = min(_CHUNK, int(n_points[i]) - 1 - k0)
+            n = min(chunk, int(n_points[i]) - 1 - k0)
             d = rows.d[i]
             z = kernels.fidelity_grid(rows.p[i, :d], rows.e[i, :d], k0 * dt[i], dt[i], n + 1)
             if k0 == 0:
@@ -368,14 +385,15 @@ def _scan(rows: _Rows, deltas: np.ndarray, sought: np.ndarray, horizon: np.ndarr
         live = np.nonzero(todo.any(axis=1) & (k0 < n_points - 1))[0]
         if not live.size:
             break
-        lo, hi, touch = _first_events(rows, grids(live, k0), k0, dt, deltas, todo)
+        chunk = _TAIL_CHUNK if k0 else _CHUNK
+        lo, hi, touch = _first_events(rows, grids(live, k0, chunk), k0, dt, deltas, todo)
         touched = ~np.isnan(touch)
         t_star[touched] = touch[touched]
         bracketed = todo & (lo < np.inf) & ~touched
         if bracketed.any():
             found.append((*np.nonzero(bracketed), lo[bracketed], hi[bracketed]))
         todo &= lo == np.inf
-        k0 += _CHUNK
+        k0 += chunk
     if found:
         i, j, lo, hi = (np.concatenate(x) for x in zip(*found))
         t_star[i, j] = kernels.refine_crossing(rows.p[i], rows.e[i], lo, hi, deltas[j])
@@ -430,12 +448,14 @@ def two_level_state(xi: float) -> QuantumState:
                         np.array([math.sqrt(1.0 - xi * xi), xi], dtype=np.complex128))
 
 
-def draw_state(rng: np.random.Generator, d: int) -> QuantumState:
-    """Energies uniform in [0, 1] (sorted); amplitudes Haar-uniform."""
+def _draw_support(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """QuantumState.support of a state of sorted energies uniform in [0, 1], amplitudes Haar."""
     energies = np.sort(rng.uniform(0.0, 1.0, d))
     amps = rng.normal(size=d) + 1j * rng.normal(size=d)
     amps /= np.linalg.norm(amps)
-    return QuantumState(energies, amps)
+    mask = np.abs(amps) > SUPPORT_EPS
+    p = np.abs(amps[mask]) ** 2
+    return energies[mask], p / p.sum()
 
 
 _HIST_EDGES = (1e-6, 1e-3, 1e-2, 1e-1, 1.0)
@@ -534,7 +554,7 @@ def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0)
         supports = []
         for trial in range(first, min(first + block, trials)):
             rng = np.random.default_rng(seed + trial)
-            supports.append(draw_state(rng, int(rng.integers(2, d_max + 1))).support())
+            supports.append(_draw_support(rng, int(rng.integers(2, d_max + 1))))
         rows = _rows(supports, horizon_mult)
         t_star = _scan(rows, DELTAS, np.ones((rows.d.size, DELTAS.size), dtype=bool), rows.horizon)
         ml, mt = _limits(rows, ml_coeff, mt_coeff)

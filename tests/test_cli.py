@@ -363,6 +363,9 @@ def test_full_stdout_is_one_line_usage_error(argv):
     (("verify", "--seed", "7"), "verify_seed7.txt"),
     # the largest identities_max_violation of seeds 0..49
     (("verify", "--seed", "48"), "verify_seed48.txt"),
+    # a delta = 0 passage at grid point 49 152, in a later chunk
+    (("simulate", "--trials", "50", "--dmax", "128", "--seed", "1"),
+     "simulate_trials50_dmax128_seed1.txt"),
 ])
 def test_report_bytes_match_the_golden_output(argv, golden):
     # the default reports stay byte-identical: every digit of every count,

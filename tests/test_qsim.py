@@ -15,6 +15,14 @@ STATIONARY = qsim.QuantumState(np.array([3.0]), np.array([1.0], dtype=complex))
 DIP = qsim.QuantumState(np.array([0.0, 1.0, 2.2]), np.sqrt([0.5, 0.3, 0.2]).astype(complex))
 
 
+def draw_state(rng, d):
+    """Energies uniform in [0, 1] (sorted); amplitudes Haar-uniform."""
+    energies = np.sort(rng.uniform(0.0, 1.0, d))
+    amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+    amps /= np.linalg.norm(amps)
+    return qsim.QuantumState(energies, amps)
+
+
 def kernel_fidelity(state, t):
     """The fidelity at ``t`` through the shipped row kernel."""
     energies, p = state.support()
@@ -85,13 +93,13 @@ class TestFidelity:
             assert kernel_fidelity(STATIONARY, t) == pytest.approx(1.0, abs=1e-14)
 
     def test_bounded(self):
-        state = qsim.draw_state(np.random.default_rng(2), 6)
+        state = draw_state(np.random.default_rng(2), 6)
         for t in np.linspace(0.0, 150.0, 500):
             f = kernel_fidelity(state, float(t))
             assert -1e-12 <= f <= 1.0 + 1e-12
 
     def test_energy_shift_invariance(self):
-        state = qsim.draw_state(np.random.default_rng(3), 5)
+        state = draw_state(np.random.default_rng(3), 5)
         shifted = qsim.QuantumState(state.energies + 17.3, state.amplitudes)
         for t in (0.2, 1.1, 8.0):
             assert kernel_fidelity(state, t) == pytest.approx(kernel_fidelity(shifted, t), abs=1e-9)
@@ -137,7 +145,7 @@ class TestFirstPassage:
     def test_crossing_value_invariant(self):
         rng = np.random.default_rng(19)
         for seed in range(20):
-            state = qsim.draw_state(np.random.default_rng(seed), int(rng.integers(2, 7)))
+            state = draw_state(np.random.default_rng(seed), int(rng.integers(2, 7)))
             horizon = scan_horizon(state)
             t_star = qsim.first_passage(state, 0.4, horizon)
             if t_star is not None:
@@ -154,7 +162,7 @@ class TestFirstPassage:
         # trial 738 of `simulate --seed 7`: its horizon is 2.3e6, over which a
         # grid capped at 65536 points stepped 35.46 against a 9.52 period
         rng = np.random.default_rng(7 + 738)
-        state = qsim.draw_state(rng, int(rng.integers(2, 9)))
+        state = draw_state(rng, int(rng.integers(2, 9)))
         assert state.energies.size == 7
         horizon = scan_horizon(state)
         assert horizon > 2e6
@@ -166,7 +174,7 @@ class TestFirstPassage:
     def test_no_dense_sample_below_target_before_t_star(self):
         deltas = qsim.DELTAS.tolist()
         for seed in range(200):
-            state = qsim.draw_state(np.random.default_rng(seed), 2 + seed % 7)
+            state = draw_state(np.random.default_rng(seed), 2 + seed % 7)
             horizon = scan_horizon(state)
             times = [qsim.first_passage(state, delta, horizon) for delta in deltas]
             reached = [(d, t) for d, t in zip(deltas, times) if t is not None]
@@ -223,13 +231,93 @@ class TestFirstPassage:
         # the scan's step does not depend on the horizon, so a longer horizon
         # only adds grid points after the ones a shorter one scans
         for seed in range(50):
-            state = qsim.draw_state(np.random.default_rng(1000 + seed), 2 + seed % 7)
+            state = draw_state(np.random.default_rng(1000 + seed), 2 + seed % 7)
             short, long = scan_horizon(state), scan_horizon(state, 1000.0)
             for delta in qsim.DELTAS.tolist():
                 t_star = qsim.first_passage(state, delta, short)
                 if t_star is not None:
                     later = qsim.first_passage(state, delta, long)
                     assert later == pytest.approx(t_star, rel=1e-12, abs=1e-12), (seed, delta)
+
+
+class TestFirstCells:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        n_rows, columns = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        # each row's cells one contiguous run, some rows without any
+        row = np.sort(rng.choice(n_rows, size=int(rng.integers(0, 40))))
+        mask = rng.random((row.size, columns)) < rng.random()
+        want = np.full((n_rows, columns), row.size)
+        for c in range(row.size - 1, -1, -1):
+            want[row[c], mask[c]] = c
+        assert np.array_equal(qsim._first_cells(mask, row, n_rows), want)
+
+    def test_empty_mask(self):
+        first = qsim._first_cells(np.zeros((0, 3), dtype=bool), np.zeros(0, dtype=int), 4)
+        assert np.array_equal(first, np.zeros((4, 3), dtype=int))
+
+
+class TestTailChunks:
+    @staticmethod
+    def passage_times(args):
+        times, scan = [], qsim._scan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qsim, "_scan", lambda *a: times.append(scan(*a)) or times[-1])
+            qsim.verify_limits(*args)
+        return times
+
+    @pytest.mark.parametrize("args", [(300, 8, 7), (50, 128, 1)])
+    def test_chunk_length_changes_no_passage_time(self, monkeypatch, args):
+        default = self.passage_times(args)
+        monkeypatch.setattr(qsim, "_TAIL_CHUNK", qsim._CHUNK)
+        short = self.passage_times(args)
+        assert len(default) == len(short)
+        assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(default, short))
+
+    def test_tail_hands_on_only_cells_no_bound_clears(self, monkeypatch):
+        # a tail chunk's depth-0 pass hands the flat phase a row's crossing
+        # cells and the cells neither the curvature nor the chord bound clears
+        calls, first_events, first_cells = [], qsim._first_events, qsim._first_cells
+
+        def recorded_events(rows, grids, k0, h, deltas, todo):
+            grids = list(grids)
+            calls.append(dict(rows=rows, grids=grids, k0=k0, h=h.copy(), todo=todo.copy()))
+            return first_events(rows, iter(grids), k0, h, deltas, todo)
+
+        def recorded_cells(mask, row, n_rows):
+            calls[-1].setdefault("handed", (mask, row))
+            return first_cells(mask, row, n_rows)
+
+        monkeypatch.setattr(qsim, "_first_events", recorded_events)
+        monkeypatch.setattr(qsim, "_first_cells", recorded_cells)
+        qsim.verify_limits(50, 128, 1)
+        tail = [c for c in calls if c["k0"] and c["grids"]]
+        assert tail
+        chord_cleared = 0
+        for c in tail:
+            rows, k0, deltas = c["rows"], c["k0"], qsim.DELTAS
+            mask, row = c["handed"]
+            for i, z in c["grids"]:
+                h = float(c["h"][i])
+                f = z.real * z.real + z.imag * z.imag
+                fmin = np.minimum(f[:-1], f[1:])
+                n = fmin.size
+                sought = deltas[c["todo"][i]]
+                first = np.array([np.argmax(fmin <= t) if (fmin <= t).any() else n for t in sought])
+                # each cell's highest sought target whose first crossing cell lies after it
+                after = first > np.arange(n)[:, None]
+                top = np.where(after, sought + qsim._TOUCH_ACCEPT, -math.inf).max(
+                    axis=1, initial=-math.inf)
+                r = rows.rounding((k0 + n - 1) * h + h, i)
+                curvature = fmin - rows.curv[i] * h * h / 8.0 - r > top
+                gap = qsim._chord_distance(z[:-1], z[1:]) - rows.sag[i] * h * h - r
+                chord = np.maximum(gap, 0.0) ** 2 > top
+                crossing = np.isin(np.arange(n), first)
+                handed = crossing | ~(curvature | chord)
+                chord_cleared += np.count_nonzero(~crossing & ~curvature & chord)
+                assert np.array_equal(mask[row == i], fmin[handed, None] <= deltas)
+        assert chord_cleared > 10**5
 
 
 class TestChordBound:
@@ -243,7 +331,7 @@ class TestChordBound:
         rng = np.random.default_rng(31)
         margins, curvature_kept = [], 0
         for seed in range(300):
-            state = qsim.draw_state(np.random.default_rng(seed), 2 + seed % 7)
+            state = draw_state(np.random.default_rng(seed), 2 + seed % 7)
             rows = qsim._rows([state.support()])
             p, e = rows.p[0], rows.e[0]
             step = 2 * math.pi / (qsim._SAMPLES_PER_FAST_PERIOD * np.ptp(e))
@@ -320,26 +408,35 @@ class TestBounds:
 
 class TestSampling:
     def test_single_level(self):
-        s = qsim.draw_state(np.random.default_rng(4), 1)
+        s = draw_state(np.random.default_rng(4), 1)
         assert s.energies.size == 1
         assert abs(abs(s.amplitudes[0]) - 1.0) <= 1e-12
 
     def test_normalization_across_seeds(self):
         for seed in range(1000):
-            s = qsim.draw_state(np.random.default_rng(seed), 7)
+            s = draw_state(np.random.default_rng(seed), 7)
             assert np.sum(np.abs(s.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.diff(s.energies) >= 0.0)
             assert 0.0 <= s.energies[0] and s.energies[-1] <= 1.0
 
     def test_reproducible(self):
-        a = qsim.draw_state(np.random.default_rng(99), 5)
-        b = qsim.draw_state(np.random.default_rng(99), 5)
+        a = draw_state(np.random.default_rng(99), 5)
+        b = draw_state(np.random.default_rng(99), 5)
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            qsim.draw_state(np.random.default_rng(1), 0)
+            draw_state(np.random.default_rng(1), 0)
+
+    def test_drawn_support_is_the_drawn_state_support(self):
+        # verify_limits draws supports without the state type, from the same stream
+        pairs = np.random.default_rng(2024).integers([0, 1], [10**6, 300], size=(1000, 2))
+        for seed, d in pairs.tolist():
+            got = qsim._draw_support(np.random.default_rng(seed), d)
+            want = draw_state(np.random.default_rng(seed), d).support()
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def scalar_tally(report, t_star, ml, mt, tol):
