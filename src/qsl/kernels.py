@@ -98,10 +98,8 @@ def fidelity_grid(p, energies, t0: float, dt: float, n: int):
     width = math.isqrt(n - 1) + 1
     starts = t0 + (width * dt) * np.arange(-(-n // width))
     right = np.exp(-1j * (energies[:, None] * (dt * np.arange(width))))
-    block = max(1, _ROW_BLOCK // energies.size)
-    if starts.size <= block:
-        return (p * np.exp(-1j * (starts[:, None] * energies)) @ right).ravel()[:n]
     out = np.empty((starts.size, width), dtype=np.complex128)
+    block = max(1, _ROW_BLOCK // energies.size)
     for s in range(0, starts.size, block):
         np.matmul(p * np.exp(-1j * (starts[s:s + block, None] * energies)), right,
                   out=out[s:s + block])

@@ -26,8 +26,7 @@ DELTAS.setflags(write=False)
 # passage scans sample the fidelity this many times per period of its fastest
 # oscillation, 2*pi / (E_max - E_min), whatever the horizon
 _SAMPLES_PER_FAST_PERIOD = 16
-# grid points in a row's first scan chunk, one fidelity_grid call each; most
-# targets are met in it
+# grid points in a row's first scan chunk, where most targets are met
 _CHUNK = 4096
 # grid points in each later chunk, mostly of rows that still seek delta = 0: 5
 # block passes instead of 16 over the point budget (16 * _CHUNK held 3.3 MB more)
@@ -73,9 +72,14 @@ class QuantumState:
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """(energies, probabilities) restricted to levels that carry weight."""
-        mask = np.abs(self.amplitudes) > SUPPORT_EPS
-        p = np.abs(self.amplitudes[mask]) ** 2
-        return self.energies[mask], p / p.sum()
+        return _support(self.energies, self.amplitudes)
+
+
+def _support(energies: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QuantumState.support of (energies, amplitudes), without the state's checks."""
+    mask = np.abs(amplitudes) > SUPPORT_EPS
+    p = np.abs(amplitudes[mask]) ** 2
+    return energies[mask], p / p.sum()
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -167,6 +171,18 @@ def _chord_distance(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
     return np.abs(za + np.clip(s, 0.0, 1.0) * d)
 
 
+def _uncleared(fmin, za, zb, curv_h2, sag_h2, r, ceiling, row, chord: bool = True) -> np.ndarray:
+    """The cells that neither the curvature nor (``chord``) the chord bound clears; ``curv_h2``,
+    ``sag_h2`` and ``r`` hold one value per row, and ``row`` is one row or one per cell."""
+    keep = fmin - curv_h2[row] / 8.0 - r[row] <= ceiling
+    if chord:
+        sel = np.nonzero(keep)[0]
+        at = row[sel] if np.ndim(row) else row
+        gap = _chord_distance(za[sel], zb[sel]) - sag_h2[at] - r[at]
+        keep[sel] = np.maximum(gap, 0.0) ** 2 <= ceiling[sel]
+    return keep
+
+
 def _first_cells(mask: np.ndarray, row: np.ndarray, n_rows: int) -> np.ndarray:
     """Per (row, column) of ``mask``: the first cell of that row where the column is True.
 
@@ -175,9 +191,8 @@ def _first_cells(mask: np.ndarray, row: np.ndarray, n_rows: int) -> np.ndarray:
     """
     n = mask.shape[0]
     first = np.full((n_rows, mask.shape[1]), n)
-    if n:
-        head = np.nonzero(np.append(True, row[1:] != row[:-1]))[0]
-        first[row[head]] = np.minimum.reduceat(np.where(mask, np.arange(n)[:, None], n), head)
+    head = np.flatnonzero(np.diff(row, prepend=-1))  # each run's first cell; none if n == 0
+    first[row[head]] = np.minimum.reduceat(np.where(mask, np.arange(n)[:, None], n), head)
     return first
 
 
@@ -204,15 +219,13 @@ def _first_events(rows: _Rows, grids, k0: int, h: np.ndarray, deltas: np.ndarray
     uncleared is searched for a local minimum, which reaches the targets
     within _TOUCH_ACCEPT of it.
 
-    Depth 0's curvature test runs row by row over the whole chunk, and on a
-    tail chunk (k0 > 0) the chord test too, by the flat phase's expressions;
-    the cells kept and the crossing cells go on as one flat block of cells,
-    each carrying its row. On that block every depth, depth 0 included, finds
-    the crossing cells, the ceilings and the cells to keep by one rule, with
-    kernels that take the rows' zero-padded (p, e). The row's ceiling of a
-    cell, the highest sought target whose first crossing cell lies after it,
-    is the flat phase's at depth 0, so the row's tests drop only cells that
-    the flat phase would drop there, never a crossing cell.
+    Depth 0's curvature test, and on a tail chunk (k0 > 0) its chord test,
+    runs row by row over the whole chunk by the flat phase's _uncleared; the
+    cells kept and the crossing cells go on as one flat block of cells, each
+    carrying its row, on which every depth finds the crossing cells, the
+    ceilings and the cells to keep by one rule. A row's ceiling of a cell, the
+    highest sought target whose first crossing cell lies after it, is the flat
+    phase's at depth 0, so the row drops only cells the flat phase would drop.
 
     Returns (lo, hi, touch) over (rows, targets): a crossing bracket [lo, hi],
     or a touch at ``touch`` (where it is not nan) in the cell starting at lo;
@@ -222,7 +235,7 @@ def _first_events(rows: _Rows, grids, k0: int, h: np.ndarray, deltas: np.ndarray
     # depth 0, row by row: each row's whole chunk, cut down to the cells the
     # curvature (and on a tail chunk the chord) test keeps and its crossing cells
     parts = []
-    h_row, curv, sag_h2 = h.tolist(), rows.curv.tolist(), (rows.sag * h * h).tolist()
+    h_row, curv_h2, sag_h2 = h.tolist(), rows.curv * h * h, rows.sag * h * h
     for i, z in grids:
         sq = np.square(z.view(np.float64))  # z.real**2, z.imag**2 interleaved, in one pass
         f = sq[0::2] + sq[1::2]
@@ -236,11 +249,7 @@ def _first_events(rows: _Rows, grids, k0: int, h: np.ndarray, deltas: np.ndarray
         top = np.repeat(np.append(sought[::-1], -np.inf) + _TOUCH_ACCEPT,
                         np.diff(np.concatenate(([0], cell[::-1], [n]))))
         r[i] = rows.rounding((k0 + n - 1) * h_row[i] + h_row[i], i)
-        keep = fmin - curv[i] * h_row[i] * h_row[i] / 8.0 - r[i] <= top
-        if k0:  # a tail chunk: the flat phase's depth-0 chord test, on the row alone
-            sel = np.nonzero(keep)[0]
-            gap = _chord_distance(z[sel], z[sel + 1]) - sag_h2[i] - r[i]
-            keep[sel] = np.maximum(gap, 0.0) ** 2 <= top[sel]
+        keep = _uncleared(fmin, z[:-1], z[1:], curv_h2, sag_h2, r, top, i, chord=k0 > 0)
         keep[cell[cell < n]] = True
         kept = np.nonzero(keep)[0]
         parts.append((i, kept, z[kept], z[kept + 1]))
@@ -268,10 +277,7 @@ def _first_events(rows: _Rows, grids, k0: int, h: np.ndarray, deltas: np.ndarray
         # a cell must be cleared for the targets whose earliest event lies after its start
         until = np.minimum(lo, start)
         ceiling = np.where(until[row] > a[:, None], deltas, -np.inf).max(axis=1) + _TOUCH_ACCEPT
-        keep = fmin - (rows.curv * h * h / 8.0)[row] - r[row] <= ceiling
-        sel = np.nonzero(keep)[0]
-        gap = _chord_distance(za[sel], zb[sel]) - (rows.sag * h * h)[row[sel]] - r[row[sel]]
-        keep[sel] = np.maximum(gap, 0.0) ** 2 <= ceiling[sel]
+        keep = _uncleared(fmin, za, zb, rows.curv * h * h, rows.sag * h * h, r, ceiling, row)
         # marked rather than np.unique, whose first call costs 0.75 MB of resident memory
         crossing = np.zeros(a.size + 1, dtype=bool)
         crossing[cells[new]] = True
@@ -448,14 +454,12 @@ def two_level_state(xi: float) -> QuantumState:
                         np.array([math.sqrt(1.0 - xi * xi), xi], dtype=np.complex128))
 
 
-def _draw_support(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """QuantumState.support of a state of sorted energies uniform in [0, 1], amplitudes Haar."""
+def _draw(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random (energies, amplitudes): energies uniform in [0, 1] (sorted); amplitudes Haar."""
     energies = np.sort(rng.uniform(0.0, 1.0, d))
     amps = rng.normal(size=d) + 1j * rng.normal(size=d)
     amps /= np.linalg.norm(amps)
-    mask = np.abs(amps) > SUPPORT_EPS
-    p = np.abs(amps[mask]) ** 2
-    return energies[mask], p / p.sum()
+    return energies, amps
 
 
 _HIST_EDGES = (1e-6, 1e-3, 1e-2, 1e-1, 1.0)
@@ -554,7 +558,7 @@ def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0)
         supports = []
         for trial in range(first, min(first + block, trials)):
             rng = np.random.default_rng(seed + trial)
-            supports.append(_draw_support(rng, int(rng.integers(2, d_max + 1))))
+            supports.append(_support(*_draw(rng, int(rng.integers(2, d_max + 1)))))
         rows = _rows(supports, horizon_mult)
         t_star = _scan(rows, DELTAS, np.ones((rows.d.size, DELTAS.size), dtype=bool), rows.horizon)
         ml, mt = _limits(rows, ml_coeff, mt_coeff)

@@ -16,11 +16,8 @@ DIP = qsim.QuantumState(np.array([0.0, 1.0, 2.2]), np.sqrt([0.5, 0.3, 0.2]).asty
 
 
 def draw_state(rng, d):
-    """Energies uniform in [0, 1] (sorted); amplitudes Haar-uniform."""
-    energies = np.sort(rng.uniform(0.0, 1.0, d))
-    amps = rng.normal(size=d) + 1j * rng.normal(size=d)
-    amps /= np.linalg.norm(amps)
-    return qsim.QuantumState(energies, amps)
+    """The random state verify_limits draws, as the checked public type."""
+    return qsim.QuantumState(*qsim._draw(rng, d))
 
 
 def kernel_fidelity(state, t):
@@ -352,6 +349,24 @@ class TestChordBound:
         w = np.array([0.6 + 0.8j, 2.0 + 0j, -1.0 + 1.0j])  # a point, 0 off the end, 0 on it
         np.testing.assert_allclose(qsim._chord_distance(z, w), [1.0, 1.0, 0.0], atol=1e-16)
 
+    def test_one_row_index_and_cell_rows_keep_the_same_cells(self):
+        # the per-row pass gives _uncleared one row index, the flat phase the
+        # row of each cell; both must keep the same cells
+        t = np.linspace(0.0, 20.0, 2001)
+        z = (0.6 + 0.35 * np.cos(0.7 * t)) * np.exp(1j * t)
+        f = z.real * z.real + z.imag * z.imag
+        fmin, ceiling = np.minimum(f[:-1], f[1:]), np.random.default_rng(8).uniform(0.0, 1.0, 2000)
+        args = (fmin, z[:-1], z[1:], np.array([9.0, 2.0]), np.array([9.0, 0.02]),
+                np.array([9.0, 1e-12]), ceiling)
+        curvature = qsim._uncleared(*args, 1, chord=False)
+        for chord in (False, True):
+            kept = qsim._uncleared(*args, 1, chord=chord)
+            per_cell = qsim._uncleared(*args, np.ones(2000, dtype=int), chord=chord)
+            assert np.array_equal(kept, per_cell)
+        # the chord bound clears some cells the curvature bound keeps, and no others
+        assert np.count_nonzero(curvature & ~kept) > 100
+        assert not np.any(kept & ~curvature)
+
     @pytest.mark.parametrize("args", [(300, 8, 7), (100, 40, 3, 0.3), (3, 256, 7)])
     def test_chord_test_changes_no_report_and_cuts_few_cells(self, monkeypatch, args):
         # sag = inf turns the chord test off, so that the curvature test alone
@@ -433,7 +448,7 @@ class TestSampling:
         # verify_limits draws supports without the state type, from the same stream
         pairs = np.random.default_rng(2024).integers([0, 1], [10**6, 300], size=(1000, 2))
         for seed, d in pairs.tolist():
-            got = qsim._draw_support(np.random.default_rng(seed), d)
+            got = qsim._support(*qsim._draw(np.random.default_rng(seed), d))
             want = draw_state(np.random.default_rng(seed), d).support()
             for x, y in zip(got, want):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
