@@ -186,10 +186,8 @@ def mt_alpha(delta: float | np.ndarray) -> float | np.ndarray:
     """
     d = np.asarray(delta, dtype=np.float64)
     require((0.0 <= d) & (d <= 1.0), d, "delta must lie in [0, 1]")
-    if d.ndim == 0:
-        return math.acos(math.sqrt(d))
     # flat yields one float64 (a float) at a time: no list of every value
-    return np.fromiter(map(math.acos, np.sqrt(d).flat), np.float64, d.size).reshape(d.shape)
+    return np.fromiter(map(math.acos, np.sqrt(d).flat), np.float64, d.size).reshape(d.shape)[()]
 
 
 def omega_to_z(omega: float | np.ndarray, delta: float) -> float | np.ndarray:

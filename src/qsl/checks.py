@@ -74,10 +74,10 @@ def identities(seed: int) -> tuple[dict, bool]:
 def tangent_inequality(seed: int) -> tuple[dict, bool]:
     """cos x + q sin x >= 1 - a(q) x on a grid, with equality at x = y(q), for seeded random q."""
     q = np.random.default_rng(seed).uniform(0.0, 100.0, 1000)
-    worst = float(np.min(tangent.check_tangent_inequality(q)))
-    y = tangent.y_of_q(q)
+    a, y = tangent.a_of_q(q), tangent.y_of_q(q)
+    worst = float(np.min(tangent.check_tangent_inequality(q, a)))
     # residual (q - q(y)) sin y at the rounded y: q' = 7.8e3 at q = 100 times ulp/2 is 3.4e-12
-    tight = float(np.max(np.abs(np.cos(y) + q * np.sin(y) - 1.0 + tangent.a_of_q(q) * y)))
+    tight = float(np.max(np.abs(tangent.gap(q, a, y, np.cos(y), np.sin(y)))))
     lines = {"tangent_inequality_min": worst, "tangent_tightness_max": tight}
     return lines, worst >= -1e-9 and tight <= 1e-11
 

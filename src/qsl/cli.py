@@ -66,17 +66,16 @@ def cmd_tangent(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
     return _table(ns, ["y", "q", "a"], [ys, tangent.q_of_y(ys), tangent.a_of_y(ys)]), EXIT_OK
 
 
+def _verdict(report: dict) -> tuple[Iterable[str], int]:
+    return [render_report(report)], EXIT_OK if report["overall"] == "pass" else EXIT_CHECK_FAILED
+
+
 def cmd_verify(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
-    report = checks.run(ns.seed)
-    code = EXIT_OK if report["overall"] == "pass" else EXIT_CHECK_FAILED
-    return [render_report(report)], code
+    return _verdict(checks.run(ns.seed))
 
 
 def cmd_simulate(ns: argparse.Namespace) -> tuple[Iterable[str], int]:
-    report = qsim.verify_limits(ns.trials, ns.d_max, ns.seed, horizon_mult=ns.horizon_mult)
-    ok = report["violations"] == 0 and report["designed_violations"] == 0
-    report["overall"] = "pass" if ok else "fail"
-    return [render_report(report)], EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _verdict(qsim.verify_limits(ns.trials, ns.d_max, ns.seed, horizon_mult=ns.horizon_mult))
 
 
 @functools.cache

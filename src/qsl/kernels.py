@@ -6,7 +6,7 @@ values, which lets the oracle prune rows exactly. The first-passage scans of
 :mod:`qsl.qsim` use the rest: the amplitude z = sum_k p_k exp(-i E_k t) on
 uniform grids (one complex matrix product per block of rows), the fidelity
 f = |z|**2 and its first two time derivatives at arbitrary times, their
-rounding bound, and the two vectorised Newton refiners, whose ``newton`` also
+rounding bound, and the two refiners (one shared Newton body), whose ``newton`` also
 solves for :mod:`qsl.bounds`' M. A scan clears a cell [a, a + h] where f stays
 above its targets by the curvature bound min(f(a), f(a + h)) - max|f''|*h**2/8
 or by the chord bound (dist(0, [z(a), z(a + h)]) - max|z''|*h**2/8)**2, either
@@ -126,52 +126,55 @@ def _level_major(p, energies):
 
 
 def _level_sums(p_t, e_t, t, order):
-    """sum_k p_k E_k**j exp(-i E_k t) for j = 0..order at the times ``t``, from level-major tables.
+    """f = |z|**2 and its time derivatives up to ``order`` <= 2 at ``t``, from one exp table.
 
-    The sums run over axis 0 of C-ordered tables, one level after the other,
-    so that a padding level (p = 0) adds exact zeros and changes no bit.
+    The level sums z_j = sum_k p_k E_k**j exp(-i E_k t) (z = z_0, z' = -i z_1,
+    z'' = -z_2) run over axis 0 of level-major tables, one level after the
+    other, so that a padding level (p = 0) adds exact zeros and changes no bit.
     """
     w = -1j * (e_t * t)
     np.exp(w, out=w)
-    sums, weight = [], p_t
+    z, weight = [], p_t
     for j in range(order + 1):
         if j:
             weight = weight * e_t
-        sums.append((w * weight).sum(axis=0))
-    return sums
+        z.append((w * weight).sum(axis=0))
+    f = [z[0].real * z[0].real + z[0].imag * z[0].imag]
+    if order >= 1:
+        f.append(2.0 * (z[0].real * z[1].imag - z[0].imag * z[1].real))
+    if order >= 2:
+        f.append(2.0 * (z[1].real * z[1].real + z[1].imag * z[1].imag
+                        - z[0].real * z[2].real - z[0].imag * z[2].imag))
+    return f
 
 
 def _at(p, energies, t, order):
-    """The sums of :func:`_level_sums` at the times ``t``, one per state row."""
+    """The derivative of f of order ``order`` at the times ``t``, one state row per time."""
     t = np.asarray(t, dtype=np.float64)
     block = max(1, _LEVEL_BLOCK // p.shape[1])
     parts = [_level_sums(*_level_major(p[s:s + block], energies[s:s + block]),
                          t[s:s + block], order)
              for s in range(0, max(t.size, 1), block)]
-    return [np.concatenate(sums) for sums in zip(*parts)]
+    return np.concatenate([part[order] for part in parts])
 
 
 def fidelity_scalar(p, energies, t):
     """|sum_k p_k exp(-i E_k t)|^2 at each time of ``t``, one per state row."""
-    (z,) = _at(p, energies, t, 0)
-    return z.real * z.real + z.imag * z.imag
+    return _at(p, energies, t, 0)
 
 
 def dfidelity_scalar(p, energies, t):
     """Time derivative of :func:`fidelity_scalar`, at each time of ``t``."""
-    z, zd = _at(p, energies, t, 1)  # z' = -i zd
-    return 2.0 * (z.real * zd.imag - z.imag * zd.real)
+    return _at(p, energies, t, 1)
 
 
 def d2fidelity(p, energies, t):
     """Second time derivative of :func:`fidelity_scalar`."""
-    z, zd, zdd = _at(p, energies, t, 2)  # z'' = -zdd
-    return 2.0 * (zd.real * zd.real + zd.imag * zd.imag
-                  - z.real * zdd.real - z.imag * zdd.imag)
+    return _at(p, energies, t, 2)
 
 
-# perfbench/layers.py installs its call counters under these names;
-# refine_minimum looks its slope up there
+# perfbench/layers.py installs its call counters under these names too; nothing
+# here calls them, so they count only the calls made through the public names
 _fidelity_scalar = fidelity_scalar
 _dfidelity_scalar = dfidelity_scalar
 
@@ -209,28 +212,32 @@ def newton(g, lo, hi, tol, start=None):
     return x
 
 
+def _refine(p, energies, lo, hi, order, g):
+    """``newton`` on g(f, rows), f listing f, f', ... up to ``order`` at the brackets ``rows``.
+
+    g's value, the derivative of order - 1, rounds by (2 scale)**(order - 1) times
+    the rounding bound of the bracket's own state, whose levels are its nonzero p.
+    """
+    scale = np.abs(energies).max(axis=-1)
+    r = rounding_bound(np.asarray(hi), np.count_nonzero(p, axis=-1), scale)
+    tables = _level_major(p, energies)
+
+    def value_and_slope(t, rows):
+        # take, unlike [:, rows], keeps the tables level-major
+        return g(_level_sums(*(a.take(rows, axis=1) for a in tables), t, order), rows)
+
+    return newton(value_and_slope, lo, hi, (2.0 * scale) ** (order - 1) * r)
+
+
 def refine_crossing(p, energies, lo, hi, level):
     """Solve f(t) = level in each bracket, where f(lo) > level >= f(hi).
 
     ``lo``, ``hi`` and ``level`` are arrays over the brackets (``level`` may
     be one number for all); ``p`` and ``energies`` hold one zero-padded state
-    row per bracket. Newton's
-    method on the analytic derivative, with f and f' from one exp table per
-    pass. Each bracket stops at the rounding bound of its own state, whose
-    levels are its nonzero p.
+    row per bracket. Newton's method on the analytic derivative.
     """
     level = np.broadcast_to(np.asarray(level, dtype=np.float64), np.shape(lo)).ravel()
-    tables = _level_major(p, energies)
-
-    def g(t, rows):
-        # take, unlike [:, rows], keeps the tables level-major
-        z, zd = _level_sums(*(a.take(rows, axis=1) for a in tables), t, 1)
-        return (z.real * z.real + z.imag * z.imag - level[rows],
-                2.0 * (z.real * zd.imag - z.imag * zd.real))
-
-    tol = rounding_bound(np.asarray(hi), np.count_nonzero(p, axis=-1),
-                         np.abs(energies).max(axis=-1))
-    return newton(g, lo, hi, tol)
+    return _refine(p, energies, lo, hi, 1, lambda f, rows: (f[0] - level[rows], f[1]))
 
 
 def refine_minimum(p, energies, lo, hi):
@@ -238,11 +245,4 @@ def refine_minimum(p, energies, lo, hi):
 
     ``p`` and ``energies`` hold one zero-padded state row per bracket.
     """
-
-    def g(t, rows):
-        p_r, e_r = p[rows], energies[rows]
-        return -_dfidelity_scalar(p_r, e_r, t), -d2fidelity(p_r, e_r, t)
-
-    scale = np.abs(energies).max(axis=-1)
-    tol = 2.0 * scale * rounding_bound(np.asarray(hi), np.count_nonzero(p, axis=-1), scale)
-    return newton(g, lo, hi, tol)
+    return _refine(p, energies, lo, hi, 2, lambda f, rows: (-f[1], -f[2]))

@@ -482,7 +482,7 @@ def _empty_report(trials: int, d_max: int, seed: int, horizon_mult: float) -> di
         "designed_violations": 0,
         "designed_max_rel_slack": 0.0,
     }
-    report.update(dict.fromkeys(_HIST_KEYS, 0))
+    report.update(dict.fromkeys(_HIST_KEYS, 0), overall="pass")
     return report
 
 
@@ -541,7 +541,8 @@ def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0)
     within _BLOCK_CELLS entries; each is set up with array operations, steps
     through its chunks together, is refined by one kernels.refine_crossing call
     and is tallied at once. The saturating two-level states are designed cases,
-    one block whose rows each seek one target. Violations are counted, not raised.
+    one block whose rows each seek one target. Violations are counted, not raised;
+    any one, random or designed, sets ``overall`` to fail.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
@@ -582,4 +583,5 @@ def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0)
     report["designed_violations"] += cases.size - rel.size + int(np.count_nonzero(rel > tol))
     report["designed_max_rel_slack"] = float(rel.max(initial=0.0))
     _tally(report, t_star[reached], ml[reached], mt[reached], tol)
+    report["overall"] = "fail" if report["violations"] or report["designed_violations"] else "pass"
     return report

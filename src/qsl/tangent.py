@@ -40,6 +40,12 @@ def _checked_y(y) -> np.ndarray:
     return y
 
 
+def _checked_q(q) -> np.ndarray:
+    q = np.array(q, dtype=np.float64)
+    require((q >= 0.0) & np.isfinite(q), q, "q must be finite and nonnegative")
+    return q
+
+
 def q_of_y(y: float | np.ndarray) -> float | np.ndarray:
     """q(y) = (1 - cos y - y sin y) / (sin y - y cos y)."""
     y = _checked_y(y)
@@ -68,8 +74,7 @@ def y_of_q(q: float | np.ndarray) -> float | np.ndarray:
     2.6e-15, whose root lies within 9 ulp of y_minus), y_minus itself is
     returned: a solve there would land anywhere in the rounding noise.
     """
-    q = np.array(q, dtype=np.float64)
-    require((q >= 0.0) & np.isfinite(q), q, "q must be finite and nonnegative")
+    q = _checked_q(q)
     yb = rootfind.y_bounds()
     flat = q.ravel()
     tol = _G_TOL * (1.0 + flat)
@@ -85,8 +90,13 @@ def a_of_q(q: float | np.ndarray) -> float | np.ndarray:
     return a_of_y(y_of_q(q))
 
 
-def check_tangent_inequality(q: float | np.ndarray) -> float | np.ndarray:
-    """Grid minimum of cos x + q sin x - 1 + a(q) x on 4096 points of x in [0, 50].
+def gap(q, a, x, cos_x, sin_x):
+    """cos x + q sin x - 1 + a x, summed left to right, from x, cos x and sin x."""
+    return cos_x + q * sin_x - 1.0 + a * x
+
+
+def check_tangent_inequality(q: float | np.ndarray, a: float | np.ndarray) -> float | np.ndarray:
+    """Grid minimum of the gap at each slope q and its a = a(q), on 4096 points of x in [0, 50].
 
     A return value >= -1e-9 certifies the inequality on the grid; the grid is
     a smoke test, the tangency construction is the actual guarantee.
@@ -97,26 +107,16 @@ def check_tangent_inequality(q: float | np.ndarray) -> float | np.ndarray:
     x = 0 it is exactly 0. X is taken from the same a the grid uses, so the cut
     holds for any a > 0; for a <= 0, a non-finite a or q above _CUT_Q_MAX,
     where rounding could reach 1, the whole grid is evaluated. Blocks of 32
-    slopes are evaluated at once in two reused buffers, bounding the memory.
+    slopes are evaluated at once, bounding the memory.
     """
-    a = np.ravel(a_of_q(q))
-    flat = np.ravel(q)
+    flat, a = np.ravel(_checked_q(q)), np.ravel(a)
     n = _X.size
     if np.all((a > 0.0) & np.isfinite(a) & (flat <= _CUT_Q_MAX)):
         reach = np.max((2.0 + np.hypot(1.0, flat)) / a, initial=0.0)
         n = int(np.searchsorted(_X, reach, side="right"))
     x, cos_x, sin_x = _X[:n], _COS_X[:n], _SIN_X[:n]
     low = np.empty(flat.size)
-    value = np.empty((_Q_BLOCK, n))
-    term = np.empty((_Q_BLOCK, n))
     for s in range(0, flat.size, _Q_BLOCK):
-        e = min(s + _Q_BLOCK, flat.size)
-        v, t = value[:e - s], term[:e - s]
-        # cos x + q sin x - 1 + a x, summed left to right
-        np.multiply(flat[s:e, None], sin_x, out=v)
-        np.add(cos_x, v, out=v)
-        np.subtract(v, 1.0, out=v)
-        np.multiply(a[s:e, None], x, out=t)
-        np.add(v, t, out=v)
-        v.min(axis=1, out=low[s:e])
+        rows = slice(s, s + _Q_BLOCK)
+        gap(flat[rows, None], a[rows, None], x, cos_x, sin_x).min(axis=1, out=low[rows])
     return low.reshape(np.shape(q))[()]

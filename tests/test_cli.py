@@ -187,7 +187,7 @@ class TestVerify:
         ("two_level_oracle", oracle, "two_level_min_time", lambda delta: 10.0),
         ("identities", oracle, "identity_suite", lambda n, seed: {"max_violation": 1.0}),
         ("identities", bounds, "omega_to_z", lambda omega, delta: -(delta - omega) / (1.0 - omega)),
-        ("tangent_inequality", tangent, "check_tangent_inequality", lambda q: -1.0),
+        ("tangent_inequality", tangent, "check_tangent_inequality", lambda q, a: -1.0),
         # an a(q) off by a relative 1e-9: too large still clears the grid, not the tightness
         pytest.param("tangent_inequality", tangent, "a_of_q",
                      lambda q, shipped=tangent.a_of_q: shipped(q) * (1.0 + 1e-9),
@@ -248,6 +248,14 @@ class TestVerify:
             monkeypatch.setattr(module, name, stand_in)
         assert checks.minimax_oracle(7)[1]
         assert calls == {"minimax_bruteforce_m": 1, "upper_bound_M": 1}
+
+    def test_tangent_inequality_makes_two_y_solves(self, monkeypatch):
+        # one for a(q), which the grid and the tangency residual share, one for y(q)
+        solves = []
+        shipped = tangent.y_of_q
+        monkeypatch.setattr(tangent, "y_of_q", lambda q: solves.append(q) or shipped(q))
+        assert checks.tangent_inequality(7)[1]
+        assert len(solves) == 2
 
     def test_spoiled_stationary_max_fails_equality_and_identities(self, capsys, monkeypatch):
         # lower_bound_m and the identity suite share the one stationary form

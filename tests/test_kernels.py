@@ -170,6 +170,68 @@ def test_refine_minimum_lands_on_stationary_point():
     assert np.all(kernels.fidelity_scalar(*rows, t) <= f[minima])
 
 
+def two_table_slopes(p, energies):
+    """refine_minimum's Newton function as it was: -f' and -f'' from an exp table each, per pass."""
+
+    def level_sums(p_r, e_r, t, order):
+        p_t, e_t = np.ascontiguousarray(p_r.T), np.ascontiguousarray(e_r.T)
+        w = np.exp(-1j * (e_t * t))
+        sums, weight = [], p_t
+        for j in range(order + 1):
+            if j:
+                weight = weight * e_t
+            sums.append((w * weight).sum(axis=0))
+        return sums
+
+    def g(t, rows):
+        z, zd = level_sums(p[rows], energies[rows], t, 1)
+        slope = 2.0 * (z.real * zd.imag - z.imag * zd.real)
+        z, zd, zdd = level_sums(p[rows], energies[rows], t, 2)
+        curv = 2.0 * (zd.real * zd.real + zd.imag * zd.imag
+                      - z.real * zdd.real - z.imag * zdd.imag)
+        return -slope, -curv
+
+    return g
+
+
+@pytest.mark.parametrize("width", [8, 9])
+def test_refine_minimum_equals_the_two_table_newton(monkeypatch, width):
+    # one exp table per pass gives -f' and -f'' the bits of one table per derivative,
+    # so the minima are equal too: on brackets between the grid points around each
+    # grid minimum, and random brackets, of states of 2 to 8 levels zero-padded to ``width``
+    rng = np.random.default_rng(61)
+    step, p_rows, e_rows, lo, hi = 0.05, [], [], [], []
+    for seed in range(14):
+        energies, p = random_state_arrays(seed, 2 + seed % 7)
+        f = np.abs(kernels.fidelity_grid(p, energies, 0.0, step, 2000)) ** 2
+        minima = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] <= f[2:]))[0] + 1
+        random_lo = rng.uniform(0.0, 100.0, 10)
+        starts = np.concatenate(((minima - 1) * step, random_lo))
+        ends = np.concatenate(((minima + 1) * step, random_lo + rng.uniform(0.01, 2.0, 10)))
+        pad = (0, width - p.size)
+        p_rows.append(np.tile(np.pad(p, pad), (starts.size, 1)))
+        e_rows.append(np.tile(np.pad(energies, pad), (starts.size, 1)))
+        lo.append(starts)
+        hi.append(ends)
+    p, e, lo, hi = (np.concatenate(part) for part in (p_rows, e_rows, lo, hi))
+    assert lo.size >= 300
+    calls = []
+    newton = kernels.newton
+    monkeypatch.setattr(kernels, "newton",
+                        lambda g, lo, hi, tol: calls.append((g, tol)) or newton(g, lo, hi, tol))
+    t = kernels.refine_minimum(p, e, lo, hi)
+    (g, tol), = calls
+    scale = np.abs(e).max(axis=-1)
+    bound = kernels.rounding_bound(hi, np.count_nonzero(p, axis=-1), scale)
+    np.testing.assert_array_equal(tol, 2.0 * scale * bound)
+    np.testing.assert_array_equal(t, newton(two_table_slopes(p, e), lo, hi, tol))
+    reference = two_table_slopes(p, e)
+    for rows in (np.arange(lo.size), np.arange(0, lo.size, 3)):
+        for at in (lo, 0.5 * (lo + hi), hi, t):
+            for got, want in zip(g(at[rows], rows), reference(at[rows], rows)):
+                np.testing.assert_array_equal(got, want)
+
+
 class TestFirstPassage:
     state = qsim.two_level_state(np.sqrt(0.5))  # fidelity (1 + cos t) / 2
 

@@ -11,6 +11,11 @@ YB = y_bounds()
 TWO_OVER_PI = 2.0 / math.pi
 
 
+def check_tangent_inequality(q):
+    """The grid check at the shipped a(q), as the verify check calls it; named as what it wraps."""
+    return tangent.check_tangent_inequality(q, tangent.a_of_q(q))
+
+
 class TestQofY:
     def test_vanishes_at_y_minus(self):
         assert abs(tangent.q_of_y(YB.y_minus)) < 1e-12
@@ -144,7 +149,7 @@ class TestAofQ:
 
 class TestInequality:
     def test_q_zero(self):
-        val = tangent.check_tangent_inequality(0.0)
+        val = check_tangent_inequality(0.0)
         assert val >= -1e-9
         # away from the origin (also an exact zero) the minimum sits at the
         # tangency abscissa
@@ -153,7 +158,7 @@ class TestInequality:
         assert abs(x[int(np.argmin(curve))] - YB.y_minus) < 1e-3
 
     def test_q_one(self):
-        assert tangent.check_tangent_inequality(1.0) >= -1e-9
+        assert check_tangent_inequality(1.0) >= -1e-9
 
     def test_origin_value_is_zero(self):
         q = 3.7
@@ -162,12 +167,23 @@ class TestInequality:
     def test_random_q_certificate(self):
         rng = np.random.default_rng(23)
         for q in rng.uniform(0.0, 100.0, 1000):
-            assert tangent.check_tangent_inequality(float(q)) >= -1e-9
+            assert check_tangent_inequality(float(q)) >= -1e-9
 
-    @pytest.mark.parametrize("q", [-1.0])
+    @pytest.mark.parametrize("q", [-1.0, math.nan, math.inf])
     def test_invalid_inputs(self, q):
+        # the check validates q itself: it is handed a, not a q to solve for
         with pytest.raises(DomainError):
-            tangent.check_tangent_inequality(q)
+            tangent.check_tangent_inequality(q, 1.0)
+        with pytest.raises(DomainError):
+            tangent.check_tangent_inequality(np.array([1.0, q]), np.ones(2))
+
+    def test_grid_looks_up_no_callee(self, monkeypatch):
+        q = np.random.default_rng(5).uniform(0.0, 100.0, 70)
+        a = tangent.a_of_q(q)
+        expected = tangent.check_tangent_inequality(q, a)
+        for name in ("a_of_q", "y_of_q", "a_of_y", "q_of_y"):
+            monkeypatch.setattr(tangent, name, None)
+        np.testing.assert_array_equal(tangent.check_tangent_inequality(q, a), expected)
 
 
 class TestArrays:
@@ -178,24 +194,23 @@ class TestArrays:
 
     def cases(self):
         return [(tangent.y_of_q, self.Q), (tangent.q_of_y, self.Y), (tangent.a_of_y, self.Y),
-                (tangent.a_of_q, self.Q), (tangent.check_tangent_inequality, self.Q_GRID)]
+                (tangent.a_of_q, self.Q), (check_tangent_inequality, self.Q_GRID)]
 
     def test_one_array_call_equals_point_calls(self):
         for fn, xs in self.cases():
             assert fn(xs).tolist() == [fn(float(x)) for x in xs], fn.__name__
             assert fn(xs.reshape(-1, 1)).shape == (xs.size, 1)
 
-    def test_blocks_equal_one_unblocked_evaluation(self, monkeypatch):
-        # the buffered blocks add the same terms in the same order as the plain
+    def test_blocks_equal_one_unblocked_evaluation(self):
+        # the blocks add the same terms in the same order as the plain
         # expression; a lowered a(q) moves each minimum off x = 0, where it is exactly 0
-        shipped = tangent.a_of_q
-        monkeypatch.setattr(tangent, "a_of_q", lambda q: shipped(q) * (1.0 - 1e-3))
+        lowered = tangent.a_of_q(self.Q_GRID) * (1.0 - 1e-3)
         x = np.linspace(0.0, 50.0, 4096)
-        a = tangent.a_of_q(self.Q_GRID)[:, None]
+        a = lowered[:, None]
         q = self.Q_GRID[:, None]
         whole = (np.cos(x) + q * np.sin(x) - 1.0 + a * x).min(axis=1)
         assert np.all(whole < 0.0)
-        np.testing.assert_array_equal(tangent.check_tangent_inequality(self.Q_GRID), whole)
+        np.testing.assert_array_equal(tangent.check_tangent_inequality(self.Q_GRID, lowered), whole)
 
     def test_scalar_in_scalar_out(self):
         for fn, xs in self.cases():
@@ -204,7 +219,7 @@ class TestArrays:
 
     @pytest.mark.parametrize("fn, values", [
         (tangent.y_of_q, [1.0, -0.5, 2.0]), (tangent.y_of_q, [1.0, math.nan, 2.0]),
-        (tangent.a_of_q, [1.0, -1e-300, 2.0]), (tangent.check_tangent_inequality, [1.0, -1.0]),
+        (tangent.a_of_q, [1.0, -1e-300, 2.0]), (check_tangent_inequality, [1.0, -1.0]),
         (tangent.q_of_y, [3.0, YB.y_plus, 4.0]), (tangent.a_of_y, [3.0, 1.0, 4.0]),
     ])
     def test_one_bad_element_raises(self, fn, values):
@@ -219,7 +234,7 @@ class TestArrays:
         assert all(y1 <= y2 for y1, y2 in zip(ys, ys[1:]))
         assert ys[:4] == [YB.y_minus] * 4
         assert tangent.a_of_q(1e-17) == tangent.a_of_q(0.0)
-        assert tangent.check_tangent_inequality(1e-17) >= -1e-9
+        assert check_tangent_inequality(1e-17) >= -1e-9
 
 
 def full_grid_minimum(q, a):
@@ -238,33 +253,34 @@ class TestGridCut:
         for seed in seeds:
             # the slopes of the verify check at this seed
             q = np.random.default_rng(seed).uniform(0.0, 100.0, 1000)
-            assert np.array_equal(tangent.check_tangent_inequality(q),
-                                  full_grid_minimum(q, tangent.a_of_q(q))), seed
+            a = tangent.a_of_q(q)
+            assert np.array_equal(tangent.check_tangent_inequality(q, a),
+                                  full_grid_minimum(q, a)), seed
 
     def test_edge_slopes_equal_the_full_grid(self):
         # 1e13 lies above _CUT_Q_MAX: that call evaluates the whole grid
         for q in (0.0, 1e-300, 1e-17, 100.0, 1e6, 1e13):
-            whole = full_grid_minimum(q, tangent.a_of_q(q))
-            assert np.array_equal(tangent.check_tangent_inequality(np.array([q])), whole), q
-            assert tangent.check_tangent_inequality(q) == whole[0], q
+            a = tangent.a_of_q(q)
+            whole = full_grid_minimum(q, a)
+            assert np.array_equal(tangent.check_tangent_inequality(np.array([q]), np.array([a])),
+                                  whole), q
+            assert tangent.check_tangent_inequality(q, a) == whole[0], q
 
-    def test_lowered_a_equals_the_full_grid(self, monkeypatch):
+    def test_lowered_a_equals_the_full_grid(self):
         # a lowered a(q) moves each minimum off x = 0 to a negative value before X
-        shipped = tangent.a_of_q
-        monkeypatch.setattr(tangent, "a_of_q", lambda q: shipped(q) * (1.0 - 1e-3))
         q = np.random.default_rng(7).uniform(0.0, 100.0, 1000)
-        whole = full_grid_minimum(q, tangent.a_of_q(q))
+        a = tangent.a_of_q(q) * (1.0 - 1e-3)
+        whole = full_grid_minimum(q, a)
         assert np.all(whole < 0.0)
-        assert np.array_equal(tangent.check_tangent_inequality(q), whole)
+        assert np.array_equal(tangent.check_tangent_inequality(q, a), whole)
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf])
-    def test_nonpositive_or_infinite_a_takes_the_full_grid(self, monkeypatch, scale):
+    def test_nonpositive_or_infinite_a_takes_the_full_grid(self, scale):
         # no cut holds there: the minimum lies far out on the grid, or is -inf or nan
-        shipped = tangent.a_of_q
-        monkeypatch.setattr(tangent, "a_of_q", lambda q: shipped(q) * scale)
         q = np.array([0.0, 0.5, 3.0, 99.0])
         with np.errstate(invalid="ignore"):
-            whole = full_grid_minimum(q, tangent.a_of_q(q))
-            assert np.array_equal(tangent.check_tangent_inequality(q), whole, equal_nan=True)
+            a = tangent.a_of_q(q) * scale
+            whole = full_grid_minimum(q, a)
+            assert np.array_equal(tangent.check_tangent_inequality(q, a), whole, equal_nan=True)
         if scale <= 0.0:
             assert np.all(whole < -1.0)
