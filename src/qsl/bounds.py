@@ -190,15 +190,16 @@ def mt_alpha(delta: float | np.ndarray) -> float | np.ndarray:
     return np.fromiter(map(math.acos, np.sqrt(d).flat), np.float64, d.size).reshape(d.shape)[()]
 
 
-def omega_to_z(omega: float | np.ndarray, delta: float) -> float | np.ndarray:
+def omega_to_z(omega: float | np.ndarray, delta: float | np.ndarray) -> float | np.ndarray:
     """The involution z = (delta - omega)/(1 - omega) of [-sqrt(d), sqrt(d)].
 
-    ``omega`` is one number or an array; z takes its shape.
+    ``omega`` and ``delta`` are numbers or arrays that broadcast together, and
+    z takes their shape. Each (omega, delta) pair is checked on its own.
     """
     require((0.0 <= delta) & (delta <= 1.0), delta, "delta must lie in [0, 1]")
-    worst = float(np.max(np.abs(omega)))
-    if worst > math.sqrt(delta) + _CLAMP_TOL:
-        raise DomainError(f"|omega|={worst} exceeds sqrt(delta)")
+    size = np.abs(omega)
+    inside = size <= np.sqrt(delta) + _CLAMP_TOL
+    require(inside, np.broadcast_to(size, np.shape(inside)), "|omega| must not exceed sqrt(delta)")
     if np.max(omega) >= 1.0:
         raise DomainError("omega = 1 leaves the map undefined")
     return (delta - omega) / (1.0 - omega)

@@ -17,7 +17,8 @@ class NoConvergence(RuntimeError):
 
 def require(ok, values, requirement: str) -> None:
     """Raise DomainError naming the first of ``values`` (one number or an array) where ``ok`` fails."""
-    if ok is True or ok is np.True_:  # a scalar test that holds, the common case of one number
+    # a test that holds everywhere, the common case, copies nothing out
+    if ok is True or ok is np.True_ or np.all(ok):
         return
     bad = np.extract(np.logical_not(ok), values)
     if bad.size:

@@ -26,9 +26,8 @@ import math
 
 import numpy as np
 
-# cells of the theta_max_table block evaluated at once (4 rows of 2048 columns,
-# 126 rows of a pruning pass's 65), in two 64 kB buffers that every block
-# reuses, so they stay in cache
+# cells of the theta_max_table block of whole rows evaluated at once (4 rows of
+# 2048 columns), in two 64 kB buffers that every block reuses, so they stay in cache
 _THETA_CELLS = 4 * 2048
 
 # complex entries of fidelity_grid's left factor per block of rows, bounding its memory
@@ -46,8 +45,25 @@ _NEWTON_STEPS = 64
 
 
 def theta_max_table(rho, sigma, fa, fb):
-    """For each (rho, sigma) row, the max of rho*fa + sigma*fb over the y profiles."""
+    """For each (rho, sigma) row, the max of rho*fa + sigma*fb over the y profiles.
+
+    Each cell is rho*fa + sigma*fb: two products and their sum, each rounded
+    once, whatever the order the cells are formed in. A table with fewer
+    columns than rows, such as the oracle's pruning pass, is evaluated column
+    by column: each column is one vector over every row, folded into a
+    running ``np.maximum``. A table of longer rows is evaluated in blocks of
+    whole rows, each row reduced by ``max``. A maximum rounds nothing, so
+    both orders give the same maxima bit for bit.
+    """
     n_t = rho.shape[0]
+    if fa.size < n_t:
+        best, cell, term = rho * fa[0], np.empty(n_t), np.empty(n_t)
+        np.add(best, np.multiply(sigma, fb[0], out=term), out=best)
+        for a, b in zip(fa[1:], fb[1:]):
+            np.multiply(rho, a, out=cell)
+            np.add(cell, np.multiply(sigma, b, out=term), out=cell)
+            np.maximum(best, cell, out=best)
+        return best
     rows = max(1, min(n_t, _THETA_CELLS // fa.size))
     best = np.empty(n_t)
     block = np.empty((rows, fa.size))

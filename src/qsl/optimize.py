@@ -56,16 +56,22 @@ def golden_min(f: Callable, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 def grid_golden_min(f: Callable, lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Coarse scan of each bracket on ``n`` points, then golden section inside its best cell.
 
-    ``f`` first takes the whole (brackets, n) grid, then points of single
-    brackets. The grid stage guards against non-unimodal objectives and
-    endpoint minima; the golden stage refines the winning cell, and the grid
-    value is kept where it is strictly lower.
+    ``f`` first takes the whole grid, then points of single brackets. The grid
+    is one row of ``n`` points for every bracket when all brackets share one
+    [lo, hi], and a (brackets, n) array otherwise; ``f`` broadcasts it against
+    the (brackets, 1) column of rows. A shared row holds the same points as
+    each row of the 2-d grid, so the values do not depend on the form. The
+    grid stage guards against non-unimodal objectives and endpoint minima;
+    the golden stage refines the winning cell, and the grid value is kept
+    where it is strictly lower.
     """
     lo = np.array(lo, dtype=np.float64, ndmin=1)
     hi = np.array(hi, dtype=np.float64, ndmin=1)
     every = np.arange(lo.size)
-    xs = np.linspace(lo, hi, n, axis=1)
+    shared = lo.size > 0 and np.all(lo == lo[0]) and np.all(hi == hi[0])
+    xs = np.linspace(lo[:1], hi[:1], n, axis=1) if shared else np.linspace(lo, hi, n, axis=1)
     fs = f(xs, every[:, None])
+    xs = np.broadcast_to(xs, fs.shape)
     i = np.argmin(fs, axis=1)
     x_ref, f_ref = golden_min(f, xs[every, np.maximum(i - 1, 0)],
                               xs[every, np.minimum(i + 1, n - 1)])

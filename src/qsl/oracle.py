@@ -146,14 +146,13 @@ def identity_suite(n_samples: int, seed: int) -> dict:
         tau[1] = 1.0
     double_angle = np.max(np.abs(np.arccos(2.0 * tau * tau - 1.0) - 2.0 * np.arccos(tau)))
 
-    omega_z = 0.0
-    for delta in rng.uniform(1e-6, 1.0, 32):
-        root = math.sqrt(delta)
-        omega = np.linspace(-root, root, 257)
-        z = bounds.omega_to_z(omega, delta)
-        omega_z = max(omega_z, abs(z[0] - root), abs(z[-1] + root))
-        omega_z = max(omega_z, float(np.max(np.diff(z))))  # must be decreasing
-        omega_z = max(omega_z, float(np.max(np.abs(z) - root)))  # stays inside
+    # a row of 257 omega across [-sqrt(delta), sqrt(delta)] for each of 32 delta
+    deltas = rng.uniform(1e-6, 1.0, 32)
+    root = np.sqrt(deltas)
+    z = bounds.omega_to_z(np.linspace(-root, root, 257, axis=1), deltas[:, None])
+    omega_z = float(max(np.max(np.abs(z[:, 0] - root)), np.max(np.abs(z[:, -1] + root)),
+                        np.max(np.diff(z)),  # must be decreasing
+                        np.max(np.abs(z) - root[:, None])))  # stays inside
 
     theta = rng.uniform(0.0, 2.0 * math.pi, n_samples)
     delta = rng.uniform(0.0, 0.9, n_samples)

@@ -592,6 +592,27 @@ class TestOmegaToZ:
         with pytest.raises(DomainError):
             bounds.omega_to_z(np.array([0.0, 0.9]), 0.25)
 
+    def test_array_delta_matches_scalar_calls(self):
+        deltas = np.array([1e-6, 0.1, 0.37, 0.9, 1.0 - 1e-12])
+        roots = np.sqrt(deltas)
+        omegas = np.linspace(-roots, roots, 33, axis=1)
+        zs = bounds.omega_to_z(omegas, deltas[:, None])
+        assert zs.shape == (5, 33)
+        for row, delta in enumerate(deltas.tolist()):
+            assert zs[row].tolist() == [bounds.omega_to_z(float(w), delta) for w in omegas[row]]
+        # one omega against a column of delta
+        assert bounds.omega_to_z(0.25, deltas[2:]).tolist() == \
+            [bounds.omega_to_z(0.25, d) for d in deltas[2:].tolist()]
+
+    def test_array_delta_is_checked_per_pair(self):
+        # |omega| = 0.5 fits sqrt(0.3) but not sqrt(0.2): the error names the first bad pair's |omega|
+        with pytest.raises(DomainError, match=r"sqrt\(delta\), got 0.5"):
+            bounds.omega_to_z(np.array([[0.1, -0.5], [0.1, 0.5]]), np.array([[0.3], [0.2]]))
+        assert bounds.omega_to_z(np.array([0.1, -0.5]), np.array([0.3, 0.3])).shape == (2,)
+        for bad in (-0.1, 1.5, math.nan):
+            with pytest.raises(DomainError, match=f"delta must lie in \\[0, 1\\], got {bad}"):
+                bounds.omega_to_z(np.zeros((2, 3)), np.array([[0.5], [bad]]))
+
 
 def direct_arc_coords(psi, delta, branch):
     """(rho, sigma, s) of the circle point on the line at angle pi - psi: s*(sin psi, -cos psi).

@@ -30,6 +30,19 @@ def test_theta_max_table_matches_full_matrix_argmax():
     np.testing.assert_array_equal(best, full.max(axis=1))
 
 
+@pytest.mark.parametrize("rows, cols", [(10240, 65), (700, 9), (65, 65), (5, 2048), (310, 400)])
+def test_theta_max_table_equals_the_dense_table(rows, cols):
+    # fewer columns than rows runs column by column (the pruning pass's 10240 x 65),
+    # otherwise by blocks of whole rows; either way every cell is rounded on its own
+    rng = np.random.default_rng(rows + cols)
+    rho = rng.uniform(0.0, 2.0, rows)
+    sigma = rng.uniform(-1.0, 1.0, rows)
+    fa = rng.uniform(-2.0, 2.0, cols)
+    fb = rng.uniform(-2.0, 2.0, cols)
+    dense = (rho[:, None] * fa + sigma[:, None] * fb).max(axis=1)
+    np.testing.assert_array_equal(kernels.theta_max_table(rho, sigma, fa, fb), dense)
+
+
 def test_rotation_resync_long_grid():
     # a grid far from t = 0 on a state with enough levels that the left factor
     # of the matrix product spans two row blocks stays at rounding level

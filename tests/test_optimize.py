@@ -1,11 +1,15 @@
 """The row-wise golden section against the scalar golden section it replaces."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qsl import bounds, optimize
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "alpha_reference.json"
 
 
 def scalar_golden_min(f, lo, hi):
@@ -40,6 +44,18 @@ def scalar_grid_golden_min(f, lo, hi, n):
     if fs[i] < f_ref:
         return float(xs[i]), float(fs[i])
     return x_ref, f_ref
+
+
+def two_d_grid_golden_min(f, lo, hi, n):
+    """The grid stage on a (brackets, n) grid, one row per bracket even where brackets agree."""
+    every = np.arange(lo.size)
+    xs = np.linspace(lo, hi, n, axis=1)
+    fs = f(xs, every[:, None])
+    i = np.argmin(fs, axis=1)
+    x_ref, f_ref = optimize.golden_min(f, xs[every, np.maximum(i - 1, 0)],
+                                       xs[every, np.minimum(i + 1, n - 1)])
+    grid_wins = fs[every, i] < f_ref
+    return np.where(grid_wins, xs[every, i], x_ref), np.where(grid_wins, fs[every, i], f_ref)
 
 
 # per row: a smooth interior minimum, a minimum at each endpoint, a kink, a flat
@@ -82,6 +98,33 @@ class TestGoldenMin:
             for row in range(LO.size):
                 want = scalar_grid_golden_min(at_row(row), LO[row], HI[row], n)
                 assert (xs[row], fs[row]) == want, (n, row)
+
+
+    def test_shared_bracket_takes_the_scalar_steps(self):
+        # one grid row for all five brackets, broadcast against their rows
+        lo, hi = np.zeros(5), np.ones(5)
+        for n in (8, 33, 512):
+            xs, fs = optimize.grid_golden_min(row_objective, lo, hi, n)
+            np.testing.assert_array_equal((xs, fs), two_d_grid_golden_min(row_objective, lo, hi, n))
+            for row in range(lo.size):
+                assert (xs[row], fs[row]) == scalar_grid_golden_min(at_row(row), 0.0, 1.0, n), row
+
+
+def test_lower_bound_m_on_one_theta_row_equals_the_2d_grid(monkeypatch):
+    # every stored delta of the 50-digit reference and the ends of [0, 1]: m's shared
+    # bracket [pi, 2 pi] is scanned on one row of theta, bit for bit as on one row per delta
+    table = json.loads(REFERENCE.read_text())["alpha"]
+    deltas = np.array([float(d) for d in table] + [0.0, 1.0, 1e-12, 1.0 - 1e-12])
+    shapes = []
+    shipped = bounds.max_F_over_q
+    monkeypatch.setattr(bounds, "max_F_over_q",
+                        lambda theta, delta: shapes.append(np.shape(theta)) or shipped(theta, delta))
+    values = bounds.lower_bound_m(deltas)
+    assert shapes[0] == (1, bounds._N_THETA)
+    _, minima = two_d_grid_golden_min(lambda theta, rows: shipped(theta, deltas[rows]),
+                                      np.full(deltas.size, math.pi),
+                                      np.full(deltas.size, 2.0 * math.pi), bounds._N_THETA)
+    np.testing.assert_array_equal(values, (2.0 / math.pi) * minima)
 
 
 @pytest.mark.parametrize("n_theta", [256, 720])

@@ -204,7 +204,44 @@ class TestTwoLevelMinTime:
             assert abs(grid - closed) <= 1e-3
 
 
+def looped_identity_suite(n_samples, seed):
+    """identity_suite with its omega -> z check as one omega_to_z call per delta."""
+    rng = np.random.default_rng(seed)
+    tau = np.round(rng.uniform(0.0, 1.0, n_samples) * 2**26) / 2**26
+    tau[0] = 0.0
+    if n_samples > 1:
+        tau[1] = 1.0
+    double_angle = np.max(np.abs(np.arccos(2.0 * tau * tau - 1.0) - 2.0 * np.arccos(tau)))
+    omega_z = 0.0
+    for delta in rng.uniform(1e-6, 1.0, 32):
+        root = math.sqrt(delta)
+        z = bounds.omega_to_z(np.linspace(-root, root, 257), delta)
+        omega_z = max(omega_z, abs(z[0] - root), abs(z[-1] + root))
+        omega_z = max(omega_z, float(np.max(np.diff(z))))
+        omega_z = max(omega_z, float(np.max(np.abs(z) - root)))
+    theta = rng.uniform(0.0, 2.0 * math.pi, n_samples)
+    delta = rng.uniform(0.0, 0.9, n_samples)
+    rho = 1.0 - np.sqrt(delta) * np.cos(theta)
+    sigma = np.sqrt(delta) * np.sin(theta)
+    r = np.hypot(rho, sigma)
+    ratio = (r * r / rho) * np.arccos(-sigma / r)
+    stationary = float(np.max(np.abs(bounds.stationary_max(rho, sigma) - ratio)))
+    report = {"n_samples": n_samples, "seed": seed, "double_angle_max": float(double_angle),
+              "omega_z_max": float(omega_z), "stationary_forms_max": stationary}
+    report["max_violation"] = max(float(double_angle), float(omega_z), stationary)
+    return report
+
+
 class TestIdentitySuite:
+    def test_one_omega_to_z_call_equals_one_per_delta(self, monkeypatch):
+        calls = []
+        shipped = bounds.omega_to_z
+        monkeypatch.setattr(bounds, "omega_to_z",
+                            lambda omega, delta: calls.append(np.shape(omega)) or shipped(omega, delta))
+        for seed in range(50):
+            calls.clear()
+            assert oracle.identity_suite(10_000, seed) == looped_identity_suite(10_000, seed), seed
+            assert calls[0] == (32, 257) and len(calls) == 33  # one call, then the loop's 32
     def test_edge_values(self):
         # tau = 0 and tau = 1 are forced into the sample
         rep = oracle.identity_suite(2, seed=0)

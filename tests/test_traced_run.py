@@ -38,7 +38,8 @@ def test_traced_commands_run_and_reach_the_hooks():
     for name in ("tangent.y_of_q.calls", "bounds.arc_gap.calls",
                  "tangent.check_tangent_inequality.calls", "bounds.lower_bound_m.calls",
                  "kernels.theta_max_table.calls", "kernels.fidelity_grid.calls",
-                 "qsim.verify_limits.calls", "reports.render.calls"):
+                 "qsim.verify_limits.calls", "reports.render.calls",
+                 "optimize.grid_golden_min.calls"):
         assert stats.get(name, 0) > 0, name
     # verify prunes its five 2048 x 2048 minimax tables to a few full rows: 684 032 cells, 3.3%
     assert stats["kernels.theta_max_table.cells"] <= 5 * 2048 * 2048 / 16
