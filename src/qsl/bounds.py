@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from . import kernels, rootfind
-from .errors import DomainError, require
+from .errors import DomainError, delta_array, require
 from .optimize import grid_golden_min
 
 _CLAMP_TOL = 1e-12
@@ -75,8 +75,7 @@ def max_F_over_q(theta: float | np.ndarray, delta: float | np.ndarray) -> float 
     degenerate point rho = sigma = 0 (delta = 1, theta = 0) has phi = 0 and
     takes the AB value 0.
     """
-    require((0.0 <= delta) & (delta <= 1.0), delta, "delta must lie in [0, 1]")
-    root = np.sqrt(delta)
+    root = np.sqrt(delta_array(delta))
     rho = 1.0 - root * np.cos(theta)
     sigma = root * np.sin(theta)
     # sin(phi) = rho/r >= 0 and cos(phi) = sigma/r pick phi in [0, pi]
@@ -98,14 +97,10 @@ def lower_bound_m(delta: float | np.ndarray) -> float | np.ndarray:
     attained, for every delta at once; the full-circle agreement is asserted
     by tests.
     """
-    d = np.array(delta, dtype=np.float64, ndmin=1).ravel()
-    require((d >= 0.0) & (d <= 1.0), d, "delta must lie in [0, 1]")
+    d = delta_array(delta).ravel()
     _, val = grid_golden_min(lambda theta, rows: max_F_over_q(theta, d[rows]),
                              np.full(d.size, math.pi), np.full(d.size, 2.0 * math.pi), _N_THETA)
-    m = (2.0 / math.pi) * val
-    if np.ndim(delta) == 0:
-        return float(m[0])
-    return m.reshape(np.shape(delta))
+    return ((2.0 / math.pi) * val).reshape(np.shape(delta))[()]
 
 
 def f_max_closed(delta: float, z: float) -> float:
@@ -114,7 +109,7 @@ def f_max_closed(delta: float, z: float) -> float:
     Evaluated by the half-angle formula as (1+z) * atan2(sqrt(1-delta),
     sqrt(delta-z^2)), which does not cancel as z^2 nears delta.
     """
-    require((0.0 <= delta) & (delta <= 1.0), delta, "delta must lie in [0, 1]")
+    delta_array(delta)
     if z * z > delta + _CLAMP_TOL:
         raise DomainError(f"z^2={z * z} exceeds delta={delta}")
     w = delta - z * z
@@ -127,14 +122,11 @@ def _upper_bound_argmin(delta: float | np.ndarray) -> tuple:
     ``delta`` is one number or an array, and both results take its shape. At
     delta = 1 every z gives 0; the minimizer's limit z = -1 is returned.
     """
-    d = np.array(delta, dtype=np.float64, ndmin=1).ravel()
-    require((d >= 0.0) & (d <= 1.0), d, "delta must lie in [0, 1]")
+    d = delta_array(delta).ravel()
     value, z = np.empty((2, d.size))
     for s in range(0, d.size, _DELTA_BLOCK):
         value[s:s + _DELTA_BLOCK], z[s:s + _DELTA_BLOCK] = _argmin_block(d[s:s + _DELTA_BLOCK])
-    if np.ndim(delta) == 0:
-        return float(value[0]), float(z[0])
-    return value.reshape(np.shape(delta)), z.reshape(np.shape(delta))
+    return value.reshape(np.shape(delta))[()], z.reshape(np.shape(delta))[()]
 
 
 def _argmin_block(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,8 +176,7 @@ def mt_alpha(delta: float | np.ndarray) -> float | np.ndarray:
     Each value is math.acos's: numpy's vectorised arccos can differ from it in
     the last bit.
     """
-    d = np.asarray(delta, dtype=np.float64)
-    require((0.0 <= d) & (d <= 1.0), d, "delta must lie in [0, 1]")
+    d = delta_array(delta)
     # flat yields one float64 (a float) at a time: no list of every value
     return np.fromiter(map(math.acos, np.sqrt(d).flat), np.float64, d.size).reshape(d.shape)[()]
 
@@ -196,7 +187,7 @@ def omega_to_z(omega: float | np.ndarray, delta: float | np.ndarray) -> float | 
     ``omega`` and ``delta`` are numbers or arrays that broadcast together, and
     z takes their shape. Each (omega, delta) pair is checked on its own.
     """
-    require((0.0 <= delta) & (delta <= 1.0), delta, "delta must lie in [0, 1]")
+    delta = delta_array(delta)
     size = np.abs(omega)
     inside = size <= np.sqrt(delta) + _CLAMP_TOL
     require(inside, np.broadcast_to(size, np.shape(inside)), "|omega| must not exceed sqrt(delta)")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the domain check of array arguments."""
+"""Exception types shared across the package, the domain check of array arguments, and delta's."""
 
 import numpy as np
 
@@ -23,3 +23,10 @@ def require(ok, values, requirement: str) -> None:
     bad = np.extract(np.logical_not(ok), values)
     if bad.size:
         raise DomainError(f"{requirement}, got {bad[0]}")
+
+
+def delta_array(delta) -> np.ndarray:
+    """``delta``, one number or an array, as a float64 array (no copy of one) checked in [0, 1]."""
+    d = np.asarray(delta, dtype=np.float64)
+    require((0.0 <= d) & (d <= 1.0), d, "delta must lie in [0, 1]")
+    return d

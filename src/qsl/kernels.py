@@ -5,9 +5,10 @@ rounded on its own, so a table of any subset of rows or columns holds the same
 values, which lets the oracle prune rows exactly. The first-passage scans of
 :mod:`qsl.qsim` use the rest: the amplitude z = sum_k p_k exp(-i E_k t) on
 uniform grids (one complex matrix product per block of rows), the fidelity
-f = |z|**2 and its first two time derivatives at arbitrary times, their
-rounding bound, and the two refiners (one shared Newton body), whose ``newton`` also
-solves for :mod:`qsl.bounds`' M. A scan clears a cell [a, a + h] where f stays
+f = |z|**2 and its first two time derivatives at arbitrary times (every order
+from one exp table, ``derivatives``), their rounding bound, and the two
+refiners (one shared Newton body), whose ``newton`` also solves for
+:mod:`qsl.bounds`' M. A scan clears a cell [a, a + h] where f stays
 above its targets by the curvature bound min(f(a), f(a + h)) - max|f''|*h**2/8
 or by the chord bound (dist(0, [z(a), z(a + h)]) - max|z''|*h**2/8)**2, either
 less the rounding bound, which bounds the error of z as well as of f.
@@ -164,29 +165,24 @@ def _level_sums(p_t, e_t, t, order):
     return f
 
 
-def _at(p, energies, t, order):
-    """The derivative of f of order ``order`` at the times ``t``, one state row per time."""
+def derivatives(p, energies, t, order):
+    """[f, f', ...] to ``order`` <= 2 at the times ``t``, a state row each, from one exp table."""
     t = np.asarray(t, dtype=np.float64)
     block = max(1, _LEVEL_BLOCK // p.shape[1])
     parts = [_level_sums(*_level_major(p[s:s + block], energies[s:s + block]),
                          t[s:s + block], order)
              for s in range(0, max(t.size, 1), block)]
-    return np.concatenate([part[order] for part in parts])
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def fidelity_scalar(p, energies, t):
     """|sum_k p_k exp(-i E_k t)|^2 at each time of ``t``, one per state row."""
-    return _at(p, energies, t, 0)
+    return derivatives(p, energies, t, 0)[0]
 
 
 def dfidelity_scalar(p, energies, t):
     """Time derivative of :func:`fidelity_scalar`, at each time of ``t``."""
-    return _at(p, energies, t, 1)
-
-
-def d2fidelity(p, energies, t):
-    """Second time derivative of :func:`fidelity_scalar`."""
-    return _at(p, energies, t, 2)
+    return derivatives(p, energies, t, 1)[1]
 
 
 # perfbench/layers.py installs its call counters under these names too; nothing

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import bounds, kernels, rootfind
-from .errors import DomainError, require
+from .errors import DomainError, delta_array, require
 from .optimize import golden_min  # noqa: F401  no caller: a hook site of perfbench/layers.py
 from .optimize import grid_golden_min
 
@@ -52,8 +52,7 @@ def minimax_bruteforce_m(delta: float | np.ndarray, n: int) -> float | np.ndarra
     A row with ``low >= up`` cannot hold a smaller value, so only the rows with
     ``low < up`` are evaluated in full.
     """
-    d = np.array(delta, dtype=np.float64, ndmin=1).ravel()
-    require((d >= 0.0) & (d <= 1.0), d, "delta must lie in [0, 1]")
+    d = delta_array(delta).ravel()
     if n < 64:
         raise DomainError(f"the grid must be >= 64, got {n}")
     _, fa, fb = _y_profiles(n)
@@ -68,10 +67,7 @@ def minimax_bruteforce_m(delta: float | np.ndarray, n: int) -> float | np.ndarra
     low[first] = np.inf  # evaluated in full already
     keep = np.flatnonzero(low < np.repeat(best, n))
     np.minimum.at(best, keep // n, kernels.theta_max_table(rho[keep], sigma[keep], fa, fb))
-    m = (2.0 / math.pi) * best
-    if np.ndim(delta) == 0:
-        return float(m[0])
-    return m.reshape(np.shape(delta))
+    return ((2.0 / math.pi) * best).reshape(np.shape(delta))[()]
 
 
 def two_level_passage_time(xi: float | np.ndarray, delta: float | np.ndarray):
@@ -85,7 +81,7 @@ def two_level_passage_time(xi: float | np.ndarray, delta: float | np.ndarray):
     """
     xi = np.asarray(xi, dtype=np.float64)
     require((0.0 < xi) & (xi < 1.0), xi, "xi must lie in (0, 1)")
-    require((0.0 <= delta) & (delta <= 1.0), delta, "delta must lie in [0, 1]")
+    delta = delta_array(delta)
     u = xi * xi
     # f = 1 - 2*amp*sin(t/2)^2 with amp = 2u(1 - u): solved from 1 - delta,
     # which stays exact as delta -> 1 where delta - (1-u)^2 - u^2 would cancel
@@ -105,8 +101,7 @@ def two_level_min_time(delta: float | np.ndarray) -> float | np.ndarray:
     scale cancels in the product. ``delta`` is one number or an array, and the
     time takes its shape; it is 0 at delta = 1.
     """
-    d = np.array(delta, dtype=np.float64, ndmin=1).ravel()
-    require((d >= 0.0) & (d <= 1.0), d, "delta must lie in [0, 1]")
+    d = delta_array(delta).ravel()
     root = np.sqrt(d)
     xi_lo = np.sqrt((1.0 - root) / 2.0)
     xi_hi = np.sqrt((1.0 + root) / 2.0)
@@ -121,9 +116,7 @@ def two_level_min_time(delta: float | np.ndarray) -> float | np.ndarray:
     # within 2 ulp of delta = 1 the top weight rounds to 1: the largest float below stands in
     _, best[wide] = grid_golden_min(lambda xi, rows: objective(xi, wide[rows]), xi_lo[wide],
                                     np.minimum(xi_hi[wide], np.nextafter(1.0, 0.0)), 4096)
-    if np.ndim(delta) == 0:
-        return float(best[0])
-    return best.reshape(np.shape(delta))
+    return best.reshape(np.shape(delta))[()]
 
 
 def identity_suite(n_samples: int, seed: int) -> dict:

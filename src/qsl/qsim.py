@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import bounds, kernels
-from .errors import DomainError
+from .errors import DomainError, delta_array
 
 # amplitudes below this are treated as absent from the support
 SUPPORT_EPS = 1e-15
@@ -420,8 +420,7 @@ def first_passage(state: QuantumState, delta: float, horizon: float) -> Optional
     scan's point budget) is a legitimate outcome, not an error. The state is
     scanned as a block of one (:func:`_scan`).
     """
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must lie in [0, 1], got {delta}")
+    delta_array(delta)
     if not horizon > 0.0:
         raise DomainError(f"horizon must be positive, got {horizon}")
     (t,), = _scan(_rows([state.support()]), np.array([float(delta)]), np.ones((1, 1), dtype=bool),
@@ -495,7 +494,7 @@ def _tolerance(rows: _Rows, row: np.ndarray, t: np.ndarray) -> np.ndarray:
     not cancel at E0 = 0, as for the designed states); t/limit - 1 by 2 more.
     """
     p, e, r = rows.p[row], rows.e[row], rows.rounding(t, row)
-    slope, curv = np.abs(kernels.dfidelity_scalar(p, e, t)), np.abs(kernels.d2fidelity(p, e, t))
+    slope, curv = (np.abs(x) for x in kernels.derivatives(p, e, t, 2)[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         time = np.minimum(2.0 * r / slope, (slope + 2.0 * rows.scale[row] * r) / curv) / t
     return time + (10.0 + rows.d[row]) * np.finfo(np.float64).eps

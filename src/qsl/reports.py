@@ -12,23 +12,10 @@ import numpy as np
 _TABLE_ROWS = 4096
 
 
-def format_number(value: float) -> str:
-    """12-significant-digit rendering used for all emitted numeric values."""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.12g}"
-
-
 def render_report(report: Mapping) -> str:
-    """One ``key=value`` line per entry, insertion-ordered, LF-terminated."""
-    lines = []
-    for key, value in report.items():
-        if isinstance(value, (int, float)):
-            lines.append(f"{key}={format_number(value)}")
-        else:
-            lines.append(f"{key}={value}")
+    """A ``key=value`` line per entry, in order, LF-ended; a float as ``.12g``, else ``str``."""
+    lines = (f"{key}={value:.12g}" if isinstance(value, float) else f"{key}={value}"
+             for key, value in report.items())
     return "\n".join(lines) + "\n"
 
 
@@ -37,7 +24,7 @@ def render_csv(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator
 
     ``columns`` are float arrays of one length. The header line is the first
     piece of text, and each block of rows the next, rendered by one %-format
-    string, whose ``%.12g`` spells a float as ``format_number`` does.
+    string, whose ``%.12g`` spells a float as ``render_report``'s ``.12g`` does.
     """
     line = ",".join(["%.12g"] * len(columns)) + "\n"
     yield ",".join(header) + "\n"
@@ -49,7 +36,7 @@ def render_csv(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator
 def render_json(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[str]:
     """JSON array of flat row objects carrying exactly the CSV values, a block of rows per piece.
 
-    Each block's CSV cells are parsed back, float(format_number(x)), and spelled
+    Each block's CSV cells are parsed back, float(f"{x:.12g}"), and spelled
     as json spells a float by one json.dumps.
     """
     row = "{" + ", ".join(json.dumps(key).replace("%", "%%") + ": %s" for key in header) + "}"

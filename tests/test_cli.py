@@ -18,6 +18,11 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def format_number(value: float) -> str:
+    """The spelling of a float in every report and table: 12 significant digits."""
+    return f"{value:.12g}"
+
+
 def parse_csv(text):
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -433,21 +438,33 @@ class TestFormatting:
         assert all(set(o) == {"delta", "alpha", "mt_alpha"} for o in objs)
 
     def test_percent_format_spells_floats_as_format_number(self):
-        # render_csv formats blocks of rows with %.12g; format_number uses f"{x:.12g}"
+        # render_csv formats blocks of rows with %.12g, render_report a float with f"{x:.12g}"
         bits = np.random.default_rng(5).integers(0, 2**64, 300_000, dtype=np.uint64, endpoint=False)
         special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
                    2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 0.1, 1e16, 1e-5,
                    123456789012.5, 999999999999.5, 1e12, 0.30000000000000004]
         values = bits.view(np.float64).tolist() + special
         assert (",%.12g" * len(values)) % tuple(values) == \
-            "".join("," + reports.format_number(v) for v in values)
+            "".join("," + format_number(v) for v in values)
+
+    def test_report_spells_ints_in_full_and_floats_to_12_digits(self, capsys):
+        # %.12g for every number would print the seed as 1.23456789012e+14
+        code, out = run(capsys, "verify", "--seed", "123456789012345")
+        assert code == 0 and "\nseed=123456789012345\n" in out
+        report = dict(line.split("=", 1) for line in out.splitlines())
+        assert report["equality_tol"] == format_number(checks._FEW_ULPS) == "8.881784197e-16"
+        # str would spell the float horizon_mult 1.0 as "1.0"
+        _, out = run(capsys, "simulate", "--trials", "0")
+        assert "\nhorizon_mult=1\n" in out and "\nmin_ml_slack=inf\n" in out
+        assert reports.render_report({"n": 10**15, "x": 0.1 + 0.2, "y": -math.inf, "s": "a,b"}) \
+            == "n=1000000000000000\nx=0.3\ny=-inf\ns=a,b\n"
 
     @pytest.mark.parametrize("rows", [1, 2, 4096, 4097, 9000])
     def test_csv_equals_one_format_number_call_per_cell(self, rows):
         rng = np.random.default_rng(rows)
         columns = [np.linspace(0.0, 1.0, rows), rng.normal(size=rows) * 10.0 ** rng.integers(
             -300, 300, rows), np.append(rng.random(rows - 1), math.nan)]
-        lines = ["a,b,c"] + [",".join(reports.format_number(v) for v in row)
+        lines = ["a,b,c"] + [",".join(format_number(v) for v in row)
                              for row in np.column_stack(columns).tolist()]
         assert "".join(reports.render_csv(["a", "b", "c"], columns)) == "\n".join(lines) + "\n"
 
@@ -459,7 +476,7 @@ class TestFormatting:
             -300, 300, rows), np.append(rng.random(rows - 1), math.nan)]
         columns[1][:4] = [math.inf, -math.inf, -0.0, 1e16][:rows]
         header = ["a", "b%s", 'c"']
-        objs = [{key: float(reports.format_number(v)) for key, v in zip(header, row)}
+        objs = [{key: float(format_number(v)) for key, v in zip(header, row)}
                 for row in np.column_stack(columns).tolist()]
         assert "".join(reports.render_json(header, columns)) == json.dumps(objs) + "\n"
 

@@ -91,7 +91,21 @@ def test_derivative_matches_finite_difference():
     assert kernels.dfidelity_scalar(*rows, t) == pytest.approx(fd, abs=1e-7)
     fdd = (kernels.dfidelity_scalar(*rows, t + h)
            - kernels.dfidelity_scalar(*rows, t - h)) / (2 * h)
-    assert kernels.d2fidelity(*rows, t) == pytest.approx(fdd, abs=1e-7)
+    assert kernels.derivatives(*rows, t, 2)[2] == pytest.approx(fdd, abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [3, 2000])
+def test_every_order_is_the_one_its_own_call_gives(n):
+    # 2000 times of 6 levels span three blocks of the level-major tables
+    energies, p = random_state_arrays(23)
+    rows = state_rows(p, energies, n)
+    t = np.linspace(0.0, 40.0, n)
+    single = [kernels.fidelity_scalar(*rows, t), kernels.dfidelity_scalar(*rows, t)]
+    for order in range(3):
+        f = kernels.derivatives(*rows, t, order)
+        assert len(f) == order + 1
+        for j in range(min(order + 1, 2)):
+            np.testing.assert_array_equal(f[j], single[j])
 
 
 def test_refine_crossing_lands_on_level():

@@ -475,6 +475,20 @@ def scalar_tally(report, t_star, ml, mt, tol):
             report["hist_rel_slack_gt_1" if edge is None else f"hist_rel_slack_le_{edge:g}"] += 1
 
 
+def two_table_tolerance(rows, row, t):
+    """qsim._tolerance with f' and f'' from two kernel calls, each over its own exp table."""
+    p, e, r = rows.p[row], rows.e[row], rows.rounding(t, row)
+    block = max(1, kernels._LEVEL_BLOCK // p.shape[1])
+    curv = np.concatenate([kernels._level_sums(*kernels._level_major(p[s:s + block],
+                                                                     e[s:s + block]),
+                                               t[s:s + block], 2)[2]
+                           for s in range(0, max(t.size, 1), block)])
+    slope, curv = np.abs(kernels.dfidelity_scalar(p, e, t)), np.abs(curv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        time = np.minimum(2.0 * r / slope, (slope + 2.0 * rows.scale[row] * r) / curv) / t
+    return time + (10.0 + rows.d[row]) * np.finfo(np.float64).eps
+
+
 class TestVerifyLimits:
     def test_array_tally_matches_scalar_reference(self):
         rng = np.random.default_rng(5)
@@ -612,3 +626,18 @@ class TestVerifyLimits:
             qsim.verify_limits(-1, 8, seed=0)
         with pytest.raises(DomainError):
             qsim.verify_limits(10, 1, seed=0)
+
+    @pytest.mark.parametrize("args", [(300, 8, 7), (50, 128, 1)])
+    def test_tolerance_from_one_table_is_the_two_table_one(self, monkeypatch, args):
+        tolerance, pairs = qsim._tolerance, []
+
+        def recording(rows, row, t):
+            pairs.append((tolerance(rows, row, t), two_table_tolerance(rows, row, t)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(qsim, "_tolerance", recording)
+        qsim.verify_limits(*args)
+        # every block of trials, then the designed cases
+        assert len(pairs) >= 2 and sum(tol.size for tol, _ in pairs) > 0
+        for tol, reference in pairs:
+            assert np.array_equal(tol.view(np.int64), reference.view(np.int64))

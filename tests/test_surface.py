@@ -116,3 +116,9 @@ def test_every_benchmark_hook_site_resolves():
     missing = [site for site in sites
                if not hasattr(importlib.import_module(site.split(":")[0]), site.split(":")[1])]
     assert not missing, f"benchmark hook sites that no longer resolve: {missing}"
+
+
+def test_the_delta_rule_is_written_once():
+    # every function that takes delta checks it through errors.delta_array
+    text = "".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+    assert text.count("delta must lie in [0, 1]") == 1
