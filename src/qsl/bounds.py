@@ -46,22 +46,6 @@ _N_THETA = 720
 _DELTA_BLOCK = 1 << 16
 
 
-# kept as the tests' reference for the raw inner objective that max_F_over_q resolves
-def F_of_y(y: float | np.ndarray, rho: float, sigma: float) -> float | np.ndarray:
-    """The inner objective at the circle point (rho, sigma) as a function of the tangency abscissa.
-
-    Defined on the closed interval [y_minus, y_plus], for one y or an array; at
-    y_plus the rho coefficient vanishes identically and the value equals
-    -sigma/cos(y_plus).
-    """
-    yb = rootfind.y_bounds()
-    if not np.all((yb.y_minus - 1e-12 <= y) & (y <= yb.y_plus + 1e-12)):
-        raise DomainError(f"y={y} outside [{yb.y_minus}, {yb.y_plus}]")
-    cy = np.cos(y)
-    sy = np.sin(y)
-    return (rho * (sy - y * cy) + sigma * (1.0 - cy - y * sy)) / (1.0 - cy)
-
-
 def stationary_max(rho: float | np.ndarray, sigma: float | np.ndarray) -> float | np.ndarray:
     """Interior maximum r*(pi - phi)/sin(phi) at y = 2*pi - 2*phi; only valid in the window."""
     phi = np.arctan2(rho, sigma)

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -27,8 +28,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-# the largest --dmax: a passage-scan chunk holds about 130*d complex exponentials, about 2 MB
-# at 1024 levels; the largest --grid: 10^6 rows peak at 75 MB resident as CSV or as JSON
+# the largest --dmax: a passage-scan chunk's grid is one product of two factors of about
+# 130*d complex exponentials, 2 MB each at 1024 levels; the largest --grid: 10^6 rows peak at
+# 75 MB resident as CSV or as JSON
 _DMAX, _GRID = 1024, 10**6
 
 # flag destination -> (flag, requirement, test) for the ranges argparse does not check
@@ -124,26 +126,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     for dest, (flag, requirement, valid) in _RANGES.items():
         if hasattr(ns, dest) and not valid(getattr(ns, dest)):
             return _usage_error(f"{flag} must {requirement}, got {getattr(ns, dest)}")
-    if not ns.out:
-        pieces, code = ns.handler(ns)
-        try:
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()
-        except OSError as exc:
-            # the text left in the buffer goes to the null device at exit, not to a second error
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, 1)
-            os.close(null)
-            return _usage_error(f"stdout: {exc.strerror}")
-        return code
-    # opened before the handler runs, so that a bad path fails fast; a full
-    # disk shows only at the write or at the flush on close
+    # --out is opened before the handler runs, so that a bad path fails fast; a full
+    # disk shows only at the write or at the flush
     try:
-        with open(ns.out, "w") as stream:
+        with open(ns.out, "w") if ns.out else contextlib.nullcontext(sys.stdout) as stream:
             pieces, code = ns.handler(ns)
             stream.writelines(pieces)
+            stream.flush()
     except OSError as exc:
-        return _usage_error(f"--out {ns.out}: {exc.strerror}")
+        if ns.out:
+            return _usage_error(f"--out {ns.out}: {exc.strerror}")
+        # the text left in the buffer goes to the null device at exit, not to a second error
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.close(null)
+        return _usage_error(f"stdout: {exc.strerror}")
     return code
 
 

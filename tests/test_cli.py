@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsl import bounds, checks, cli, oracle, reports, tangent
+from qsl import bounds, checks, cli, oracle, qsim, reports, tangent
 
 
 def run(capsys, *argv):
@@ -365,6 +365,26 @@ def test_full_stdout_is_one_line_usage_error(argv):
         done = qsl_process(argv, stdout=full, stderr=subprocess.PIPE, text=True)
     assert done.returncode == 2
     assert done.stderr == "error: stdout: No space left on device\n"
+
+
+def test_a_bad_out_path_fails_before_the_handler_runs(capsys, monkeypatch, tmp_path):
+    # --out is opened first: a path that cannot be written costs no simulation
+    monkeypatch.setattr(qsim, "verify_limits",
+                        lambda *args, **kwargs: pytest.fail("simulated before opening --out"))
+    code = cli.main(["simulate", "--trials", "100000", "--out", str(tmp_path / "missing" / "x")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("alpha", "--grid", "101", "--format", "json")])
+def test_out_file_holds_the_bytes_of_stdout(capsys, tmp_path, argv):
+    path = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert path.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize("argv,golden", [

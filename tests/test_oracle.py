@@ -5,6 +5,7 @@ import pytest
 
 from qsl import bounds, checks, kernels, oracle, qsim, rootfind
 from qsl.errors import DomainError
+from inner_objective import F_of_y
 
 
 class TestMinimax:
@@ -69,7 +70,7 @@ class TestMinimax:
             root = math.sqrt(delta)
             rho, sigma = 1.0 - root * math.cos(star), root * math.sin(star)
             y = np.linspace(yb.y_minus, yb.y_plus, 20_001)
-            f = (2.0 / math.pi) * bounds.F_of_y(y, rho, sigma)
+            f = (2.0 / math.pi) * F_of_y(y, rho, sigma)
             k = int(np.argmax(f))
             assert 0 < k < y.size - 1  # an interior maximum, as in the window
             bend = -(f[k - 1] - 2.0 * f[k] + f[k + 1]) / (y[1] - y[0]) ** 2
@@ -101,7 +102,8 @@ class TestTwoLevelPassage:
         assert t == pytest.approx(math.pi, abs=1e-12)
 
     def test_unreachable(self):
-        assert oracle.two_level_passage_time(math.sqrt(0.9), 0.0) is None
+        t = oracle.two_level_passage_time(math.sqrt(0.9), 0.0)
+        assert t == math.inf and np.ndim(t) == 0 and isinstance(t, float)
 
     def test_plug_back(self):
         rng = np.random.default_rng(71)
@@ -109,7 +111,7 @@ class TestTwoLevelPassage:
             xi = float(rng.uniform(0.05, 0.95))
             delta = float(rng.uniform(0.0, 1.0))
             t = oracle.two_level_passage_time(xi, delta)
-            if t is None:
+            if t == math.inf:
                 continue
             u = xi * xi
             fid = (1 - u) ** 2 + u * u + 2 * u * (1 - u) * math.cos(t)
@@ -121,8 +123,8 @@ class TestTwoLevelPassage:
         for edge in ((1 - math.sqrt(delta)) / 2, (1 + math.sqrt(delta)) / 2):
             inside = math.sqrt(edge + 1e-9) if edge < 0.5 else math.sqrt(edge - 1e-9)
             outside = math.sqrt(edge - 1e-9) if edge < 0.5 else math.sqrt(edge + 1e-9)
-            assert oracle.two_level_passage_time(inside, delta) is not None
-            assert oracle.two_level_passage_time(outside, delta) is None
+            assert oracle.two_level_passage_time(inside, delta) < math.inf
+            assert oracle.two_level_passage_time(outside, delta) == math.inf
 
     @pytest.mark.parametrize("xi,delta", [(0.0, 0.5), (1.0, 0.5), (0.5, -0.1)])
     def test_validation(self, xi, delta):
@@ -130,13 +132,13 @@ class TestTwoLevelPassage:
             oracle.two_level_passage_time(xi, delta)
 
     def test_array_equals_point_calls(self):
-        # inf in the array where a single call returns None
+        # one array call gives each pair's own call, inf where the target is out of reach
         xi = np.linspace(0.05, 0.95, 37)
         for delta in (0.0, 0.3, 0.9):
             times = oracle.two_level_passage_time(xi, delta)
             points = [oracle.two_level_passage_time(float(x), delta) for x in xi]
-            assert times.tolist() == [math.inf if t is None else t for t in points]
-            assert None in points or delta == 0.9
+            assert times.tolist() == points
+            assert math.inf in points or delta == 0.9
 
 
 class TestTwoLevelMinTime:

@@ -5,9 +5,11 @@ of a public class, must be named (as a variable or an attribute, read) in
 ``src/qsl`` outside its own definition, in a ``[project.scripts]`` entry of
 ``pyproject.toml``, or at a hook site of ``perfbench/layers.py``. Re-exports
 and ``__all__`` strings do not count: they are surface, not use. A name only
-tests reach is API kept for the tests' sake; delete it with its tests, or
-make it the callee of the code that re-derives it. Likewise every name a
-module imports is read in that module, or is a hook site.
+tests reach is API kept for the tests' sake; delete it with its tests, move
+it into the tests (as ``tests/inner_objective.py`` holds F(y)), or make it
+the callee of the code that re-derives it. There is no exception list.
+Likewise every name a module imports is read in that module, or is a hook
+site.
 """
 
 import ast
@@ -18,12 +20,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qsl"
-
-# module.name -> why it stays without a caller in the package
-ALLOWED = {
-    "bounds.F_of_y": "the tests' reference for the raw inner objective that "
-                     "max_F_over_q resolves in closed form",
-}
 
 
 def _reads(tree):
@@ -81,13 +77,8 @@ def unreached_names():
 
 
 def test_every_public_name_has_a_caller_in_the_package():
-    unreached = [name for name in unreached_names() if name not in ALLOWED]
+    unreached = unreached_names()
     assert not unreached, f"public names only tests reach: {unreached}"
-
-
-def test_allowlist_is_current():
-    # an allowlisted name that gained a caller, or that is gone, leaves the list
-    assert sorted(ALLOWED) == sorted(set(unreached_names()) & set(ALLOWED))
 
 
 def unread_imports():
