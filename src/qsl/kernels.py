@@ -18,7 +18,8 @@ that works on a block of states at once. So ``amplitude_rows``, the fidelity
 and its derivatives and both refiners take one zero-padded state row per
 start, time or bracket (2-d ``p`` and ``energies``). They sum each state's
 levels in order on level-major tables, so that a padding level (p = 0) adds
-exact zeros: a row's values do not depend on the block it came in.
+exact zeros, and sum a lone row beside a twin, which numpy would otherwise sum
+pairwise: a row's values do not depend on the block it came in.
 """
 
 from __future__ import annotations
@@ -141,7 +142,11 @@ def _level_sums(p_t, e_t, t, order):
     The level sums z_j = sum_k p_k E_k**j exp(-i E_k t) (z = z_0, z' = -i z_1,
     z'' = -z_2) run over axis 0 of level-major tables, one level after the
     other, so that a padding level (p = 0) adds exact zeros and changes no bit.
+    numpy sums a lone column pairwise instead, so one is summed beside a twin.
     """
+    if t.size == 1:
+        return [x[:1] for x in _level_sums(*(np.repeat(x, 2, axis=-1) for x in (p_t, e_t, t)),
+                                           order)]
     w = -1j * (e_t * t)
     np.exp(w, out=w)
     z, weight = [], p_t

@@ -106,6 +106,24 @@ def test_every_order_is_the_one_its_own_call_gives(n):
             np.testing.assert_array_equal(f[j], single[j])
 
 
+@pytest.mark.parametrize("d", [2, 8, 9, 64, 1024])
+def test_a_row_has_the_same_bits_alone_and_in_any_block(d):
+    # the call's rows fill one _LEVEL_BLOCK and leave one row for the next; a
+    # row alone, first, last or beside the boundary is summed level by level
+    rng = np.random.default_rng(d)
+    per_block = max(1, kernels._LEVEL_BLOCK // d)
+    n = per_block + 1
+    energies = np.sort(rng.uniform(0.0, 1.0, (n, d)), axis=1)
+    p = rng.uniform(0.1, 1.0, (n, d))
+    p /= p.sum(axis=1, keepdims=True)
+    t = rng.uniform(0.0, 100.0, n)
+    block = kernels.derivatives(p, energies, t, 2)
+    for rows in (slice(0, 1), slice(n - 1, n), slice(per_block - 1, n)):
+        part = kernels.derivatives(p[rows], energies[rows], t[rows], 2)
+        for order in range(3):
+            np.testing.assert_array_equal(part[order], block[order][rows])
+
+
 def test_refine_crossing_lands_on_level():
     # each bracket runs from t = 0 to the first grid point at or below its
     # level; below the first local minimum (0.122 at t = 3.19) it spans that
