@@ -142,9 +142,8 @@ def _level_sums(p_t, e_t, t, order):
     The level sums z_j = sum_k p_k E_k**j exp(-i E_k t) (z = z_0, z' = -i z_1,
     z'' = -z_2) run over axis 0 of level-major tables, one level after the
     other, so that a padding level (p = 0) adds exact zeros and changes no bit.
-    numpy sums a lone column pairwise instead, so one is summed beside a twin.
     """
-    if t.size == 1:
+    if t.size == 1:  # numpy would sum a lone column pairwise, so it gets a twin
         return [x[:1] for x in _level_sums(*(np.repeat(x, 2, axis=-1) for x in (p_t, e_t, t)),
                                            order)]
     w = -1j * (e_t * t)

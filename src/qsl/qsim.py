@@ -196,63 +196,67 @@ def _first_cells(mask: np.ndarray, row: np.ndarray, n_rows: int) -> np.ndarray:
     return first
 
 
-def _first_events(rows: _Rows, grids, k0: int, h: np.ndarray, deltas: np.ndarray,
-                  todo: np.ndarray):
-    """Earliest passage of each sought target within one chunk of each scanned row's grid.
+def _first_events(rows: _Rows, grids, h: np.ndarray, deltas: np.ndarray, todo: np.ndarray):
+    """Earliest passage of each sought target within the chunks of each scanned row's grid.
 
-    ``grids`` yields (i, z) for each row i scanned in this chunk: its cells
-    are [a, a + h] with a = (k0 + j)*h, j < z.size - 1, and z holds the
-    amplitudes at each a and at the last cell's end. ``h`` holds each row's
+    ``grids`` yields (i, k, z, seek) per chunk, a row's chunks one after
+    another: row i's cells [a, a + h], a = (k + j)*h, j < z.size - 1, with z
+    the amplitudes at each a and at the last cell's end, and ``seek`` the
+    targets it seeks there, cleared here as their crossing cells are found
+    (the generator stops the row once none is left). ``h`` holds each row's
     grid step and ``todo`` marks the targets, of the increasing ``deltas``,
     that each row still seeks. f is certified above every sought target
-    before the chunk. A cell is cleared for the targets not yet reached
-    before it when f stays above them on all of it by the curvature bound
-    min(fa, fb) - curv*h**2/8 - r or, where that fails, by the chord bound
-    (dist(0, [za, zb]) - sag*h**2 - r)**2, since |z - chord| <= m2*h**2/8,
-    above delta + _TOUCH_ACCEPT. r is the rounding bound at the row's last
-    cell's end (it increases with t); it bounds the error of za and zb with
-    half to spare for the distance's own rounding. The cells neither bound
-    clears are cut into _SPLIT parts, all of them at once. A cell where f
-    comes down to a target is a crossing bracket once f' <= (f'(a) + f'(b))/2
-    + curv*h/2 < 0 certifies that f decreases on it. At the last depth, 16**-5
-    of the grid step, a crossing cell is a bracket as it is, and a cell still
-    uncleared is searched for a local minimum, which reaches the targets
-    within _TOUCH_ACCEPT of it.
+    before a row's first chunk. A cell is cleared for the targets not yet
+    reached before it when f stays above them on all of it by the curvature
+    bound min(fa, fb) - curv*h**2/8 - r or, where that fails, by the chord
+    bound (dist(0, [za, zb]) - sag*h**2 - r)**2, since |z - chord| <=
+    m2*h**2/8, above delta + _TOUCH_ACCEPT. r is the rounding bound at the
+    row's last cell's end (it increases with t); it bounds the error of za
+    and zb with half to spare for the distance's own rounding. The cells
+    neither bound clears are cut into _SPLIT parts, all of them at once. A
+    cell where f comes down to a target is a crossing bracket once f' <=
+    (f'(a) + f'(b))/2 + curv*h/2 < 0 certifies that f decreases on it. At the
+    last depth, 16**-5 of the grid step, a crossing cell is a bracket as it
+    is, and a cell still uncleared is searched for a local minimum, which
+    reaches the targets within _TOUCH_ACCEPT of it.
 
-    Depth 0's curvature test, and on a tail chunk (k0 > 0) its chord test,
-    runs row by row over the whole chunk by the flat phase's _uncleared; the
-    cells kept and the crossing cells go on as one flat block of cells, each
-    carrying its row, on which every depth finds the crossing cells, the
-    ceilings and the cells to keep by one rule. A row's ceiling of a cell, the
-    highest sought target whose first crossing cell lies after it, is the flat
-    phase's at depth 0, so the row drops only cells the flat phase would drop.
+    Depth 0's curvature test, and on a tail chunk (k > 0) its chord test, runs
+    row by row over each whole chunk by the flat phase's _uncleared, with r at
+    the chunk's end; the cells kept and the crossing cells, at their absolute
+    indices, go on as one flat block of cells, each carrying its row, on which
+    every depth finds the crossing cells, the ceilings and the cells to keep
+    by one rule. A row's ceiling of a cell, the highest sought target whose
+    first crossing cell lies after it, is the flat phase's at depth 0, so the
+    row drops only cells the flat phase would drop. The flat phase's depth 0
+    takes r at the row's last chunk's end, which is conservative.
 
     Returns (lo, hi, touch) over (rows, targets): a crossing bracket [lo, hi],
     or a touch at ``touch`` (where it is not nan) in the cell starting at lo;
-    lo is inf for a sought target not reached in this chunk, -inf for one not sought.
+    lo is inf for a sought target not reached in these chunks, -inf for one not sought.
     """
     r = np.zeros(todo.shape[0])  # each row's rounding bound at its current depth
-    # depth 0, row by row: each row's whole chunk, cut down to the cells the
-    # curvature (and on a tail chunk the chord) test keeps and its crossing cells
+    # depth 0, row by row: each chunk whole, cut down to the cells the curvature
+    # (and on a tail chunk the chord) test keeps and its crossing cells
     parts = []
     h_row, curv_h2, sag_h2 = h.tolist(), rows.curv * h * h, rows.sag * h * h
-    for i, z in grids:
+    for i, k, z, seek in grids:
         sq = np.square(z.view(np.float64))  # z.real**2, z.imag**2 interleaved, in one pass
         f = sq[0::2] + sq[1::2]
         fmin = np.minimum(f[:-1], f[1:])
         n = fmin.size
-        sought = deltas[todo[i]]
+        sought = deltas[seek]
         # the first cell down to each target, no later for a higher one
         below = fmin <= sought[:, None]
         cell = np.where(below.any(axis=1), below.argmax(axis=1), n)
         # the ceiling of a cell: the highest target whose first cell lies after it
         top = np.repeat(np.append(sought[::-1], -np.inf) + _TOUCH_ACCEPT,
                         np.diff(np.concatenate(([0], cell[::-1], [n]))))
-        r[i] = rows.rounding((k0 + n - 1) * h_row[i] + h_row[i], i)
-        keep = _uncleared(fmin, z[:-1], z[1:], curv_h2, sag_h2, r, top, i, chord=k0 > 0)
+        r[i] = rows.rounding((k + n - 1) * h_row[i] + h_row[i], i)
+        keep = _uncleared(fmin, z[:-1], z[1:], curv_h2, sag_h2, r, top, i, chord=k > 0)
         keep[cell[cell < n]] = True
         kept = np.nonzero(keep)[0]
-        parts.append((i, kept, z[kept], z[kept + 1]))
+        parts.append((i, k + kept, z[kept], z[kept + 1]))
+        seek[seek] = cell == n
     lo = np.where(todo, np.inf, -np.inf)
     hi = np.full(todo.shape, np.inf)
     touch = np.full(todo.shape, np.nan)
@@ -261,7 +265,7 @@ def _first_events(rows: _Rows, grids, k0: int, h: np.ndarray, deltas: np.ndarray
     # every depth, once for the block: flat arrays of cells, each with its row
     live, cand, z_a, z_b = zip(*parts)
     row = np.repeat(live, [c.size for c in cand])
-    a = (k0 + np.concatenate(cand)) * h[row]
+    a = np.concatenate(cand) * h[row]
     za, zb = np.concatenate(z_a), np.concatenate(z_b)
     fa, fb = (z.real * z.real + z.imag * z.imag for z in (za, zb))
     for depth in range(_MAX_DEPTH + 1):
@@ -318,7 +322,9 @@ def _first_events(rows: _Rows, grids, k0: int, h: np.ndarray, deltas: np.ndarray
 
 def _touches(rows: _Rows, row, a, b, relevant, deltas, lo, hi, touch) -> None:
     """Record, in place, the earliest local minimum in the cells [a, b] of each row that reaches
-    each target."""
+    each target. A row's later dips are refined only where its earliest leaves one of its
+    ``relevant`` targets unreached: theirs are among the earliest's, so nothing else moves.
+    """
     if not a.size:
         return
     both = np.concatenate((row, row))
@@ -327,9 +333,17 @@ def _touches(rows: _Rows, row, a, b, relevant, deltas, lo, hi, touch) -> None:
     if not dip.any():
         return
     row, a, b, relevant = row[dip], a[dip], b[dip], relevant[dip]
-    t_min = kernels.refine_minimum(rows.p[row], rows.e[row], a, b)
-    f_min = kernels.fidelity_scalar(rows.p[row], rows.e[row], t_min)
-    reach = relevant & (f_min[:, None] <= deltas + _TOUCH_ACCEPT)
+    t_min, f_min = np.full(a.size, np.nan), np.full(a.size, np.inf)
+    pending = np.append(True, row[1:] != row[:-1])
+    while pending.any():
+        sel = np.nonzero(pending)[0]
+        p, e = rows.p[row[sel]], rows.e[row[sel]]
+        t_min[sel] = kernels.refine_minimum(p, e, a[sel], b[sel])
+        f_min[sel] = kernels.fidelity_scalar(p, e, t_min[sel])
+        reach = relevant & (f_min[:, None] <= deltas + _TOUCH_ACCEPT)
+        unreached = np.zeros(lo.shape[0], dtype=bool)
+        unreached[row[sel]] = np.any(relevant[sel] & ~reach[sel], axis=1)
+        pending = np.isnan(t_min) & unreached[row]
     first = _first_cells(reach, row, lo.shape[0])
     i, j = np.nonzero(first < a.size)
     c = first[i, j]
@@ -343,19 +357,19 @@ def _touches(rows: _Rows, row, a, b, relevant, deltas, lo, hi, touch) -> None:
 def _scan(rows: _Rows, deltas: np.ndarray, sought: np.ndarray, horizon: np.ndarray) -> np.ndarray:
     """First passage of each row's state to its ``sought`` targets among the increasing ``deltas``.
 
-    The block steps forward chunk by chunk, all rows together: each row's
-    chunk of a uniform grid with _SAMPLES_PER_FAST_PERIOD points per fastest
-    period of its own state (_CHUNK points first, _TAIL_CHUNK after), one
-    kernels.fidelity_grid call each, and then one :func:`_first_events` for
-    the block, which certifies every cell before a reported time, whatever
-    the grid's fold. A row stops when all its targets are reached. Then the
-    crossings of the whole block are refined by one kernels.refine_crossing
-    call on the rows' zero-padded (p, e). Returns the times over (rows,
-    targets): 0 for a target met at the start, the time of a touch or of a
-    crossing, and nan for a target not sought or not reached. A target is not
-    reached when it is provably unreachable (f >= (2*p_max - 1)**2 when p_max
-    > 1/2), when its time lies past the row's ``horizon``, or when it lies
-    beyond the scan's point budget.
+    Each row's grid is uniform, with _SAMPLES_PER_FAST_PERIOD points per
+    fastest period of its own state, and made chunk by chunk, one
+    kernels.fidelity_grid call each: _CHUNK points first, _TAIL_CHUNK after.
+    One :func:`_first_events` call takes every row's first chunk, and one more
+    every later chunk of the rows whose targets the first leaves unreached;
+    each certifies every cell before a reported time, whatever the grid's
+    fold. Then the crossings of the whole block are refined by one
+    kernels.refine_crossing call on the rows' zero-padded (p, e). Returns the
+    times over (rows, targets): 0 for a target met at the start, the time of a
+    touch or of a crossing, and nan for a target not sought or not reached. A
+    target is not reached when it is provably unreachable (f >= (2*p_max -
+    1)**2 when p_max > 1/2), when its time lies past the row's ``horizon``, or
+    when it lies beyond the scan's point budget.
     """
     t_star = np.where(sought & (deltas >= 1.0), 0.0, np.nan)
     floor = np.where(rows.p_max > 0.5, (2.0 * rows.p_max - 1.0) ** 2, 0.0)
@@ -367,39 +381,41 @@ def _scan(rows: _Rows, deltas: np.ndarray, sought: np.ndarray, horizon: np.ndarr
     n_points = np.where(steps >= _POINT_BUDGET, _POINT_BUDGET,
                         np.ceil(np.minimum(steps, _POINT_BUDGET)) + 1).astype(int)
     z_prev = np.zeros(t_star.shape[0], dtype=complex)
+    last, step, size = (n_points - 1).tolist(), dt.tolist(), rows.d.tolist()
+    top = np.where(todo, deltas, -np.inf).max(axis=1, initial=-np.inf).tolist()
 
-    def grids(live, k0, chunk):
-        # one chunk of each live row's grid, made as _first_events takes it, so
-        # that one grid is held at a time
+    def grids(live, k0, k1):
+        # each live row's chunks from grid point k0 to k1, made as _first_events
+        # takes them, so that one grid is held at a time
         for i in live.tolist():
-            n = min(chunk, int(n_points[i]) - 1 - k0)
-            d = rows.d[i]
-            z = kernels.fidelity_grid(rows.p[i, :d], rows.e[i, :d], k0 * dt[i], dt[i], n + 1)
-            if k0 == 0:
-                met = todo[i] & (deltas >= z[0].real * z[0].real + z[0].imag * z[0].imag)
-                t_star[i, met] = 0.0
-                todo[i] &= ~met
-            else:
-                z[0] = z_prev[i]  # the previous chunk's last value, as certified there
-            z_prev[i] = z[-1]
-            if todo[i].any():
-                yield i, z
+            k, end, seek = k0, min(k1, last[i]), todo[i].copy()
+            while k < end and seek.any():
+                n, d = min(_TAIL_CHUNK if k else _CHUNK, end - k), size[i]
+                z = kernels.fidelity_grid(rows.p[i, :d], rows.e[i, :d], k * step[i], step[i], n + 1)
+                if k:
+                    z[0] = z_prev[i]  # the previous chunk's last value, as certified there
+                elif (f0 := z[0].real * z[0].real + z[0].imag * z[0].imag) <= top[i]:
+                    met = todo[i] & (deltas >= f0)  # the targets met at the start
+                    t_star[i, met] = 0.0
+                    todo[i] &= ~met
+                    seek &= ~met
+                z_prev[i] = z[-1]
+                if seek.any():
+                    yield i, k, z, seek
+                k += n
 
     found = []
-    k0 = 0
-    while True:
+    for k0, k1 in ((0, _CHUNK), (_CHUNK, _POINT_BUDGET)):
         live = np.nonzero(todo.any(axis=1) & (k0 < n_points - 1))[0]
         if not live.size:
             break
-        chunk = _TAIL_CHUNK if k0 else _CHUNK
-        lo, hi, touch = _first_events(rows, grids(live, k0, chunk), k0, dt, deltas, todo)
+        lo, hi, touch = _first_events(rows, grids(live, k0, k1), dt, deltas, todo)
         touched = ~np.isnan(touch)
         t_star[touched] = touch[touched]
         bracketed = todo & (lo < np.inf) & ~touched
         if bracketed.any():
             found.append((*np.nonzero(bracketed), lo[bracketed], hi[bracketed]))
         todo &= lo == np.inf
-        k0 += chunk
     if found:
         i, j, lo, hi = (np.concatenate(x) for x in zip(*found))
         t_star[i, j] = kernels.refine_crossing(rows.p[i], rows.e[i], lo, hi, deltas[j])
@@ -537,11 +553,12 @@ def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0)
     every target fidelity of DELTAS, and checks t_star >= limit * (1 - tol)
     for both limits (:func:`_tolerance`). The trials are scanned in blocks
     (:func:`_scan`) of as many as keep their brackets' zero-padded (p, e) rows
-    within _BLOCK_CELLS entries; each is set up with array operations, steps
-    through its chunks together, is refined by one kernels.refine_crossing call
-    and is tallied at once. The saturating two-level states are designed cases,
-    one block whose rows each seek one target. Violations are counted, not raised;
-    any one, random or designed, sets ``overall`` to fail.
+    within _BLOCK_CELLS entries; each is set up with array operations, scanned
+    at once, refined by one kernels.refine_crossing call and tallied at once.
+    The saturating two-level states are designed cases. They ride in the first
+    block, each seeking one target within at least the default horizon, and
+    are tallied apart. Violations are counted, not raised; any one, random or
+    designed, sets ``overall`` to fail.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
@@ -553,34 +570,38 @@ def verify_limits(trials: int, d_max: int, seed: int, horizon_mult: float = 1.0)
 
     ml_coeff = 0.5 * math.pi * bounds.alpha(DELTAS)
     mt_coeff = bounds.mt_alpha(DELTAS)
+    _, z_opts = bounds._upper_bound_argmin(DELTAS)
+    u = 0.5 * (1.0 + z_opts)
+    cases = np.nonzero((0.0 < u) & (u < 1.0))[0]
+    designed = [two_level_state(math.sqrt(u[i])).support() for i in cases.tolist()]
+    designed_horizon = default_horizon(np.array([e for e, _ in designed]), max(horizon_mult, 1.0))
     block = max(1, _BLOCK_CELLS // (DELTAS.size * d_max))
     for first in range(0, trials, block):
         supports = []
         for trial in range(first, min(first + block, trials)):
             rng = np.random.default_rng(seed + trial)
             supports.append(_support(*_draw(rng, int(rng.integers(2, d_max + 1)))))
+        n = len(supports)
+        sought = np.ones((n, DELTAS.size), dtype=bool)
+        if not first:  # the designed cases ride in the first block, with their own horizon
+            supports += designed
+            sought = np.vstack((sought, np.arange(DELTAS.size) == cases[:, None]))
         rows = _rows(supports, horizon_mult)
-        t_star = _scan(rows, DELTAS, np.ones((rows.d.size, DELTAS.size), dtype=bool), rows.horizon)
+        horizon = np.append(rows.horizon[:n], designed_horizon) if not first else rows.horizon
+        t_star = _scan(rows, DELTAS, sought, horizon)
         ml, mt = _limits(rows, ml_coeff, mt_coeff)
         tol = _tolerance(rows, np.repeat(np.arange(rows.d.size), DELTAS.size), t_star.ravel())
-        _tally(report, t_star.ravel(), ml.ravel(), mt.ravel(), tol)
+        checked = (t_star, ml, mt, tol.reshape(t_star.shape))
+        _tally(report, *(x[:n].ravel() for x in checked))
+        if not first:  # the designed rows, split off for their own tally
+            designed_checks = [x[n + np.arange(cases.size), cases] for x in checked]
 
-    _, z_opts = bounds._upper_bound_argmin(DELTAS)
-    u = 0.5 * (1.0 + z_opts)
-    cases = np.nonzero((0.0 < u) & (u < 1.0))[0]
-    rows = _rows([two_level_state(math.sqrt(u[i])).support() for i in cases.tolist()],
-                 max(horizon_mult, 1.0))
-    sought = np.zeros((cases.size, DELTAS.size), dtype=bool)
-    case = (np.arange(cases.size), cases)
-    sought[case] = True
-    t_star = _scan(rows, DELTAS, sought, rows.horizon)[case]
-    ml, mt = (limit[case] for limit in _limits(rows, ml_coeff, mt_coeff))
-    reached = ~np.isnan(t_star)
-    tol = _tolerance(rows, case[0][reached], t_star[reached])
-    rel = np.abs(t_star[reached] / ml[reached] - 1.0)
+    reached = ~np.isnan(designed_checks[0])
+    t_star, ml, mt, tol = (x[reached] for x in designed_checks)
+    rel = np.abs(t_star / ml - 1.0)
     report["designed_cases"] += cases.size
     report["designed_violations"] += cases.size - rel.size + int(np.count_nonzero(rel > tol))
     report["designed_max_rel_slack"] = float(rel.max(initial=0.0))
-    _tally(report, t_star[reached], ml[reached], mt[reached], tol)
+    _tally(report, t_star, ml, mt, tol)
     report["overall"] = "fail" if report["violations"] or report["designed_violations"] else "pass"
     return report

@@ -206,7 +206,8 @@ class TestFirstPassage:
         rows = qsim._rows([DIP.support()])
         ends = np.exp(-1j * np.outer([0.0, width], rows.e[0])) @ rows.p[0]  # the amplitudes z
         assert abs(ends[1]) ** 2 <= delta
-        (lo,), (hi,), (touch,) = qsim._first_events(rows, [(0, ends)], 0, np.array([width]),
+        chunk = (0, 0, ends, np.ones(1, dtype=bool))  # row 0's chunk from grid point 0
+        (lo,), (hi,), (touch,) = qsim._first_events(rows, [chunk], np.array([width]),
                                                     np.array([delta]), np.ones((1, 1), dtype=bool))
         assert np.isnan(touch[0])
         assert lo[0] < ref <= hi[0] and hi[0] - lo[0] <= width / qsim._SPLIT
@@ -255,6 +256,67 @@ class TestFirstCells:
         assert np.array_equal(first, np.zeros((4, 3), dtype=int))
 
 
+def touches_of_every_dip(rows, row, a, b, relevant, deltas, lo, hi, touch):
+    """_touches as it was first written: every dip refined, the earliest reaching one recorded."""
+    both = np.concatenate((row, row))
+    slope = kernels.dfidelity_scalar(rows.p[both], rows.e[both], np.concatenate((a, b)))
+    dip = (slope[:a.size] < 0.0) & (slope[a.size:] > 0.0)
+    row, a, b, relevant = row[dip], a[dip], b[dip], relevant[dip]
+    t_min = kernels.refine_minimum(rows.p[row], rows.e[row], a, b)
+    f_min = kernels.fidelity_scalar(rows.p[row], rows.e[row], t_min)
+    reach = relevant & (f_min[:, None] <= deltas + qsim._TOUCH_ACCEPT)
+    for c in range(a.size - 1, -1, -1):  # the earliest reaching dip writes last
+        for j in np.nonzero(reach[c])[0]:
+            lo[row[c], j] = a[c]
+            if f_min[c] <= deltas[j] - qsim._TOUCH_ACCEPT:
+                hi[row[c], j] = t_min[c]
+            else:
+                touch[row[c], j] = t_min[c]
+    return int(dip.sum())
+
+
+class TestTouches:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_dips_first_records_what_every_dip_records(self, monkeypatch, seed):
+        # cells around every grid minimum of 12 states over 8 of their fast
+        # periods, several dips a row, some flat cells between; each row seeks
+        # each target before a random cell start, or in all its cells, and
+        # every other row no target below 0.5
+        rng = np.random.default_rng(seed)
+        states = [draw_state(rng, int(rng.integers(3, 9))) for _ in range(12)]
+        rows = qsim._rows([state.support() for state in states])
+        row, a = [], []
+        for i, state in enumerate(states):
+            step = fast_period(state) / 64
+            t = np.arange(1, 512) * step
+            f = dense_fidelity(state, t)
+            minima = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] <= f[2:]))[0] + 1
+            starts = np.sort(np.concatenate((t[minima] - step, t[minima[::2]] + 5 * step)))
+            row += [i] * starts.size
+            a.append(starts)
+        row, a = np.array(row), np.concatenate(a)
+        b = a + np.array([fast_period(state) / 32 for state in states])[row]
+        until = np.where(rng.random((len(states), qsim.DELTAS.size)) < 0.3, np.inf,
+                         rng.choice(a, (len(states), qsim.DELTAS.size)))
+        until[::2, :5] = -np.inf  # every other row seeks only delta >= 0.5
+        relevant = a[:, None] < until[row]
+        start = (np.full((len(states), qsim.DELTAS.size), np.inf),
+                 np.full((len(states), qsim.DELTAS.size), np.inf),
+                 np.full((len(states), qsim.DELTAS.size), np.nan))
+        want = [x.copy() for x in start]
+        dips = touches_of_every_dip(rows, row, a, b, relevant, qsim.DELTAS, *want)
+        refined, refine = [], kernels.refine_minimum
+        monkeypatch.setattr(kernels, "refine_minimum",
+                            lambda p, e, lo, hi: refined.append(lo.size) or refine(p, e, lo, hi))
+        got = [x.copy() for x in start]
+        qsim._touches(rows, row, a, b, relevant, qsim.DELTAS, *got)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y, equal_nan=True)
+        assert np.count_nonzero(np.isfinite(want[0])) > 20
+        # the first dips alone, then the later dips of rows they leave short
+        assert len(refined) == 2 and refined[0] == len(states) and sum(refined) < dips
+
+
 class TestTailChunks:
     @staticmethod
     def passage_times(args):
@@ -272,15 +334,39 @@ class TestTailChunks:
         assert len(default) == len(short)
         assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(default, short))
 
+    def test_a_scan_makes_at_most_two_first_events_calls(self, monkeypatch):
+        # one for the first chunks, one for every tail chunk of the block
+        per_scan, scan, first_events = [], qsim._scan, qsim._first_events
+
+        def counted_scan(*args):
+            per_scan.append(0)
+            return scan(*args)
+
+        def counted_events(*args):
+            per_scan[-1] += 1
+            return first_events(*args)
+
+        monkeypatch.setattr(qsim, "_scan", counted_scan)
+        monkeypatch.setattr(qsim, "_first_events", counted_events)
+        qsim.verify_limits(50, 128, 1)  # a delta = 0 passage at grid point 49 152
+        assert len(per_scan) > 1 and max(per_scan) == 2
+
     def test_tail_hands_on_only_cells_no_bound_clears(self, monkeypatch):
         # a tail chunk's depth-0 pass hands the flat phase a row's crossing
-        # cells and the cells neither the curvature nor the chord bound clears
+        # cells and the cells neither the curvature nor the chord bound clears;
+        # a row's tail chunks go to the flat phase together, in order
         calls, first_events, first_cells = [], qsim._first_events, qsim._first_cells
 
-        def recorded_events(rows, grids, k0, h, deltas, todo):
-            grids = list(grids)
-            calls.append(dict(rows=rows, grids=grids, k0=k0, h=h.copy(), todo=todo.copy()))
-            return first_events(rows, iter(grids), k0, h, deltas, todo)
+        def recorded_events(rows, grids, h, deltas, todo):
+            chunks = []
+            calls.append(dict(rows=rows, chunks=chunks, h=h.copy()))
+
+            def recording():
+                for i, k, z, seek in grids:
+                    chunks.append((i, k, z, seek.copy()))  # what the chunk seeks, as it came
+                    yield i, k, z, seek
+
+            return first_events(rows, recording(), h, deltas, todo)
 
         def recorded_cells(mask, row, n_rows):
             calls[-1].setdefault("handed", (mask, row))
@@ -289,32 +375,38 @@ class TestTailChunks:
         monkeypatch.setattr(qsim, "_first_events", recorded_events)
         monkeypatch.setattr(qsim, "_first_cells", recorded_cells)
         qsim.verify_limits(50, 128, 1)
-        tail = [c for c in calls if c["k0"] and c["grids"]]
+        tail = [c for c in calls if c["chunks"] and c["chunks"][0][1]]
         assert tail
-        chord_cleared = 0
+        chord_cleared, several = 0, 0
         for c in tail:
-            rows, k0, deltas = c["rows"], c["k0"], qsim.DELTAS
+            rows, deltas = c["rows"], qsim.DELTAS
             mask, row = c["handed"]
-            for i, z in c["grids"]:
+            handed_rows = {}
+            for i, k, z, seek in c["chunks"]:
+                assert k >= qsim._CHUNK
                 h = float(c["h"][i])
                 f = z.real * z.real + z.imag * z.imag
                 fmin = np.minimum(f[:-1], f[1:])
                 n = fmin.size
-                sought = deltas[c["todo"][i]]
+                sought = deltas[seek]
                 first = np.array([np.argmax(fmin <= t) if (fmin <= t).any() else n for t in sought])
                 # each cell's highest sought target whose first crossing cell lies after it
                 after = first > np.arange(n)[:, None]
                 top = np.where(after, sought + qsim._TOUCH_ACCEPT, -math.inf).max(
                     axis=1, initial=-math.inf)
-                r = rows.rounding((k0 + n - 1) * h + h, i)
+                r = rows.rounding((k + n - 1) * h + h, i)
                 curvature = fmin - rows.curv[i] * h * h / 8.0 - r > top
                 gap = qsim._chord_distance(z[:-1], z[1:]) - rows.sag[i] * h * h - r
                 chord = np.maximum(gap, 0.0) ** 2 > top
                 crossing = np.isin(np.arange(n), first)
                 handed = crossing | ~(curvature | chord)
                 chord_cleared += np.count_nonzero(~crossing & ~curvature & chord)
-                assert np.array_equal(mask[row == i], fmin[handed, None] <= deltas)
+                handed_rows.setdefault(i, []).append(fmin[handed, None] <= deltas)
+            for i, parts in handed_rows.items():
+                several += len(parts) > 1
+                assert np.array_equal(mask[row == i], np.concatenate(parts))
         assert chord_cleared > 10**5
+        assert several  # some row's tail chunks all went to one flat phase
 
 
 class TestChordBound:
@@ -524,7 +616,8 @@ class TestVerifyLimits:
     @pytest.mark.parametrize("args", [(300, 8, 7), (100, 40, 3, 0.3), (3, 256, 7)])
     def test_block_boundary_does_not_change_the_report(self, monkeypatch, args):
         # with a cell budget of 1 every scan block holds one trial, set up,
-        # scanned and refined on rows only as wide as its own state
+        # scanned and refined on rows only as wide as its own state; the
+        # designed cases ride in the first block
         blocks = []
         scan = qsim._scan
         monkeypatch.setattr(qsim, "_scan",
@@ -532,12 +625,12 @@ class TestVerifyLimits:
         default = qsim.verify_limits(*args)
         size = qsim._BLOCK_CELLS // (qsim.DELTAS.size * args[1])
         assert size > 1
-        assert blocks[:-1] == [min(size, args[0] - s) for s in range(0, args[0], size)]
-        assert blocks[-1] == qsim.DELTAS.size  # the designed cases, a block of their own
+        trials = [min(size, args[0] - s) for s in range(0, args[0], size)]
+        assert blocks == [trials[0] + qsim.DELTAS.size] + trials[1:]
         blocks.clear()
         monkeypatch.setattr(qsim, "_BLOCK_CELLS", 1)
         assert qsim.verify_limits(*args) == default
-        assert blocks == [1] * args[0] + [qsim.DELTAS.size]
+        assert blocks == [1 + qsim.DELTAS.size] + [1] * (args[0] - 1)
 
     def test_subdivisions_are_evaluated_per_block_not_per_trial(self, monkeypatch):
         # every amplitude evaluation after depth 0 (an amplitude_rows call)
@@ -587,7 +680,7 @@ class TestVerifyLimits:
 
     def test_one_alpha_solve_per_run(self, monkeypatch):
         # the designed cases take the random trials' coefficients, so alpha is
-        # solved once per run; their crossings are refined in one call of their own
+        # solved once per run; their crossings are refined in their block's one call
         alphas, levels = [], []
         alpha, refine = bounds.alpha, kernels.refine_crossing
         monkeypatch.setattr(bounds, "alpha", lambda delta: alphas.append(delta) or alpha(delta))
@@ -596,11 +689,43 @@ class TestVerifyLimits:
                             or refine(p, e, lo, hi, level))
         rep = qsim.verify_limits(5, 4, seed=7)
         assert len(alphas) == 1
-        assert len(levels) == 2
+        assert len(levels) == 1
         assert rep["designed_cases"] == qsim.DELTAS.size
         assert rep["checks"] >= rep["designed_cases"]
-        # every designed case but the touch at delta = 0 is a crossing, refined in the last call
-        np.testing.assert_array_equal(levels[-1], qsim.DELTAS[1:])
+        # every designed case but the touch at delta = 0 is a crossing in its
+        # first chunk, and the designed rows follow the trials'
+        np.testing.assert_array_equal(levels[0][-9:], qsim.DELTAS[1:])
+
+    def test_one_trial_refines_one_minimum_bracket_set_and_one_crossing_set(self, monkeypatch):
+        # the designed delta = 0 touch at t = pi is each row's first dip; the
+        # later dips at pi+ and 3*pi, whose minima sit on a bracket end, are
+        # not refined, and the designed crossings share the trial's one call
+        calls, newton = [], kernels.newton  # [refiner, Newton passes] per refiner call
+        refine_minimum, refine_crossing = kernels.refine_minimum, kernels.refine_crossing
+
+        def counted_newton(g, *args):
+            def g_counted(t, rows):
+                calls[-1][1] += calls[-1][2]
+                return g(t, rows)
+            return newton(g_counted, *args)
+
+        def counted(name, refine):
+            def call(*args):
+                calls.append([name, 0, 1])
+                t = refine(*args)
+                calls.append(["alpha", 0, 0])  # bounds' Newton solves count nowhere
+                return t
+            return call
+
+        monkeypatch.setattr(kernels, "newton", counted_newton)
+        monkeypatch.setattr(kernels, "refine_minimum", counted("minimum", refine_minimum))
+        monkeypatch.setattr(kernels, "refine_crossing", counted("crossing", refine_crossing))
+        calls.append(["alpha", 0, 0])
+        rep = qsim.verify_limits(1, 8, 7)
+        assert rep["designed_violations"] == 0
+        minimum = [passes for name, passes, _ in calls if name == "minimum"]
+        assert len(minimum) == 1 and minimum[0] <= 4
+        assert [name for name, _, _ in calls].count("crossing") == 1
 
     def test_designed_cases_match_first_passage(self):
         # one refinement call for all designed brackets gives each case the
