@@ -265,13 +265,16 @@ def touches_of_every_dip(rows, row, a, b, relevant, deltas, lo, hi, touch):
     t_min = kernels.refine_minimum(rows.p[row], rows.e[row], a, b)
     f_min = kernels.fidelity_scalar(rows.p[row], rows.e[row], t_min)
     reach = relevant & (f_min[:, None] <= deltas + qsim._TOUCH_ACCEPT)
-    for c in range(a.size - 1, -1, -1):  # the earliest reaching dip writes last
-        for j in np.nonzero(reach[c])[0]:
-            lo[row[c], j] = a[c]
-            if f_min[c] <= deltas[j] - qsim._TOUCH_ACCEPT:
-                hi[row[c], j] = t_min[c]
-            else:
-                touch[row[c], j] = t_min[c]
+    recorded = set()
+    for c in range(a.size):  # a row's dips in time order: the earliest reaching one is recorded
+        for j in np.nonzero(reach[c])[0].tolist():
+            if (row[c], j) not in recorded:
+                recorded.add((row[c], j))
+                lo[row[c], j] = a[c]
+                if f_min[c] <= deltas[j] - qsim._TOUCH_ACCEPT:
+                    hi[row[c], j] = t_min[c]
+                else:
+                    touch[row[c], j] = t_min[c]
     return int(dip.sum())
 
 
@@ -700,32 +703,23 @@ class TestVerifyLimits:
         # the designed delta = 0 touch at t = pi is each row's first dip; the
         # later dips at pi+ and 3*pi, whose minima sit on a bracket end, are
         # not refined, and the designed crossings share the trial's one call
-        calls, newton = [], kernels.newton  # [refiner, Newton passes] per refiner call
-        refine_minimum, refine_crossing = kernels.refine_minimum, kernels.refine_crossing
+        calls, refine = [], kernels._refine  # [derivative order, Newton passes] per refiner call
 
-        def counted_newton(g, *args):
-            def g_counted(t, rows):
-                calls[-1][1] += calls[-1][2]
-                return g(t, rows)
-            return newton(g_counted, *args)
+        def counted(p, e, lo, hi, order, g):
+            calls.append([order, 0])
 
-        def counted(name, refine):
-            def call(*args):
-                calls.append([name, 0, 1])
-                t = refine(*args)
-                calls.append(["alpha", 0, 0])  # bounds' Newton solves count nowhere
-                return t
-            return call
+            def g_counted(f, rows):
+                calls[-1][1] += 1
+                return g(f, rows)
 
-        monkeypatch.setattr(kernels, "newton", counted_newton)
-        monkeypatch.setattr(kernels, "refine_minimum", counted("minimum", refine_minimum))
-        monkeypatch.setattr(kernels, "refine_crossing", counted("crossing", refine_crossing))
-        calls.append(["alpha", 0, 0])
+            return refine(p, e, lo, hi, order, g_counted)
+
+        monkeypatch.setattr(kernels, "_refine", counted)
         rep = qsim.verify_limits(1, 8, 7)
         assert rep["designed_violations"] == 0
-        minimum = [passes for name, passes, _ in calls if name == "minimum"]
+        minimum = [passes for order, passes in calls if order == 2]  # refine_minimum's calls
         assert len(minimum) == 1 and minimum[0] <= 4
-        assert [name for name, _, _ in calls].count("crossing") == 1
+        assert [order for order, _ in calls].count(1) == 1  # refine_crossing's calls
 
     def test_designed_cases_match_first_passage(self):
         # one refinement call for all designed brackets gives each case the
