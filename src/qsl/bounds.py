@@ -19,12 +19,15 @@ z^2 -> delta, and its phi-derivative is -sqrt(delta)*g(phi) with
 g = sin(phi)*atan2(sqrt(1-delta), sqrt(delta)*sin(phi)) + sqrt(1-delta)*cos(phi)/(1 - z).
 For 0 < delta < 1, g(0) > 0 > g(pi): the minimizer is the root of g in the
 bracket [0, pi], found by one safeguarded Newton solve (``kernels.newton``)
-for a block of 65536 delta at once. The two bounds agree, which is what the
+for a block of 65536 delta at once. It starts from a fitted first guess
+(``_START``), close enough that one Newton step reaches g's rounding: two
+evaluations of g per delta. The two bounds agree, which is what the
 verification suites check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -44,6 +47,14 @@ _G_TOL = 16.0 * float(np.finfo(np.float64).eps)
 _N_THETA = 720
 # delta per block of _upper_bound_argmin, bounding its temporaries; no bit depends on it
 _DELTA_BLOCK = 1 << 16
+# w(r) = (pi - phi)/sqrt(1 - delta) at g's root, r = sqrt(delta), as coefficients of r^0, r^1, ...:
+# it interpolates the solve's roots and the closed forms atan(2/pi) at delta = 0 and u0 at delta = 1,
+# u0 * atan(1/u0) = 1/2; 7e-10 off, so one Newton step lands within g's rounding. Written by
+# tests/fit_alpha_start.py.
+_START = (0.5669115049410094, -0.22727027479247647, 0.158146385432446,
+          -0.12515565908592133, 0.10404133220331761, -0.08748212671994798,
+          0.06958907557328517, -0.04725393075090587, 0.02410295205226413,
+          -0.00783833664763915, 0.0011869867587477256)
 
 
 def stationary_max(rho: float | np.ndarray, sigma: float | np.ndarray) -> float | np.ndarray:
@@ -130,9 +141,7 @@ def _argmin_block(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 cos * angle - cc * sin * (rr * cos / (cc * cc + y * y) + 1.0 / (minus * minus)))
 
     phi = np.where(co == 0.0, math.pi, 0.5 * math.pi)
-    # (pi - phi)/sqrt(1 - delta) at the root runs from atan(2/pi) = 0.567 at
-    # delta = 0 to 0.429, where t*atan(1/t) = 1/2, at delta = 1
-    start = math.pi - c * (0.567 - 0.138 * r)
+    start = math.pi - c * functools.reduce(lambda w, k: w * r + k, reversed(_START))  # Horner
     phi[inner] = kernels.newton(g, np.zeros(r.size), np.full(r.size, math.pi), _G_TOL, start)
     z = root * np.cos(phi)
     # 1 + z rounds once where it cannot cancel

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsl import bounds
+from qsl import bounds, kernels
 from qsl.errors import DomainError
 from qsl.rootfind import y_bounds
+from fit_alpha_start import fit
 from inner_objective import F_of_y
 
 YB = y_bounds()
@@ -513,8 +514,10 @@ class TestAlpha:
         err = [abs(a - alpha_mp(float(d))) for d, a in zip(DENSE_DELTAS, got)]
         assert max(err) <= 1e-14
 
-    def test_array_equals_scalar_calls_bit_for_bit(self):
-        deltas = np.concatenate([DENSE_DELTAS, [1e-300, 1e-16, 0.37, 0.5]])
+    def test_array_equals_scalar_calls_bit_for_bit(self, reference):
+        # so alpha --delta and alpha --grid give the same value at the same delta
+        deltas = np.concatenate([DENSE_DELTAS, [1e-300, 1e-16, 0.37, 0.5], reference[0],
+                                 np.linspace(0.0, 1.0, 1001)])
         values, zs = bounds._upper_bound_argmin(deltas)
         assert values.tolist() == [bounds.upper_bound_M(float(d)) for d in deltas]
         assert zs.tolist() == [bounds._upper_bound_argmin(float(d))[1] for d in deltas]
@@ -540,6 +543,60 @@ class TestAlpha:
             bounds.alpha(np.array([0.2, 1.5]))
         with pytest.raises(DomainError):
             bounds.alpha(math.nan)
+
+
+def counted_solves(monkeypatch):
+    """One count per kernels.newton solve from here on: its g evaluations on a nonempty set of rows."""
+    solves, newton = [], kernels.newton
+
+    def counting(g, *args):
+        solves.append(0)
+        index = len(solves) - 1
+
+        def counted(t, rows):
+            solves[index] += rows.size > 0
+            return g(t, rows)
+
+        return newton(counted, *args)
+
+    monkeypatch.setattr(kernels, "newton", counting)
+    return solves
+
+
+class TestNewtonStart:
+    # the fitted first guess bounds._START of _argmin_block's solve, written by
+    # tests/fit_alpha_start.py
+
+    def test_coefficients_are_the_fit(self):
+        fitted = fit()
+        assert len(fitted) == len(bounds._START)
+        assert max(abs(a - b) for a, b in zip(fitted, bounds._START)) <= 1e-12
+
+    def test_ends_are_the_closed_forms(self):
+        # the fit imposes both ends exactly: atan(2/pi) at r = 0, and u0 with
+        # u0 * atan(1/u0) = 1/2 at r = 1; what is left is the rounding of the sum
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            u0 = float(mpmath.findroot(lambda u: u * mpmath.atan(1 / u) - 0.5, 0.43))
+            atan_2_pi = float(mpmath.atan(2 / mpmath.pi))
+        assert (atan_2_pi, u0) == (0.5669115049410094, 0.42897790896417926)
+        assert abs(bounds._START[0] - atan_2_pi) <= 1e-15
+        assert abs(math.fsum(bounds._START) - u0) <= 1e-15
+
+    def test_two_g_evaluations_per_scalar_alpha(self, monkeypatch, reference):
+        deltas = np.concatenate([np.random.default_rng(28).random(2000),
+                                 [10.0 ** -k for k in range(1, 16)],
+                                 [1.0 - 10.0 ** -k for k in range(1, 16)], reference[0]])
+        solves = counted_solves(monkeypatch)
+        for d in deltas:
+            bounds.alpha(float(d))
+        assert len(solves) == deltas.size
+        assert max(solves) <= 2
+
+    def test_at_most_three_passes_for_a_table(self, monkeypatch):
+        solves = counted_solves(monkeypatch)
+        bounds.alpha(np.linspace(0.0, 1.0, 1001))
+        assert len(solves) == 1 and solves[0] <= 3
 
 
 class TestMTAlpha:
