@@ -131,10 +131,6 @@ class _Rows(NamedTuple):
     de: np.ndarray
     horizon: np.ndarray
 
-    def rounding(self, t, rows):
-        """The kernels' rounding bound at times ``t`` for the states ``rows``."""
-        return kernels.rounding_bound(t, self.d[rows], self.scale[rows])
-
 
 def _rows(supports: list, horizon_mult: float = 1.0) -> _Rows:
     """The block of the states with the given supports, (energies, p) pairs, one row each.
@@ -196,7 +192,8 @@ def _first_cells(mask: np.ndarray, row: np.ndarray, n_rows: int) -> np.ndarray:
     return first
 
 
-def _first_events(rows: _Rows, grids, h: np.ndarray, deltas: np.ndarray, todo: np.ndarray):
+def _first_events(rows: _Rows, grids, h: np.ndarray, r: np.ndarray, deltas: np.ndarray,
+                 todo: np.ndarray):
     """Earliest passage of each sought target within the chunks of each scanned row's grid.
 
     ``grids`` yields (i, k, z, seek) per chunk, a row's chunks one after
@@ -210,35 +207,35 @@ def _first_events(rows: _Rows, grids, h: np.ndarray, deltas: np.ndarray, todo: n
     reached before it when f stays above them on all of it by the curvature
     bound min(fa, fb) - curv*h**2/8 - r or, where that fails, by the chord
     bound (dist(0, [za, zb]) - sag*h**2 - r)**2, since |z - chord| <=
-    m2*h**2/8, above delta + _TOUCH_ACCEPT. r is the rounding bound at the
-    row's last cell's end (it increases with t); it bounds the error of za
-    and zb with half to spare for the distance's own rounding. The cells
-    neither bound clears are cut into _SPLIT parts, all of them at once. A
-    cell where f comes down to a target is a crossing bracket once f' <=
-    (f'(a) + f'(b))/2 + curv*h/2 < 0 certifies that f decreases on it. At the
-    last depth, 16**-5 of the grid step, a crossing cell is a bracket as it
-    is, and a cell still uncleared is searched for a local minimum, which
+    m2*h**2/8, above delta + _TOUCH_ACCEPT. ``r`` holds each row's one
+    rounding bound, for all its cells at every depth: the bound at the row's
+    last grid point, which grows with t and so covers every cell of the row.
+    It bounds the error of za and zb with half to spare for the distance's
+    own rounding, and 2*scale*r that of a slope. The cells neither bound
+    clears are cut into _SPLIT parts, all of them at once. A cell where f
+    comes down to a target is a crossing bracket once f' <= (f'(a) +
+    f'(b))/2 + curv*h/2 + 2*scale*r < 0 certifies that f decreases on it. At
+    the last depth, 16**-5 of the grid step, a crossing cell is a bracket as
+    it is, and a cell still uncleared is searched for a local minimum, which
     reaches the targets within _TOUCH_ACCEPT of it.
 
     Depth 0's curvature test, and on a tail chunk (k > 0) its chord test, runs
-    row by row over each whole chunk by the flat phase's _uncleared, with r at
-    the chunk's end; the cells kept and the crossing cells, at their absolute
-    indices, go on as one flat block of cells, each carrying its row, on which
-    every depth finds the crossing cells, the ceilings and the cells to keep
-    by one rule. A row's ceiling of a cell, the highest sought target whose
-    first crossing cell lies after it, is the flat phase's at depth 0, so the
-    row drops only cells the flat phase would drop. The flat phase's depth 0
-    takes r at the row's last chunk's end, which is conservative.
+    row by row over each whole chunk by the flat phase's _uncleared; the cells
+    kept and the crossing cells, at their absolute indices, go on as one flat
+    block of cells, each carrying its row, on which every depth finds the
+    crossing cells, the ceilings and the cells to keep by one rule. A row's
+    ceiling of a cell, the highest sought target whose first crossing cell
+    lies after it, and its r are the flat phase's at depth 0, so the row
+    drops only cells the flat phase would drop.
 
     Returns (lo, hi, touch) over (rows, targets): a crossing bracket [lo, hi],
     or a touch at ``touch`` (where it is not nan) in the cell starting at lo;
     lo is inf for a sought target not reached in these chunks, -inf for one not sought.
     """
-    r = np.zeros(todo.shape[0])  # each row's rounding bound at its current depth
     # depth 0, row by row: each chunk whole, cut down to the cells the curvature
     # (and on a tail chunk the chord) test keeps and its crossing cells
     parts = []
-    h_row, curv_h2, sag_h2 = h.tolist(), rows.curv * h * h, rows.sag * h * h
+    curv_h2, sag_h2 = rows.curv * h * h, rows.sag * h * h
     for i, k, z, seek in grids:
         sq = np.square(z.view(np.float64))  # z.real**2, z.imag**2 interleaved, in one pass
         f = sq[0::2] + sq[1::2]
@@ -249,9 +246,9 @@ def _first_events(rows: _Rows, grids, h: np.ndarray, deltas: np.ndarray, todo: n
         below = fmin <= sought[:, None]
         cell = np.where(below.any(axis=1), below.argmax(axis=1), n)
         # the ceiling of a cell: the highest target whose first cell lies after it
-        top = np.repeat(np.append(sought[::-1], -np.inf) + _TOUCH_ACCEPT,
-                        np.diff(np.concatenate(([0], cell[::-1], [n]))))
-        r[i] = rows.rounding((k + n - 1) * h_row[i] + h_row[i], i)
+        top = np.full(n, -np.inf)
+        for c, target in zip(cell.tolist(), (sought + _TOUCH_ACCEPT).tolist()):
+            top[:c] = target
         keep = _uncleared(fmin, z[:-1], z[1:], curv_h2, sag_h2, r, top, i, chord=k > 0)
         keep[cell[cell < n]] = True
         kept = np.nonzero(keep)[0]
@@ -273,9 +270,6 @@ def _first_events(rows: _Rows, grids, h: np.ndarray, deltas: np.ndarray, todo: n
         b = a + h[row]
         fmin = np.minimum(fa, fb)
         cells = _first_cells(fmin[:, None] <= deltas, row, todo.shape[0])
-        if depth:
-            end = np.nonzero(np.append(row[1:] != row[:-1], True))[0]
-            r[row[end]] = rows.rounding(b[end], row[end])
         start = np.append(a, np.inf)[cells]
         new = start < lo
         # a cell must be cleared for the targets whose earliest event lies after its start
@@ -293,7 +287,7 @@ def _first_events(rows: _Rows, grids, h: np.ndarray, deltas: np.ndarray, todo: n
                                              np.concatenate((a[crossing], b[crossing])))
             bound = ((slope[:crossing.size] + slope[crossing.size:]) / 2.0
                      + rows.curv[at] * h[at] / 2.0
-                     + 2.0 * rows.scale[at] * rows.rounding(b[crossing], at))
+                     + 2.0 * rows.scale[at] * r[at])
             certified = np.zeros(a.size + 1, dtype=bool)
             certified[crossing] = (bound < 0.0) | last
             keep[crossing] |= ~certified[crossing]
@@ -381,6 +375,9 @@ def _scan(rows: _Rows, deltas: np.ndarray, sought: np.ndarray, horizon: np.ndarr
     n_points = np.where(steps >= _POINT_BUDGET, _POINT_BUDGET,
                         np.ceil(np.minimum(steps, _POINT_BUDGET)) + 1).astype(int)
     z_prev = np.zeros(t_star.shape[0], dtype=complex)
+    # one rounding bound per row, at its last grid point: it grows with t, and
+    # no cell of the row ends later but by the rounding of its end
+    r = kernels.rounding_bound((n_points - 1) * dt, rows.d, rows.scale)
     last, step, size = (n_points - 1).tolist(), dt.tolist(), rows.d.tolist()
     top = np.where(todo, deltas, -np.inf).max(axis=1, initial=-np.inf).tolist()
 
@@ -409,7 +406,7 @@ def _scan(rows: _Rows, deltas: np.ndarray, sought: np.ndarray, horizon: np.ndarr
         live = np.nonzero(todo.any(axis=1) & (k0 < n_points - 1))[0]
         if not live.size:
             break
-        lo, hi, touch = _first_events(rows, grids(live, k0, k1), dt, deltas, todo)
+        lo, hi, touch = _first_events(rows, grids(live, k0, k1), dt, r, deltas, todo)
         touched = ~np.isnan(touch)
         t_star[touched] = touch[touched]
         bracketed = todo & (lo < np.inf) & ~touched
@@ -509,7 +506,7 @@ def _tolerance(rows: _Rows, row: np.ndarray, t: np.ndarray) -> np.ndarray:
     and 2 ulps; a limit by alpha's 4 ulp, pi/2, the quotient and d in <H - E0> or dE (which do
     not cancel at E0 = 0, as for the designed states); t/limit - 1 by 2 more.
     """
-    p, e, r = rows.p[row], rows.e[row], rows.rounding(t, row)
+    p, e, r = rows.p[row], rows.e[row], kernels.rounding_bound(t, rows.d[row], rows.scale[row])
     slope, curv = (np.abs(x) for x in kernels.derivatives(p, e, t, 2)[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         time = np.minimum(2.0 * r / slope, (slope + 2.0 * rows.scale[row] * r) / curv) / t

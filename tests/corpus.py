@@ -5,7 +5,8 @@ stderr, run in process through ``cli.main``. A short stream is kept as its
 text; a long one as its sha256 and a 12-hex-digit sha256 of each line, so that
 a check can name the first line that differs. This module is the file's only
 writer: run ``PYTHONPATH=src python tests/corpus.py`` to regenerate it from the
-tree, and commit the result with the change that moved it.
+tree, and commit the result with the change that moved it. It names on stderr
+each command whose entry the regeneration changed.
 """
 
 import contextlib
@@ -92,7 +93,11 @@ def entry(argv):
 
 
 def main():
+    before = {tuple(e["argv"]): e for e in json.loads(PATH.read_text())} if PATH.exists() else {}
     entries = [entry(argv) for argv in COMMANDS]
+    for e in entries:
+        if before.get(tuple(e["argv"])) != e:
+            print("changed: qsl " + " ".join(e["argv"]), file=sys.stderr)
     PATH.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {len(entries)} commands to {PATH}", file=sys.stderr)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import corpus
 from qsl import bounds, checks, cli, oracle, qsim, reports, tangent
 
 
@@ -387,6 +388,9 @@ def test_out_file_holds_the_bytes_of_stdout(capsys, tmp_path, argv):
     assert path.read_bytes() == out.encode()
 
 
+RECORDED = {tuple(entry["argv"]): entry for entry in json.loads(corpus.PATH.read_text())}
+
+
 @pytest.mark.parametrize("argv,golden", [
     (("simulate", "--trials", "300", "--seed", "7"), "simulate_trials300_seed7.txt"),
     (("simulate", "--trials", "100", "--dmax", "32", "--seed", "5"),
@@ -402,10 +406,12 @@ def test_out_file_holds_the_bytes_of_stdout(capsys, tmp_path, argv):
 ])
 def test_report_bytes_match_the_golden_output(argv, golden):
     # the default reports stay byte-identical: every digit of every count,
-    # slack and gap, as a real process writes them
+    # slack and gap, as a real process writes them, is the byte corpus's
+    # entry for the same argv (``golden`` names the report)
+    recorded = RECORDED[argv]
     done = qsl_process(argv, capture_output=True)
-    assert done.returncode == 0
-    assert done.stdout == (Path(__file__).parent / "golden" / golden).read_bytes()
+    assert done.returncode == recorded["exit"] == 0, golden
+    assert corpus.stream(done.stdout.decode()) == recorded["stdout"], golden
 
 
 # the simulate configurations of the golden reports

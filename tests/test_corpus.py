@@ -42,3 +42,16 @@ def test_command_bytes_match_the_corpus(recorded):
     if code != recorded["exit"]:
         problems.append(f"exit code {code}, expected {recorded['exit']}")
     assert not problems, "qsl " + " ".join(recorded["argv"]) + ": " + "; ".join(problems)
+
+
+def test_regeneration_names_each_changed_command(monkeypatch, tmp_path, capsys):
+    # a command whose entry moved, and one with no entry before, are named; an equal one is not
+    kept, moved, new = (("alpha", "--delta", delta) for delta in ("0.5", "2", "1"))
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([corpus.entry(kept), dict(corpus.entry(moved), exit=0)]))
+    monkeypatch.setattr(corpus, "PATH", path)
+    monkeypatch.setattr(corpus, "COMMANDS", [kept, moved, new])
+    corpus.main()
+    changed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("changed:")]
+    assert changed == ["changed: qsl alpha --delta 2", "changed: qsl alpha --delta 1"]
+    assert [e["argv"] for e in json.loads(path.read_text())] == [list(kept), list(moved), list(new)]

@@ -207,7 +207,8 @@ class TestFirstPassage:
         ends = np.exp(-1j * np.outer([0.0, width], rows.e[0])) @ rows.p[0]  # the amplitudes z
         assert abs(ends[1]) ** 2 <= delta
         chunk = (0, 0, ends, np.ones(1, dtype=bool))  # row 0's chunk from grid point 0
-        (lo,), (hi,), (touch,) = qsim._first_events(rows, [chunk], np.array([width]),
+        r = kernels.rounding_bound(np.array([width]), rows.d, rows.scale)  # at its last point
+        (lo,), (hi,), (touch,) = qsim._first_events(rows, [chunk], np.array([width]), r,
                                                     np.array([delta]), np.ones((1, 1), dtype=bool))
         assert np.isnan(touch[0])
         assert lo[0] < ref <= hi[0] and hi[0] - lo[0] <= width / qsim._SPLIT
@@ -355,21 +356,23 @@ class TestTailChunks:
         assert len(per_scan) > 1 and max(per_scan) == 2
 
     def test_tail_hands_on_only_cells_no_bound_clears(self, monkeypatch):
-        # a tail chunk's depth-0 pass hands the flat phase a row's crossing
-        # cells and the cells neither the curvature nor the chord bound clears;
-        # a row's tail chunks go to the flat phase together, in order
+        # depth 0's per-row pass hands the flat phase a row's crossing cells
+        # and the cells the curvature bound (on a first chunk) or neither the
+        # curvature nor the chord bound (on a tail chunk) clears, against the
+        # ceilings of the reference rule below and the row's own r; a row's
+        # tail chunks go to the flat phase together, in order
         calls, first_events, first_cells = [], qsim._first_events, qsim._first_cells
 
-        def recorded_events(rows, grids, h, deltas, todo):
+        def recorded_events(rows, grids, h, r, deltas, todo):
             chunks = []
-            calls.append(dict(rows=rows, chunks=chunks, h=h.copy()))
+            calls.append(dict(rows=rows, chunks=chunks, h=h.copy(), r=r.copy()))
 
             def recording():
                 for i, k, z, seek in grids:
                     chunks.append((i, k, z, seek.copy()))  # what the chunk seeks, as it came
                     yield i, k, z, seek
 
-            return first_events(rows, recording(), h, deltas, todo)
+            return first_events(rows, recording(), h, r, deltas, todo)
 
         def recorded_cells(mask, row, n_rows):
             calls[-1].setdefault("handed", (mask, row))
@@ -378,16 +381,16 @@ class TestTailChunks:
         monkeypatch.setattr(qsim, "_first_events", recorded_events)
         monkeypatch.setattr(qsim, "_first_cells", recorded_cells)
         qsim.verify_limits(50, 128, 1)
-        tail = [c for c in calls if c["chunks"] and c["chunks"][0][1]]
-        assert tail
-        chord_cleared, several = 0, 0
-        for c in tail:
+        calls = [c for c in calls if c["chunks"]]
+        chord_cleared, several, first_chunks = 0, 0, 0
+        for c in calls:
             rows, deltas = c["rows"], qsim.DELTAS
             mask, row = c["handed"]
+            tail = c["chunks"][0][1] > 0
             handed_rows = {}
             for i, k, z, seek in c["chunks"]:
-                assert k >= qsim._CHUNK
-                h = float(c["h"][i])
+                assert k >= qsim._CHUNK if tail else k == 0
+                h, r = float(c["h"][i]), c["r"][i]
                 f = z.real * z.real + z.imag * z.imag
                 fmin = np.minimum(f[:-1], f[1:])
                 n = fmin.size
@@ -397,19 +400,75 @@ class TestTailChunks:
                 after = first > np.arange(n)[:, None]
                 top = np.where(after, sought + qsim._TOUCH_ACCEPT, -math.inf).max(
                     axis=1, initial=-math.inf)
-                r = rows.rounding((k + n - 1) * h + h, i)
-                curvature = fmin - rows.curv[i] * h * h / 8.0 - r > top
-                gap = qsim._chord_distance(z[:-1], z[1:]) - rows.sag[i] * h * h - r
-                chord = np.maximum(gap, 0.0) ** 2 > top
                 crossing = np.isin(np.arange(n), first)
-                handed = crossing | ~(curvature | chord)
-                chord_cleared += np.count_nonzero(~crossing & ~curvature & chord)
+                cleared = fmin - rows.curv[i] * h * h / 8.0 - r > top
+                if tail:
+                    gap = qsim._chord_distance(z[:-1], z[1:]) - rows.sag[i] * h * h - r
+                    chord = np.maximum(gap, 0.0) ** 2 > top
+                    chord_cleared += np.count_nonzero(~crossing & ~cleared & chord)
+                    cleared |= chord
+                handed = crossing | ~cleared
                 handed_rows.setdefault(i, []).append(fmin[handed, None] <= deltas)
             for i, parts in handed_rows.items():
                 several += len(parts) > 1
                 assert np.array_equal(mask[row == i], np.concatenate(parts))
+            first_chunks += 0 if tail else len(c["chunks"])
+        assert first_chunks == 60  # the 50 trials' and the 10 designed rows'
         assert chord_cleared > 10**5
         assert several  # some row's tail chunks all went to one flat phase
+
+
+class TestOneRoundingBound:
+    CONFIGS = [(50, 128, 1), (300, 8, 7), (200, 3, 9, 4.0), (100, 40, 3, 0.3)]
+
+    def test_a_scan_evaluates_the_bound_once_whatever_its_rows_and_chunks(self, monkeypatch):
+        # one kernels.rounding_bound call per _scan for its cells, however many
+        # rows, chunks and depths it has; each refiner call makes one of its own
+        count = dict(bound=0, refine=0, chunks=0)
+        per_scan, scan = [], qsim._scan
+
+        def counted_scan(rows, *args):
+            count.update(bound=0, refine=0, chunks=0)
+            t_star = scan(rows, *args)
+            per_scan.append((count["bound"] - count["refine"], rows.d.size, count["chunks"]))
+            return t_star
+
+        def counting(name, key):
+            shipped = getattr(kernels, name)
+
+            def counted(*args):
+                count[key] += 1
+                return shipped(*args)
+
+            monkeypatch.setattr(kernels, name, counted)
+
+        monkeypatch.setattr(qsim, "_scan", counted_scan)
+        for name, key in (("rounding_bound", "bound"), ("_refine", "refine"),
+                          ("fidelity_grid", "chunks")):
+            counting(name, key)
+        for args in self.CONFIGS:
+            qsim.verify_limits(*args)
+        evaluations, n_rows, chunks = zip(*per_scan)
+        assert set(evaluations) == {1}
+        assert len(set(n_rows)) > 3 and max(chunks) > 200
+
+    def test_each_row_is_judged_by_a_bound_no_less_than_at_its_chunks_ends(self, monkeypatch):
+        checked, first_events = [], qsim._first_events
+
+        def checking(rows, grids, h, r, deltas, todo):
+            def ends():
+                for i, k, z, seek in grids:
+                    end = (k + z.size - 1) * h[i]  # the chunk's last grid point
+                    assert r[i] >= kernels.rounding_bound(end, rows.d[i], rows.scale[i])
+                    checked.append(k)
+                    yield i, k, z, seek
+
+            return first_events(rows, ends(), h, r, deltas, todo)
+
+        monkeypatch.setattr(qsim, "_first_events", checking)
+        for args in self.CONFIGS:
+            qsim.verify_limits(*args)
+        assert checked.count(0) > 500 and len(checked) - checked.count(0) > 50
 
 
 class TestChordBound:
@@ -430,7 +489,7 @@ class TestChordBound:
             starts = rng.uniform(0.0, 100.0, 10)
             for a, h in zip(starts, step * 10.0 ** rng.uniform(-2.0, 0.5, 10)):
                 z = kernels.amplitude_rows(*state_rows(p, e, 1), [a], [h], 2)[0]
-                r = rows.rounding(a + h, 0)
+                r = kernels.rounding_bound(a + h, rows.d[0], rows.scale[0])
                 gap = qsim._chord_distance(z[:1], z[1:])[0] - rows.sag[0] * h * h - r
                 t = a + h * np.linspace(0.0, 1.0, 513)
                 margins.append(np.abs(np.exp(-1j * np.outer(t, e)) @ p).min() + r - gap)
@@ -572,7 +631,7 @@ def scalar_tally(report, t_star, ml, mt, tol):
 
 def two_table_tolerance(rows, row, t):
     """qsim._tolerance with f' and f'' from two kernel calls, each over its own exp table."""
-    p, e, r = rows.p[row], rows.e[row], rows.rounding(t, row)
+    p, e, r = rows.p[row], rows.e[row], kernels.rounding_bound(t, rows.d[row], rows.scale[row])
     block = max(1, kernels._LEVEL_BLOCK // p.shape[1])
     curv = np.concatenate([kernels._level_sums(*kernels._level_major(p[s:s + block],
                                                                      e[s:s + block]),
